@@ -82,7 +82,6 @@ def run_suite(
     itemset_mode: bool = False,
     constraints=None,
     timeout: float | None = None,
-    threads: int | None = None,
 ) -> Iterator[BenchRecord]:
     """Yield one record per cell of the (dataset x threshold x strategy x mode) grid."""
     cells = [
@@ -102,10 +101,7 @@ def run_suite(
         completed = True
         count: int | None = None
         try:
-            result = mine(
-                db, params, constraints,
-                threads=threads, timeout=timeout, stats=stats,
-            )
+            result = mine(db, params, constraints, timeout=timeout, stats=stats)
             count = len(result)
         except MiningTimeout:
             completed = False

@@ -146,8 +146,6 @@ def build_parser() -> _Parser:
     p_mine.add_argument("--itemset-mode", action="store_true")
     p_mine.add_argument("--condensed-within-constraints", action="store_true",
                         help="judge condensed modes pairwise inside the constrained output")
-    p_mine.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: SEQMINE_THREADS or 1)")
     p_mine.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
     p_mine.add_argument("--output", default=None, help="result records file (default stdout)")
     p_mine.add_argument("--emit-asp-facts", default=None, metavar="PATH",
@@ -181,7 +179,6 @@ def build_parser() -> _Parser:
     p_bench.add_argument("--itemset-mode", action="store_true")
     p_bench.add_argument("--timeout", type=float, default=None,
                          help="per-cell timeout in seconds")
-    p_bench.add_argument("--threads", type=int, default=None)
     p_bench.add_argument("--output", default=None, help="write JSONL records here")
 
     p_oracle = sub.add_parser("oracle")
@@ -266,7 +263,7 @@ def _cmd_mine(args) -> int:
     try:
         result = mine(
             db, params, constraints,
-            threads=args.threads, timeout=args.timeout, stats=stats,
+            timeout=args.timeout, stats=stats,
             condensed_within_constraints=args.condensed_within_constraints,
         )
     except MiningTimeout:
@@ -346,7 +343,7 @@ def _cmd_bench(args) -> int:
         for record in bench_mod.run_suite(
             datasets, thresholds, strategies, modes,
             maxlen=args.maxlen, minlen=args.minlen, itemset_mode=args.itemset_mode,
-            timeout=args.timeout, threads=args.threads,
+            timeout=args.timeout,
         ):
             records.append(record)
             if sink is not None:

@@ -1,29 +1,35 @@
 """Depth-first prefix-projected pattern enumeration.
 
-The engine grows patterns one extension at a time and counts an extension's
-support in the projected suffixes of the current pattern's supporters.
+One search grows patterns one extension at a time, from the empty pattern,
+over an explicit stack of frames, and counts an extension's support in the
+projected suffixes of the current pattern's supporters.  The regex,
+aggregate, emission, length and deadline gates live in that one loop.
 Candidate extensions at a node are inherited from the parent's locally
 frequent items (anti-monotone, so nothing is lost; a differential flag can
 switch this narrowing off for testing).
 
-Strategies differ only in per-sequence bookkeeping:
+What the search keeps per supporting sequence depends on the pattern shape
+and constraints, and nothing else:
 
-* ``fill``: one integer per supporter, the position right after the leftmost
-  embedding's last match (pseudo-projection).
-* ``skip``: the full list of positions where the last pattern element can be
-  matched; heavier in memory, same counts.
+* simple mode: one integer, the position right after the leftmost
+  embedding's last match (pseudo-projection, a fill-gaps frontier);
+* itemset mode: the ascending positions where an embedding can end, so the
+  last element can still be augmented;
+* gap/span constraints: the (last position, first position) pairs of
+  admissible chains, admitted step by step.
 
-Gap/span constraints switch to a chain engine whose per-sequence state is a
-set of (last position, first position) pairs, admitted step by step.
+``MiningParams.strategy`` does not reach the search.  It selects the
+skip-gaps or fill-gaps embedding representation that ``relations`` and the
+condensed filter use; both give the same supports.
 """
 
 from __future__ import annotations
 
-import os
+import math
 import time
 from bisect import bisect_left
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from .seqdb import MiningResult, Pattern, ResultEntry, SequenceDatabase
 from .relations import STRATEGIES, is_subitemset, is_subsequence
@@ -68,8 +74,8 @@ class MiningParams:
     def resolved_fmin(self, n_sequences: int) -> int:
         if isinstance(self.fmin, int):
             return self.fmin
-        resolved = -(-self.fmin * n_sequences // 1)  # ceil
-        resolved = int(resolved)
+        # Exact: the float product rounds 0.07 * 100 up to 7.000000000000001.
+        resolved = math.ceil(Fraction(repr(self.fmin)) * n_sequences)
         if resolved < 1:
             raise ValueError(f"fractional fmin {self.fmin} resolves to {resolved} on {n_sequences} sequences")
         return resolved
@@ -77,6 +83,9 @@ class MiningParams:
 
 @dataclass
 class MineStats:
+    """Search counters; ``nodes_expanded`` counts the frames popped from the
+    search stack, the empty-pattern root included."""
+
     nodes_expanded: int = 0
 
 
@@ -139,7 +148,7 @@ def locally_frequent_items(view: ProjectedView, db: SequenceDatabase, fmin: int)
 
 
 # ---------------------------------------------------------------------------
-# Shared engine plumbing
+# Search plumbing
 
 
 class _Index:
@@ -173,10 +182,11 @@ def _root_candidates(index: _Index, fmin: int, cannot: frozenset[int]) -> list[i
     return sorted(i for i, c in counts.items() if c >= fmin and i not in cannot)
 
 
-def _emission_ok(cs, elements: tuple[tuple[int, ...], ...], items: tuple[int, ...]) -> bool:
-    """Pattern-level acceptance; regex and length are checked by the engines."""
+def _emission_ok(cs, elements: tuple[tuple[int, ...], ...]) -> bool:
+    """Pattern-level acceptance; regex and length are checked by the search."""
     if cs is None:
         return True
+    items = tuple(i for e in elements for i in e)
     if cs.must_have and not cs.must_have.issubset(items):
         return False
     if cs.super_patterns:
@@ -189,34 +199,28 @@ def _emission_ok(cs, elements: tuple[tuple[int, ...], ...], items: tuple[int, ..
 
 
 # ---------------------------------------------------------------------------
-# Simple-mode engine (no gap/span)
+# Per-sequence search states
+#
+# An entry is a (sequence index, state) pair.  ``count`` maps each candidate
+# to the supporters whose state admits it as a new last element, and
+# ``child`` turns those supporters into the extended pattern's entries.
+# States used in itemset mode also have ``count_aug``/``child_aug``, which do
+# the same for adding the candidate to the last element.  ``root`` is the
+# state of the empty pattern in every sequence.
 
 
-def _mine_simple(
-    db: SequenceDatabase,
-    fmin: int,
-    params: MiningParams,
-    cs,
-    stats: MineStats,
-    deadline: float | None,
-    threads: int,
-    use_local_pruning: bool,
-) -> list[ResultEntry]:
-    index = _Index(db)
-    cannot = cs.cannot_have if cs else frozenset()
-    dfa = cs.regex if cs else None
-    agg = cs.aggregate if cs else None
-    agg_prunes = agg is not None and agg.prunes_as_sum()
-    skip = params.strategy == "skip"
-    root_cands = _root_candidates(index, fmin, cannot)
+class _Frontier:
+    """Simple mode: the position right after the leftmost embedding's last
+    match (pseudo-projection)."""
 
-    if skip:
-        root_entries = [(si, 1, ()) for si in range(index.n)]
-    else:
-        root_entries = [(si, 1) for si in range(index.n)]
+    root = 1
+    narrows = True
 
-    def count(entries, candidates):
-        pos = index.pos
+    def __init__(self, index: _Index):
+        self.pos = index.pos
+
+    def count(self, entries, candidates):
+        pos = self.pos
         out = {c: [] for c in candidates}
         for ent in entries:
             table = pos[ent[0]]
@@ -227,392 +231,223 @@ def _mine_simple(
                     out[c].append(ent)
         return out
 
-    def child_entries(supporters, c):
-        pos = index.pos
+    def child(self, supporters, c):
+        pos = self.pos
         out = []
-        if skip:
-            for ent in supporters:
-                pl = pos[ent[0]][c]
-                level = pl[bisect_left(pl, ent[1]) :]
-                out.append((ent[0], level[0] + 1, tuple(level)))
-        else:
-            for ent in supporters:
-                pl = pos[ent[0]][c]
-                out.append((ent[0], pl[bisect_left(pl, ent[1])] + 1))
+        for ent in supporters:
+            pl = pos[ent[0]][c]
+            out.append((ent[0], pl[bisect_left(pl, ent[1])] + 1))
         return out
 
-    def descend(prefix, entries, candidates, dfa_state, running_sum, stats, sink):
-        stats.nodes_expanded += 1
-        _check_deadline(deadline)
-        out = count(entries, candidates)
-        local = [c for c in candidates if len(out[c]) >= fmin]
-        depth = len(prefix) + 1
-        for c in local:
-            nxt_state = None
-            if dfa is not None:
-                nxt_state = dfa.step(dfa_state, c)
-                if nxt_state is None or nxt_state not in dfa.live:
-                    continue
-            if agg_prunes:
-                new_sum = running_sum + agg.cost_of(c)
-                if not agg.sum_viable(new_sum):
-                    continue
-            else:
-                new_sum = 0
-            items = prefix + (c,)
-            supporters = out[c]
-            if depth >= params.minlen and (dfa is None or nxt_state in dfa.accepting):
-                elements = tuple((i,) for i in items)
-                if _emission_ok(cs, elements, items):
-                    sids = tuple(index.sids[ent[0]] for ent in supporters)
-                    sink.append(ResultEntry(Pattern(elements), len(supporters), sids))
-            if depth < params.maxlen:
-                descend(
-                    items,
-                    child_entries(supporters, c),
-                    local if use_local_pruning else candidates,
-                    nxt_state,
-                    new_sum,
-                    stats,
-                    sink,
-                )
 
-    def run_branch(c, st, sink):
-        """First-level branch: emit the single-item pattern, then its subtree."""
-        _check_deadline(deadline)
-        out = count(root_entries, [c])
-        supporters = out[c]
-        if len(supporters) < fmin:
-            return
-        state = None
-        if dfa is not None:
-            state = dfa.step(dfa.start, c)
-            if state is None or state not in dfa.live:
-                return
-        new_sum = 0
-        if agg_prunes:
-            new_sum = agg.cost_of(c)
-            if not agg.sum_viable(new_sum):
-                return
-        if params.minlen <= 1 and (dfa is None or state in dfa.accepting):
-            if _emission_ok(cs, ((c,),), (c,)):
-                sids = tuple(index.sids[ent[0]] for ent in supporters)
-                sink.append(ResultEntry(Pattern(((c,),)), len(supporters), sids))
-        if params.maxlen > 1:
-            descend((c,), child_entries(supporters, c), root_cands, state, new_sum, st, sink)
+class _EndSet:
+    """Itemset mode: ascending positions where an embedding of the pattern
+    can end.  Appending admits matches after the minimum end; augmenting the
+    last element keeps the ends whose element holds the new item.
 
-    if threads > 1 and len(root_cands) > 1:
-        return _parallel_first_level(root_cands, threads, run_branch, stats)
-
-    sink: list[ResultEntry] = []
-    descend((), root_entries, root_cands, dfa.start if dfa is not None else None, 0, stats, sink)
-    return sink
-
-
-def _parallel_first_level(root_cands, threads, run_branch, stats):
-    """Fan the first search level out over a thread pool; merge in any order.
-
-    The final canonical sort makes the output independent of scheduling.
+    Candidate narrowing needs care: an item that never occurs after the
+    minimum end cannot appear in any later element, but it can still augment
+    the current one.  The search therefore hands augment-children the union
+    of the append-viable and augment-viable items.
     """
-    sinks: list[list[ResultEntry]] = []
-    branch_stats: list[MineStats] = []
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = []
-        for c in root_cands:
-            st = MineStats()
-            sink: list[ResultEntry] = []
-            branch_stats.append(st)
-            sinks.append(sink)
-            futures.append(pool.submit(run_branch, c, st, sink))
-        wait(futures, return_when=FIRST_EXCEPTION)
-        failure = next((f.exception() for f in futures if f.done() and f.exception()), None)
-        if failure is not None:
-            for other in futures:
-                other.cancel()
-            raise failure
-        for fut in futures:
-            fut.result()
-    stats.nodes_expanded += 1 + sum(st.nodes_expanded for st in branch_stats)
-    return [entry for sink in sinks for entry in sink]
 
+    root = (0,)
+    narrows = True
 
-# ---------------------------------------------------------------------------
-# Itemset-mode engine (no gap/span)
+    def __init__(self, index: _Index):
+        self.pos = index.pos
+        self.elements = index.elements
 
-# Per-sequence state: ascending positions where an embedding of the current
-# pattern can end.  Appending a new element admits matches after the minimum
-# end; augmenting the last element filters the end set in place.
-#
-# Candidate narrowing needs care: an item that never occurs after a node's
-# frontier minimum cannot appear in any later element, but it can still
-# augment the current element (it only has to be present at a frontier
-# position).  Append-children therefore inherit the append-viable list,
-# while augment-children inherit the union of append-viable and
-# augment-viable items.
-
-
-def _mine_itemset(
-    db: SequenceDatabase,
-    fmin: int,
-    params: MiningParams,
-    cs,
-    stats: MineStats,
-    deadline: float | None,
-    use_local_pruning: bool,
-) -> list[ResultEntry]:
-    index = _Index(db)
-    cannot = cs.cannot_have if cs else frozenset()
-    agg = cs.aggregate if cs else None
-    agg_prunes = agg is not None and agg.prunes_as_sum()
-    root_cands = _root_candidates(index, fmin, cannot)
-    sink: list[ResultEntry] = []
-
-    def descend(elements, entries, candidates, running_sum):
-        stats.nodes_expanded += 1
-        _check_deadline(deadline)
-        n_elems = len(elements)
-        supp = len(entries)
-        items = tuple(i for e in elements for i in e)
-        if n_elems >= params.minlen and _emission_ok(cs, elements, items):
-            sink.append(ResultEntry(Pattern(elements), supp, tuple(index.sids[si] for si, _ in entries)))
-
-        s_out = {c: [] for c in candidates}
-        for si, ends in entries:
-            table = index.pos[si]
-            floor = ends[0]
+    def count(self, entries, candidates):
+        out = {c: [] for c in candidates}
+        for ent in entries:
+            table = self.pos[ent[0]]
+            floor = ent[1][0]
             for c in candidates:
                 pl = table.get(c)
                 if pl is not None and pl[-1] > floor:
-                    s_out[c].append((si, ends))
-        s_local = [c for c in candidates if len(s_out[c]) >= fmin]
+                    out[c].append(ent)
+        return out
 
-        last_max = elements[-1][-1]
-        i_cands = [c for c in candidates if c > last_max]
-        if i_cands:
-            i_out = {c: [] for c in i_cands}
-            for si, ends in entries:
-                elems = index.elements[si]
-                present = set()
-                for j in ends:
-                    present.update(elems[j - 1])
-                for c in i_cands:
-                    if c in present:
-                        i_out[c].append((si, ends))
-            i_local = [c for c in i_cands if len(i_out[c]) >= fmin]
-            aug_pool = sorted(set(s_local).union(i_local))
-            for c in i_local:
-                new_sum = 0
-                if agg_prunes:
-                    new_sum = running_sum + agg.cost_of(c)
-                    if not agg.sum_viable(new_sum):
-                        continue
-                new_entries = []
-                for si, ends in i_out[c]:
-                    elems = index.elements[si]
-                    kept = tuple(j for j in ends if c in elems[j - 1])
-                    new_entries.append((si, kept))
-                descend(
-                    elements[:-1] + (elements[-1] + (c,),),
-                    new_entries,
-                    aug_pool if use_local_pruning else candidates,
-                    new_sum,
-                )
+    def child(self, supporters, c):
+        out = []
+        for si, ends in supporters:
+            pl = self.pos[si][c]
+            out.append((si, tuple(pl[bisect_left(pl, ends[0] + 1) :])))
+        return out
 
-        if n_elems < params.maxlen:
-            for c in s_local:
-                new_sum = 0
-                if agg_prunes:
-                    new_sum = running_sum + agg.cost_of(c)
-                    if not agg.sum_viable(new_sum):
-                        continue
-                new_entries = []
-                for si, ends in s_out[c]:
-                    pl = index.pos[si][c]
-                    new_entries.append((si, tuple(pl[bisect_left(pl, ends[0] + 1) :])))
-                descend(
-                    elements + ((c,),),
-                    new_entries,
-                    s_local if use_local_pruning else candidates,
-                    new_sum,
-                )
+    def count_aug(self, entries, candidates):
+        out = {c: [] for c in candidates}
+        for ent in entries:
+            elems = self.elements[ent[0]]
+            present = set()
+            for j in ent[1]:
+                present.update(elems[j - 1])
+            for c in candidates:
+                if c in present:
+                    out[c].append(ent)
+        return out
 
-    for c in root_cands:
-        entries = []
-        for si in range(index.n):
-            pl = index.pos[si].get(c)
-            if pl:
-                entries.append((si, tuple(pl)))
-        if len(entries) < fmin:
-            continue
-        new_sum = 0
-        if agg_prunes:
-            new_sum = agg.cost_of(c)
-            if not agg.sum_viable(new_sum):
-                continue
-        descend(((c,),), entries, root_cands, new_sum)
-    return sink
+    def child_aug(self, supporters, c):
+        out = []
+        for si, ends in supporters:
+            elems = self.elements[si]
+            out.append((si, tuple(j for j in ends if c in elems[j - 1])))
+        return out
 
 
-# ---------------------------------------------------------------------------
-# Chain engine for gap/span constraints
+class _Chain:
+    """Gap/span constraints: sorted distinct (last, first) pairs of admissible
+    partial chains.  Admission of a next position j after (j', f) requires
+    mingap <= j-j'-1 <= maxgap and minspan <= j-f+1 <= maxspan, mirroring the
+    step rules; first elements are unconstrained and set first=last.
 
-# Per-sequence state: sorted distinct (last, first) pairs of admissible
-# partial chains.  Admission of a next position j after (j', f) requires
-# mingap <= j-j'-1 <= maxgap and minspan <= j-f+1 <= maxspan, mirroring the
-# step rules; first elements are unconstrained and set first=last.
-#
-# Children inherit the full root candidate list: admission windows move as
-# the pattern grows, so an item that is an infrequent extension here can be
-# a frequent extension one level deeper, and parent-local narrowing would
-# lose patterns.  Only each node's own frequency gate prunes (sound, since
-# dropping the last chain step of an admissible chain leaves one).
+    Candidates are not narrowed: admission windows move as the pattern
+    grows, so an item that is an infrequent extension here can be a frequent
+    extension one level deeper.  Only each node's own frequency gate prunes
+    (sound, since dropping the last chain step of an admissible chain leaves
+    one).
+    """
 
+    root = None
+    narrows = False
 
-def _mine_chained(
-    db: SequenceDatabase,
-    fmin: int,
-    params: MiningParams,
-    cs,
-    stats: MineStats,
-    deadline: float | None,
-    use_local_pruning: bool,
-) -> list[ResultEntry]:
-    index = _Index(db)
-    cannot = cs.cannot_have
-    dfa = cs.regex
-    agg = cs.aggregate
-    agg_prunes = agg is not None and agg.prunes_as_sum()
-    itemset = params.itemset_mode
-    root_cands = _root_candidates(index, fmin, cannot)
-    mingap = cs.mingap if cs.mingap is not None else 0
-    maxgap = cs.maxgap
-    minspan = cs.minspan
-    maxspan = cs.maxspan
-    sink: list[ResultEntry] = []
+    def __init__(self, index: _Index, cs):
+        self.elements = index.elements
+        self.mingap = cs.mingap if cs.mingap is not None else 0
+        self.maxgap = cs.maxgap
+        self.minspan = cs.minspan
+        self.maxspan = cs.maxspan
 
-    def admissible_next(si: int, pairs) -> dict[int, list[tuple[int, int]]]:
+    def admissible_next(self, si: int, pairs) -> dict[int, list[tuple[int, int]]]:
         """Map next-position j -> chain pairs (j, f) reachable from the state."""
-        elems = index.elements[si]
-        n = len(elems)
+        n = len(self.elements[si])
+        if pairs is None:
+            return {j: [(j, j)] for j in range(1, n + 1)}
         hits: dict[int, set[int]] = {}
         for last, first in pairs:
-            lo = last + 1 + mingap
-            hi = n if maxgap is None else min(n, last + 1 + maxgap)
-            if minspan is not None:
-                lo = max(lo, first + minspan - 1)
-            if maxspan is not None:
-                hi = min(hi, first + maxspan - 1)
+            lo = last + 1 + self.mingap
+            hi = n if self.maxgap is None else min(n, last + 1 + self.maxgap)
+            if self.minspan is not None:
+                lo = max(lo, first + self.minspan - 1)
+            if self.maxspan is not None:
+                hi = min(hi, first + self.maxspan - 1)
             for j in range(lo, hi + 1):
                 hits.setdefault(j, set()).add(first)
         return {j: sorted((j, f) for f in firsts) for j, firsts in hits.items()}
 
-    def descend(elements, entries, candidates, dfa_state, running_sum):
-        stats.nodes_expanded += 1
-        _check_deadline(deadline)
-        items = tuple(i for e in elements for i in e)
-        if len(elements) >= params.minlen and (dfa is None or dfa_state in dfa.accepting):
-            if _emission_ok(cs, elements, items):
-                sink.append(
-                    ResultEntry(Pattern(elements), len(entries), tuple(index.sids[si] for si, _ in entries))
-                )
-
-        s_out: dict[int, list] = {c: [] for c in candidates}
-        reach_cache = []
+    def count(self, entries, candidates):
+        out = {c: [] for c in candidates}
         for si, pairs in entries:
-            elems = index.elements[si]
-            reach = admissible_next(si, pairs)
-            reach_cache.append((si, reach))
+            elems = self.elements[si]
+            reach = self.admissible_next(si, pairs)
             present = set()
             for j in reach:
                 present.update(elems[j - 1])
             for c in candidates:
                 if c in present:
-                    s_out[c].append((si, reach))
-        s_local = [c for c in candidates if len(s_out[c]) >= fmin]
+                    out[c].append((si, reach))
+        return out
 
-        if itemset:
-            last_max = elements[-1][-1]
-            i_cands = [c for c in candidates if c > last_max]
-            if i_cands:
-                i_out = {c: [] for c in i_cands}
-                for si, pairs in entries:
-                    elems = index.elements[si]
-                    present = set()
-                    for last, _ in pairs:
-                        present.update(elems[last - 1])
-                    for c in i_cands:
-                        if c in present:
-                            i_out[c].append((si, pairs))
-                for c in i_cands:
-                    if len(i_out[c]) < fmin:
-                        continue
-                    new_sum = 0
-                    if agg_prunes:
-                        new_sum = running_sum + agg.cost_of(c)
-                        if not agg.sum_viable(new_sum):
-                            continue
-                    new_entries = []
-                    for si, pairs in i_out[c]:
-                        elems = index.elements[si]
-                        kept = tuple(p for p in pairs if c in elems[p[0] - 1])
-                        if kept:
-                            new_entries.append((si, kept))
-                    if len(new_entries) >= fmin:
-                        descend(
-                            elements[:-1] + (elements[-1] + (c,),),
-                            new_entries,
-                            candidates,
-                            dfa_state,
-                            new_sum,
-                        )
+    def child(self, supporters, c):
+        out = []
+        for si, reach in supporters:
+            elems = self.elements[si]
+            kept = tuple(pair for j, pairs in sorted(reach.items()) if c in elems[j - 1] for pair in pairs)
+            out.append((si, kept))
+        return out
 
-        if len(elements) < params.maxlen:
-            for c in s_local:
-                nxt_state = None
-                if dfa is not None:
-                    nxt_state = dfa.step(dfa_state, c)
-                    if nxt_state is None or nxt_state not in dfa.live:
-                        continue
-                new_sum = 0
-                if agg_prunes:
-                    new_sum = running_sum + agg.cost_of(c)
-                    if not agg.sum_viable(new_sum):
-                        continue
-                new_entries = []
-                for si, reach in s_out[c]:
-                    elems = index.elements[si]
-                    kept = tuple(
-                        pair for j, pairs in sorted(reach.items()) if c in elems[j - 1] for pair in pairs
-                    )
-                    if kept:
-                        new_entries.append((si, kept))
-                if len(new_entries) >= fmin:
-                    descend(
-                        elements + ((c,),),
-                        new_entries,
-                        candidates,
-                        nxt_state,
-                        new_sum,
-                    )
+    def count_aug(self, entries, candidates):
+        out = {c: [] for c in candidates}
+        for ent in entries:
+            elems = self.elements[ent[0]]
+            present = set()
+            for last, _ in ent[1]:
+                present.update(elems[last - 1])
+            for c in candidates:
+                if c in present:
+                    out[c].append(ent)
+        return out
 
-    for c in root_cands:
-        state0 = None
-        if dfa is not None:
-            state0 = dfa.step(dfa.start, c)
-            if state0 is None or state0 not in dfa.live:
-                continue
-        new_sum = 0
-        if agg_prunes:
-            new_sum = agg.cost_of(c)
-            if not agg.sum_viable(new_sum):
-                continue
-        entries = []
-        for si in range(index.n):
-            pl = index.pos[si].get(c)
-            if pl:
-                entries.append((si, tuple((j, j) for j in pl)))
-        if len(entries) >= fmin:
-            descend(((c,),), entries, root_cands, state0, new_sum)
+    def child_aug(self, supporters, c):
+        out = []
+        for si, pairs in supporters:
+            elems = self.elements[si]
+            out.append((si, tuple(p for p in pairs if c in elems[p[0] - 1])))
+        return out
+
+
+# ---------------------------------------------------------------------------
+# The search
+
+
+def _search(
+    index: _Index,
+    state,
+    fmin: int,
+    params: MiningParams,
+    cs,
+    stats: MineStats,
+    deadline: float | None,
+    narrow: bool,
+) -> list[ResultEntry]:
+    """Depth-first pattern growth over an explicit stack of frames
+    (elements, entries, candidates, dfa_state, running_sum), starting from
+    the empty pattern.  Every gate is applied here; ``state`` only counts
+    supporters and builds child entries."""
+    dfa = cs.regex if cs else None
+    agg = cs.aggregate if cs else None
+    agg_prunes = agg is not None and agg.prunes_as_sum()
+    cannot = cs.cannot_have if cs else frozenset()
+    root_cands = _root_candidates(index, fmin, cannot)
+    root_entries = [(si, state.root) for si in range(index.n)]
+    sink: list[ResultEntry] = []
+    stack = [((), root_entries, root_cands, dfa.start if dfa is not None else None, 0)]
+    while stack:
+        elements, entries, candidates, dfa_state, running_sum = stack.pop()
+        stats.nodes_expanded += 1
+        _check_deadline(deadline)
+        depth = len(elements)
+        if depth >= params.minlen and (dfa is None or dfa_state in dfa.accepting):
+            if _emission_ok(cs, elements):
+                sids = tuple(index.sids[ent[0]] for ent in entries)
+                sink.append(ResultEntry(Pattern(elements), len(entries), sids))
+
+        # (child elements, added item, supporters, child builder, child candidates)
+        extensions = []
+        # A leaf is only emitted, which reads no more of an entry than its
+        # sequence index: give it the supporters and skip building states.
+        leaf = depth + 1 == params.maxlen and not params.itemset_mode
+        local: list[int] = []
+        if depth < params.maxlen:
+            out = state.count(entries, candidates)
+            local = [c for c in candidates if len(out[c]) >= fmin]
+            inherited = local if narrow else candidates
+            for c in local:
+                extensions.append((elements + ((c,),), c, out[c], state.child, inherited))
+        if params.itemset_mode and depth:
+            last = elements[-1]
+            aug_cands = [c for c in candidates if c > last[-1]]
+            out = state.count_aug(entries, aug_cands)
+            aug_local = [c for c in aug_cands if len(out[c]) >= fmin]
+            inherited = sorted(set(local).union(aug_local)) if narrow else candidates
+            for c in aug_local:
+                extensions.append((elements[:-1] + (last + (c,),), c, out[c], state.child_aug, inherited))
+
+        for child_elements, c, supporters, build, child_cands in extensions:
+            # mine() rejects a regex in itemset mode, so the DFA only sees appends.
+            nxt_state = dfa_state
+            if dfa is not None:
+                nxt_state = dfa.step(dfa_state, c)
+                if nxt_state is None or nxt_state not in dfa.live:
+                    continue
+            new_sum = 0
+            if agg_prunes:
+                new_sum = running_sum + agg.cost_of(c)
+                if not agg.sum_viable(new_sum):
+                    continue
+            child_entries = supporters if leaf else build(supporters, c)
+            stack.append((child_elements, child_entries, child_cands, nxt_state, new_sum))
     return sink
 
 
@@ -620,20 +455,11 @@ def _mine_chained(
 # Entry points
 
 
-def _env_threads() -> int:
-    raw = os.environ.get("SEQMINE_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def mine(
     db: SequenceDatabase,
     params: MiningParams,
     constraints=None,
     *,
-    threads: int | None = None,
     timeout: float | None = None,
     stats: MineStats | None = None,
     use_local_pruning: bool = True,
@@ -658,15 +484,16 @@ def mine(
     fmin = params.resolved_fmin(len(db))
     stats = stats if stats is not None else MineStats()
     deadline = None if timeout is None else time.monotonic() + timeout
-    threads = _env_threads() if threads is None else max(1, threads)
 
-    chained = cs is not None and cs.has_embedding_constraints()
-    if chained:
-        entries = _mine_chained(db, fmin, params, cs, stats, deadline, use_local_pruning)
+    index = _Index(db)
+    if cs is not None and cs.has_embedding_constraints():
+        state = _Chain(index, cs)
     elif params.itemset_mode:
-        entries = _mine_itemset(db, fmin, params, cs, stats, deadline, use_local_pruning)
+        state = _EndSet(index)
     else:
-        entries = _mine_simple(db, fmin, params, cs, stats, deadline, threads, use_local_pruning)
+        state = _Frontier(index)
+    narrow = use_local_pruning and state.narrows
+    entries = _search(index, state, fmin, params, cs, stats, deadline, narrow)
 
     result = MiningResult.build(entries, params)
     if params.mode != "frequent":

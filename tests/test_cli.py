@@ -201,6 +201,18 @@ def test_mine_timeout_exit_code(tmp_path, capsys):
     assert code == 2 and "timed out" in err
 
 
+def test_mine_deep_pattern(tmp_path, capsys):
+    deep = tmp_path / "deep.spmf"
+    deep.write_text("1 -1 " * 1200 + "-2\n")
+    out = tmp_path / "out.jsonl"
+    code, _, err = run(
+        capsys, "mine", "--input", str(deep), "--min-support", "1",
+        "--maxlen", "1200", "--output", str(out),
+    )
+    assert code == 0, err
+    assert len(out_lines(out.read_text())) == 1200
+
+
 def test_no_subcommand_is_usage_error(capsys):
     code, _, _ = run(capsys)
     assert code == 1

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from seqmine import (
+    ConstraintSet,
     DataError,
     MineStats,
     MiningParams,
@@ -56,6 +57,10 @@ def test_fractional_fmin_resolution():
     assert MiningParams(fmin=0.43, maxlen=3).resolved_fmin(7) == 4
     assert MiningParams(fmin=3 / 7, maxlen=3).resolved_fmin(7) == 3
     assert MiningParams(fmin=1.0, maxlen=3).resolved_fmin(7) == 7
+    # The float products overshoot: 0.07 * 100 == 7.000000000000001.
+    assert MiningParams(fmin=0.07, maxlen=3).resolved_fmin(100) == 7
+    assert MiningParams(fmin=0.14, maxlen=3).resolved_fmin(100) == 14
+    assert MiningParams(fmin=0.28, maxlen=3).resolved_fmin(100) == 28
     with pytest.raises(ValueError):
         MiningParams(fmin=0.5, maxlen=3).resolved_fmin(0)
 
@@ -157,16 +162,24 @@ def test_local_pruning_toggle_is_pure_optimization(d7):
     assert result_key(on) == result_key(off)
 
 
-def test_threads_do_not_change_the_answer(d7):
-    seq = mine(d7, MiningParams(fmin=2, maxlen=4), threads=1)
-    par = mine(d7, MiningParams(fmin=2, maxlen=4), threads=3)
-    assert result_key(seq) == result_key(par)
-
-
 def test_stats_counts_nodes(d7):
     stats = MineStats()
     mine(d7, MiningParams(fmin=3, maxlen=4), stats=stats)
     assert stats.nodes_expanded >= 7
+
+
+@pytest.mark.parametrize(
+    "itemset_mode, constraints",
+    [(False, None), (True, None), (False, ConstraintSet(maxgap=0))],
+    ids=["simple", "itemset", "chain"],
+)
+def test_deep_pattern_search(itemset_mode, constraints):
+    # Deeper than the interpreter's default recursion limit.
+    db = SequenceDatabase.from_label_sequences([["a"] * 1200])
+    params = MiningParams(fmin=1, maxlen=1200, itemset_mode=itemset_mode)
+    result = mine(db, params, constraints)
+    assert len(result) == 1200
+    assert result.entries[-1].pattern.elements == ((0,),) * 1200
 
 
 def test_timeout_raises():
