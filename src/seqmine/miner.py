@@ -1,22 +1,26 @@
-"""Depth-first prefix-projected pattern enumeration.
+"""Depth-first pattern enumeration over vertical bitmaps and per-sequence
+states.
 
 One search grows patterns one extension at a time, from the empty pattern,
-over an explicit stack of frames, and counts an extension's support in the
-projected suffixes of the current pattern's supporters.  The regex,
-aggregate, emission, length and deadline gates live in that one loop.
-Candidate extensions at a node are inherited from the parent's locally
-frequent items (anti-monotone, so nothing is lost; a differential flag can
-switch this narrowing off for testing).
+over an explicit stack of frames, and counts an extension's support among
+the current pattern's supporters.  The regex, aggregate, emission, length
+and deadline gates live in that one loop.  Candidate extensions at a node
+are inherited from the parent's locally frequent items (anti-monotone, so
+nothing is lost; a differential flag can switch this narrowing off for
+testing).
 
-What the search keeps per supporting sequence depends on the pattern shape
-and constraints, and nothing else:
+What the search keeps for a pattern depends on the pattern shape and
+constraints, and nothing else:
 
-* simple mode: one integer, the position right after the leftmost
-  embedding's last match (pseudo-projection, a fill-gaps frontier);
-* itemset mode: the ascending positions where an embedding can end, so the
-  last element can still be augmented;
-* gap/span constraints: the (last position, first position) pairs of
-  admissible chains, admitted step by step.
+* simple mode: one big int over the whole database with a bit at every
+  position where the pattern's last item matches after the leftmost
+  embedding of the rest (SPAM-style vertical bitmaps: the fill-gaps
+  frontier of every sequence at once, extended by a few whole-int
+  operations per candidate);
+* itemset mode: per supporting sequence, the ascending positions where an
+  embedding can end, so the last element can still be augmented;
+* gap/span constraints: per supporting sequence, the (last position, first
+  position) pairs of admissible chains, admitted step by step.
 
 ``MiningParams.strategy`` does not reach the search.  It selects the
 skip-gaps or fill-gaps embedding representation that ``relations`` and the
@@ -30,6 +34,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import compress
 
 from .seqdb import MiningResult, Pattern, ResultEntry, SequenceDatabase
 from .relations import STRATEGIES, is_subitemset, is_subsequence
@@ -90,7 +95,8 @@ class MineStats:
 
 
 # ---------------------------------------------------------------------------
-# Public projection primitives (plain reference forms; the engine mirrors them)
+# Public projection primitives: plain per-sequence reference forms of the
+# pseudo-projection.  The search does not call them; it keeps its own states.
 
 
 @dataclass(frozen=True)
@@ -199,48 +205,113 @@ def _emission_ok(cs, elements: tuple[tuple[int, ...], ...]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Per-sequence search states
+# Search states
 #
-# An entry is a (sequence index, state) pair.  ``count`` maps each candidate
-# to the supporters whose state admits it as a new last element, and
-# ``child`` turns those supporters into the extended pattern's entries.
-# States used in itemset mode also have ``count_aug``/``child_aug``, which do
-# the same for adding the candidate to the last element.  ``root`` is the
-# state of the empty pattern in every sequence.
+# Every state answers the same calls, so the search never asks which one it
+# has.  ``root_entries()`` gives the empty pattern's entries.
+# ``count(entries, candidates)`` maps each candidate to the supporters that
+# admit it as a new last element, ``support`` and ``sids`` read such a
+# supporter set (or a pattern's entries), and ``child(supporters, c)`` turns
+# it into the extended pattern's entries.  States used in itemset mode also
+# have ``count_aug``/``child_aug``, which do the same for adding the
+# candidate to the last element.
 
 
-class _Frontier:
-    """Simple mode: the position right after the leftmost embedding's last
-    match (pseudo-projection)."""
+class _Bitmap:
+    """Simple mode: vertical bitmaps, one big int per item over the whole
+    database (SPAM, Ayres et al. 2002).
 
-    root = 1
+    Each sequence of length L owns a byte-aligned segment of ceil((L+1)/8)
+    bytes.  Its L position bits, position 1 lowest, sit directly below a
+    guard bit, the segment's top bit; the bits below position 1 stay clear.
+    A pattern's entries are one int: the bits where its last item matches
+    after the leftmost embedding of the rest, i.e. the fill-gaps frontier of
+    every sequence at once.  ``None`` stands for the empty pattern.  Only
+    ``items``, the root's candidates, get a bitmap: the search extends by no
+    other item.
+
+    The S-step sets every position bit above each segment's lowest entry bit
+    (``starts`` holds each segment's lowest bit, and the guard stops the
+    borrow of ``v - starts`` at the segment's top), and
+    adding ``mask`` carries into a segment's guard exactly when the segment
+    holds an entry bit, so support and supporting sids come from the guard
+    bits with no loop over sequences.  To read the sids, every byte other
+    than a guard byte is set to 0x01 and deleted, which leaves one byte per
+    sequence, 0x80 where it supports the pattern.
+    """
+
     narrows = True
 
-    def __init__(self, index: _Index):
-        self.pos = index.pos
+    def __init__(self, index: _Index, items: list[int]):
+        nbytes = sum(len(elements) // 8 + 1 for elements in index.elements)
+        mask, guards, starts = bytearray(nbytes), bytearray(nbytes), bytearray(nbytes)
+        fill = bytearray(b"\x01") * nbytes
+        rows = {c: bytearray(nbytes) for c in items}
+        base = 0
+        for elements in index.elements:
+            top = base + len(elements) // 8
+            starts[base] = 1
+            guards[top], fill[top] = 0x80, 0
+            for bit, elem in enumerate(elements, start=8 * top + 7 - len(elements)):
+                byte, m = bit >> 3, 1 << (bit & 7)
+                mask[byte] |= m
+                for item in elem:
+                    row = rows.get(item)
+                    if row is not None:
+                        row[byte] |= m
+            base = top + 1
+        self.nbytes = nbytes
+        self.sid_of = index.sids
+        self.mask = int.from_bytes(mask, "little")
+        self.guards = int.from_bytes(guards, "little")
+        self.starts = int.from_bytes(starts, "little")
+        self.fill = int.from_bytes(fill, "little")
+        self.items = {c: int.from_bytes(row, "little") for c, row in rows.items()}
+
+    def root_entries(self):
+        return None
+
+    def support(self, entries: int) -> int:
+        return ((entries + self.mask) & self.guards).bit_count()
+
+    def sids(self, entries: int) -> tuple[int, ...]:
+        hits = (((entries + self.mask) & self.guards) | self.fill).to_bytes(self.nbytes, "little")
+        return tuple(compress(self.sid_of, hits.translate(None, b"\x01")))
 
     def count(self, entries, candidates):
-        pos = self.pos
-        out = {c: [] for c in candidates}
-        for ent in entries:
-            table = pos[ent[0]]
-            start = ent[1]
-            for c in candidates:
-                pl = table.get(c)
-                if pl is not None and pl[-1] >= start:
-                    out[c].append(ent)
-        return out
+        if entries is None:
+            after = self.mask
+        else:
+            v = entries | self.guards
+            after = ~(v ^ (v - self.starts)) & self.mask
+        items = self.items
+        return {c: after & items[c] for c in candidates}
 
     def child(self, supporters, c):
-        pos = self.pos
-        out = []
-        for ent in supporters:
-            pl = pos[ent[0]][c]
-            out.append((ent[0], pl[bisect_left(pl, ent[1])] + 1))
-        return out
+        return supporters
 
 
-class _EndSet:
+class _Entries:
+    """Base of the states that keep a list of (sequence index, state)
+    entries, one per supporting sequence."""
+
+    root = None
+
+    def __init__(self, index: _Index):
+        self.sid_of = index.sids
+        self.n = index.n
+
+    def root_entries(self):
+        return [(si, self.root) for si in range(self.n)]
+
+    support = staticmethod(len)
+
+    def sids(self, entries) -> tuple[int, ...]:
+        sid_of = self.sid_of
+        return tuple(sid_of[ent[0]] for ent in entries)
+
+
+class _EndSet(_Entries):
     """Itemset mode: ascending positions where an embedding of the pattern
     can end.  Appending admits matches after the minimum end; augmenting the
     last element keeps the ends whose element holds the new item.
@@ -255,6 +326,7 @@ class _EndSet:
     narrows = True
 
     def __init__(self, index: _Index):
+        super().__init__(index)
         self.pos = index.pos
         self.elements = index.elements
 
@@ -296,7 +368,7 @@ class _EndSet:
         return out
 
 
-class _Chain:
+class _Chain(_Entries):
     """Gap/span constraints: sorted distinct (last, first) pairs of admissible
     partial chains.  Admission of a next position j after (j', f) requires
     mingap <= j-j'-1 <= maxgap and minspan <= j-f+1 <= maxspan, mirroring the
@@ -309,10 +381,10 @@ class _Chain:
     one).
     """
 
-    root = None
     narrows = False
 
     def __init__(self, index: _Index, cs):
+        super().__init__(index)
         self.elements = index.elements
         self.mingap = cs.mingap if cs.mingap is not None else 0
         self.maxgap = cs.maxgap
@@ -320,11 +392,12 @@ class _Chain:
         self.maxspan = cs.maxspan
 
     def admissible_next(self, si: int, pairs) -> dict[int, list[tuple[int, int]]]:
-        """Map next-position j -> chain pairs (j, f) reachable from the state."""
+        """Map next-position j -> chain pairs (j, f) reachable from the state,
+        keys ascending and each list sorted."""
         n = len(self.elements[si])
         if pairs is None:
             return {j: [(j, j)] for j in range(1, n + 1)}
-        hits: dict[int, set[int]] = {}
+        found: set[tuple[int, int]] = set()
         for last, first in pairs:
             lo = last + 1 + self.mingap
             hi = n if self.maxgap is None else min(n, last + 1 + self.maxgap)
@@ -332,9 +405,11 @@ class _Chain:
                 lo = max(lo, first + self.minspan - 1)
             if self.maxspan is not None:
                 hi = min(hi, first + self.maxspan - 1)
-            for j in range(lo, hi + 1):
-                hits.setdefault(j, set()).add(first)
-        return {j: sorted((j, f) for f in firsts) for j, firsts in hits.items()}
+            found.update((j, first) for j in range(lo, hi + 1))
+        reach: dict[int, list[tuple[int, int]]] = {}
+        for pair in sorted(found):
+            reach.setdefault(pair[0], []).append(pair)
+        return reach
 
     def count(self, entries, candidates):
         out = {c: [] for c in candidates}
@@ -353,7 +428,7 @@ class _Chain:
         out = []
         for si, reach in supporters:
             elems = self.elements[si]
-            kept = tuple(pair for j, pairs in sorted(reach.items()) if c in elems[j - 1] for pair in pairs)
+            kept = tuple(pair for j, pairs in reach.items() if c in elems[j - 1] for pair in pairs)
             out.append((si, kept))
         return out
 
@@ -382,8 +457,8 @@ class _Chain:
 
 
 def _search(
-    index: _Index,
     state,
+    root_cands: list[int],
     fmin: int,
     params: MiningParams,
     cs,
@@ -392,49 +467,51 @@ def _search(
     narrow: bool,
 ) -> list[ResultEntry]:
     """Depth-first pattern growth over an explicit stack of frames
-    (elements, entries, candidates, dfa_state, running_sum), starting from
-    the empty pattern.  Every gate is applied here; ``state`` only counts
-    supporters and builds child entries."""
+    (elements, entries, support, candidates, dfa_state, running_sum),
+    starting from the empty pattern.  Every gate is applied here; ``state``
+    only counts supporters and builds child entries."""
     dfa = cs.regex if cs else None
     agg = cs.aggregate if cs else None
     agg_prunes = agg is not None and agg.prunes_as_sum()
-    cannot = cs.cannot_have if cs else frozenset()
-    root_cands = _root_candidates(index, fmin, cannot)
-    root_entries = [(si, state.root) for si in range(index.n)]
+    support_of = state.support
     sink: list[ResultEntry] = []
-    stack = [((), root_entries, root_cands, dfa.start if dfa is not None else None, 0)]
+    # The root is never emitted (minlen >= 1), so its support is not needed.
+    stack = [((), state.root_entries(), None, root_cands, dfa.start if dfa is not None else None, 0)]
     while stack:
-        elements, entries, candidates, dfa_state, running_sum = stack.pop()
+        elements, entries, support, candidates, dfa_state, running_sum = stack.pop()
         stats.nodes_expanded += 1
         _check_deadline(deadline)
         depth = len(elements)
         if depth >= params.minlen and (dfa is None or dfa_state in dfa.accepting):
             if _emission_ok(cs, elements):
-                sids = tuple(index.sids[ent[0]] for ent in entries)
-                sink.append(ResultEntry(Pattern(elements), len(entries), sids))
+                sink.append(ResultEntry(Pattern(elements), support, state.sids(entries)))
 
-        # (child elements, added item, supporters, child builder, child candidates)
+        # (child elements, added item, supporters, support, child builder, child candidates)
         extensions = []
-        # A leaf is only emitted, which reads no more of an entry than its
-        # sequence index: give it the supporters and skip building states.
+        # A leaf is only emitted, which reads no more of its entries than the
+        # supporting sequences: give it the supporters and skip building states.
         leaf = depth + 1 == params.maxlen and not params.itemset_mode
         local: list[int] = []
         if depth < params.maxlen:
             out = state.count(entries, candidates)
-            local = [c for c in candidates if len(out[c]) >= fmin]
+            supports = {c: support_of(out[c]) for c in candidates}
+            local = [c for c in candidates if supports[c] >= fmin]
             inherited = local if narrow else candidates
             for c in local:
-                extensions.append((elements + ((c,),), c, out[c], state.child, inherited))
+                extensions.append((elements + ((c,),), c, out[c], supports[c], state.child, inherited))
         if params.itemset_mode and depth:
             last = elements[-1]
             aug_cands = [c for c in candidates if c > last[-1]]
             out = state.count_aug(entries, aug_cands)
-            aug_local = [c for c in aug_cands if len(out[c]) >= fmin]
+            supports = {c: support_of(out[c]) for c in aug_cands}
+            aug_local = [c for c in aug_cands if supports[c] >= fmin]
             inherited = sorted(set(local).union(aug_local)) if narrow else candidates
             for c in aug_local:
-                extensions.append((elements[:-1] + (last + (c,),), c, out[c], state.child_aug, inherited))
+                extensions.append(
+                    (elements[:-1] + (last + (c,),), c, out[c], supports[c], state.child_aug, inherited)
+                )
 
-        for child_elements, c, supporters, build, child_cands in extensions:
+        for child_elements, c, supporters, child_support, build, child_cands in extensions:
             # mine() rejects a regex in itemset mode, so the DFA only sees appends.
             nxt_state = dfa_state
             if dfa is not None:
@@ -447,7 +524,7 @@ def _search(
                 if not agg.sum_viable(new_sum):
                     continue
             child_entries = supporters if leaf else build(supporters, c)
-            stack.append((child_elements, child_entries, child_cands, nxt_state, new_sum))
+            stack.append((child_elements, child_entries, child_support, child_cands, nxt_state, new_sum))
     return sink
 
 
@@ -486,14 +563,15 @@ def mine(
     deadline = None if timeout is None else time.monotonic() + timeout
 
     index = _Index(db)
+    root_cands = _root_candidates(index, fmin, cs.cannot_have if cs else frozenset())
     if cs is not None and cs.has_embedding_constraints():
         state = _Chain(index, cs)
     elif params.itemset_mode:
         state = _EndSet(index)
     else:
-        state = _Frontier(index)
+        state = _Bitmap(index, root_cands)
     narrow = use_local_pruning and state.narrows
-    entries = _search(index, state, fmin, params, cs, stats, deadline, narrow)
+    entries = _search(state, root_cands, fmin, params, cs, stats, deadline, narrow)
 
     result = MiningResult.build(entries, params)
     if params.mode != "frequent":

@@ -81,6 +81,15 @@ class Alphabet:
 
 
 def _check_elements(elements: Elements, what: str) -> None:
+    # Fast path for simple data: every itemset one non-negative int.  Any
+    # other input goes through the loop, which finds and names the fault.
+    try:
+        items = [i for (i,) in elements]
+    except ValueError:  # an itemset that is not a singleton
+        pass
+    else:
+        if set(map(type, items)) <= {int} and (not items or min(items) >= 0):
+            return
     for itemset in elements:
         if not itemset:
             raise ValueError(f"{what} contains an empty itemset")

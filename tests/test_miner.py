@@ -5,8 +5,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from seqmine import (
+    AggregateSpec,
     ConstraintSet,
     DataError,
     MineStats,
@@ -19,8 +22,11 @@ from seqmine import (
     mine,
     mine_frequent,
     mine_itemset_patterns,
+    OracleConfig,
+    oracle_constrained,
     oracle_frequent,
     project,
+    regex_compile,
     root_view,
 )
 from seqmine.datagen import GenParams
@@ -265,3 +271,111 @@ def test_simple_mode_random_vs_oracle(strategy):
             got = mine(db, MiningParams(fmin=fmin, maxlen=maxlen, strategy=strategy))
             want = oracle_frequent(db, fmin, maxlen)
             assert result_key(got) == result_key(want)
+
+
+# ---------------------------------------------------------------------------
+# Simple-mode search against the oracle, on the bitmap's layout edges
+#
+# A sequence of L elements takes ceil((L+1)/8) bytes of the simple-mode
+# bitmap, so 0, 7, 15 and 23 fill a segment exactly and 8, 16 and 24 start
+# a new byte.
+
+BOUNDARY_LENGTHS = (0, 1, 2, 6, 7, 8, 9, 15, 16, 17)
+# Long enough for every maxlen the databases below allow; the guard exists to
+# stop accidental blow-ups, which the pattern cap below already prevents.
+WIDE = OracleConfig(max_pattern_len=17)
+# Frequent sets larger than this make the oracle slow; such draws are
+# discarded.
+MAX_PATTERNS = 200
+
+
+@st.composite
+def simple_dbs(draw):
+    """Up to six sequences over at most three labels, with lengths on the
+    byte boundaries and often skewed: a long sequence among short ones."""
+    labels = "abc"[: draw(st.integers(1, 3))]
+    lengths = draw(st.lists(st.sampled_from(BOUNDARY_LENGTHS), min_size=1, max_size=6))
+    rows = [draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n)) for n in lengths]
+    return SequenceDatabase.from_label_sequences(rows)
+
+
+@st.composite
+def simple_params(draw, db):
+    """fmin from 1 to the database size; maxlen from 1 to the longest
+    sequence; minlen from 1 to maxlen."""
+    longest = max(len(s) for s in db.sequences)
+    maxlen = draw(st.integers(1, max(1, longest)))
+    return MiningParams(
+        fmin=draw(st.integers(1, len(db))),
+        maxlen=maxlen,
+        minlen=draw(st.integers(1, maxlen)),
+    )
+
+
+@st.composite
+def simple_constraints(draw, db):
+    """None, must-have, a regex over the database's labels, or an aggregate
+    (the summed upper bound prunes during the search, the others do not)."""
+    labels = [db.alphabet.label(i) for i in range(len(db.alphabet))]
+    kind = draw(st.sampled_from(["none", "must_have", "regex", "aggregate"]))
+    if kind == "none" or not labels:
+        return None
+    if kind == "must_have":
+        return ConstraintSet(must_have={db.alphabet.id_of(draw(st.sampled_from(labels)))})
+    if kind == "regex":
+        x, y, z = (draw(st.sampled_from(labels)) for _ in range(3))
+        template = draw(st.sampled_from(["{x}*", "({x}|{y})* {z}", "{x} ({y}|{z})*", "({x} {y})+ {z}?"]))
+        return ConstraintSet(regex=regex_compile(template.format(x=x, y=y, z=z), db.alphabet))
+    costs = {i: draw(st.integers(0, 3)) for i in range(len(db.alphabet))}
+    op = draw(st.sampled_from(["sum", "sum", "min", "max", "avg"]))
+    cmp = draw(st.sampled_from(["le", "lt", "ge"]))
+    return ConstraintSet(aggregate=AggregateSpec(costs, op, cmp, draw(st.integers(0, 8))))
+
+
+def _assume_oracle_sized(db, params):
+    """Discard a draw whose frequent set, which the oracle enumerates, holds
+    more than MAX_PATTERNS patterns.  Growing maxlen one level at a time
+    keeps a discarded draw cheap."""
+    for maxlen in range(1, params.maxlen + 1):
+        assume(len(mine(db, MiningParams(fmin=params.fmin, maxlen=maxlen))) <= MAX_PATTERNS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_simple_search_matches_oracle(data):
+    db = data.draw(simple_dbs())
+    params = data.draw(simple_params(db))
+    _assume_oracle_sized(db, params)
+    got = mine(db, params, use_local_pruning=data.draw(st.booleans()))
+    want = oracle_frequent(db, params.fmin, params.maxlen, config=WIDE)
+    want = [e for e in want if len(e.pattern) >= params.minlen]
+    assert result_key(got) == result_key(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_constrained_simple_search_matches_oracle(data):
+    db = data.draw(simple_dbs())
+    params = data.draw(simple_params(db))
+    cs = data.draw(simple_constraints(db))
+    _assume_oracle_sized(db, params)
+    got = mine(db, params, cs, use_local_pruning=data.draw(st.booleans()))
+    want = oracle_constrained(
+        db, params.fmin, params.maxlen, cs or ConstraintSet(), minlen=params.minlen, config=WIDE
+    )
+    assert result_key(got) == result_key(want)
+
+
+def test_simple_search_long_sequence_among_short_ones():
+    # One 1,200-element sequence (a 151-byte bitmap segment) among 60 short
+    # ones, some of them empty.
+    rng = random.Random(12)
+    rows = [[rng.choice("abcd") for _ in range(rng.randint(0, 9))] for _ in range(60)]
+    rows.insert(17, [rng.choice("abcd") for _ in range(1200)])
+    db = SequenceDatabase.from_label_sequences(rows)
+    config = OracleConfig(max_db_size=61, max_seq_len=1200)
+    for fmin, maxlen in ((1, 3), (2, 4), (6, 4)):
+        got = mine(db, MiningParams(fmin=fmin, maxlen=maxlen))
+        want = oracle_frequent(db, fmin, maxlen, config=config)
+        assert result_key(got) == result_key(want)
+        assert all(18 in e.support_ids for e in got)

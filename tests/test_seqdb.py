@@ -65,8 +65,12 @@ def test_sequence_rejects_bad_itemsets():
         Sequence(1, ((1, 1),))
     with pytest.raises(ValueError):
         Sequence(1, ((2, 1),))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"sequence 1 itemset \(-1,\) has invalid item ids"):
         Sequence(1, ((-1,),))
+    with pytest.raises(ValueError, match=r"sequence 1 itemset \(1.0,\) has invalid item ids"):
+        Sequence(1, ((0,), (1.0,)))
+    with pytest.raises(ValueError, match=r"sequence 1 contains an empty itemset"):
+        Sequence(1, ((0, 1), ()))
 
 
 def test_pattern_rejects_bad_itemsets():
@@ -74,6 +78,12 @@ def test_pattern_rejects_bad_itemsets():
         Pattern(((0,), ()))
     with pytest.raises(ValueError):
         Pattern(((3, 3),))
+    with pytest.raises(ValueError, match=r"pattern itemset \(-2,\) has invalid item ids"):
+        Pattern(((0,), (-2,)))
+    with pytest.raises(ValueError, match=r"pattern itemset \('a',\) has invalid item ids"):
+        Pattern((("a",),))
+    # bool is an int subclass and has always been accepted.
+    assert Pattern(((0,), (True,))).elements == ((0,), (1,))
 
 
 def test_pattern_helpers():
