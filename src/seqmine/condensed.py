@@ -24,7 +24,14 @@ import time
 from dataclasses import dataclass
 
 from .seqdb import Elements, MiningResult, Pattern, ResultEntry, Sequence, SequenceDatabase
-from .relations import as_elements, is_prefix, is_subitemset, is_subsequence, skip_gaps_levels
+from .relations import (
+    _match_positions,
+    as_elements,
+    fill_gaps_frontier,
+    is_prefix,
+    is_subsequence,
+    skip_gaps_levels,
+)
 
 
 @dataclass(frozen=True)
@@ -33,10 +40,6 @@ class OccurrenceBounds:
 
     leftmost: tuple[int, ...]
     rightmost: tuple[int, ...]
-
-
-def _match_positions(s: Elements, pelem: tuple[int, ...]) -> list[int]:
-    return [j for j, selem in enumerate(s, start=1) if is_subitemset(pelem, selem)]
 
 
 def occurrence_bounds(
@@ -67,22 +70,16 @@ def occurrence_bounds(
             ceiling = rightmost[i]
         return OccurrenceBounds(leftmost, tuple(rightmost))
     if strategy == "fill":
-        firsts: list[int] = []
-        j = 0
-        for pelem in p:
-            while j < len(s) and not is_subitemset(pelem, s[j]):
-                j += 1
-            if j == len(s):
-                return None
-            j += 1
-            firsts.append(j)
+        frontier = fill_gaps_frontier(s, p)
+        if not frontier.supports:
+            return None
         rightmost = [0] * len(p)
         ceiling = len(s) + 1
         for i in range(len(p) - 1, -1, -1):
             candidates = [jj for jj in _match_positions(s, p[i]) if jj < ceiling]
             rightmost[i] = candidates[-1]
             ceiling = rightmost[i]
-        return OccurrenceBounds(tuple(firsts), tuple(rightmost))
+        return OccurrenceBounds(frontier.firsts, tuple(rightmost))
     raise ValueError(f"unknown strategy tag: {strategy!r}")
 
 
@@ -185,6 +182,25 @@ def _supporter_keys(db, pattern, support_ids, strategy, itemset_mode, append_onl
         )
 
 
+def _no_frequent_extension(db, pattern, fmin, support_ids, strategy, itemset_mode, append_only) -> bool:
+    counts: dict[tuple, int] = {}
+    for keys in _supporter_keys(db, pattern, support_ids, strategy, itemset_mode, append_only):
+        for key in keys:
+            counts[key] = counts.get(key, 0) + 1
+            if counts[key] >= fmin:
+                return False
+    return True
+
+
+def _no_common_extension(db, pattern, support_ids, strategy, itemset_mode, append_only) -> bool:
+    common: set[tuple] | None = None
+    for keys in _supporter_keys(db, pattern, support_ids, strategy, itemset_mode, append_only):
+        common = set(keys) if common is None else (common & keys)
+        if not common:
+            return True
+    return not common
+
+
 def is_maximal(
     db: SequenceDatabase,
     pattern: Pattern,
@@ -194,13 +210,7 @@ def is_maximal(
     itemset_mode: bool = False,
 ) -> bool:
     """No single-item extension is supported by fmin of the given supporters."""
-    counts: dict[tuple, int] = {}
-    for keys in _supporter_keys(db, pattern, support_ids, strategy, itemset_mode, False):
-        for key in keys:
-            counts[key] = counts.get(key, 0) + 1
-            if counts[key] >= fmin:
-                return False
-    return True
+    return _no_frequent_extension(db, pattern, fmin, support_ids, strategy, itemset_mode, False)
 
 
 def is_closed(
@@ -212,12 +222,7 @@ def is_closed(
     itemset_mode: bool = False,
 ) -> bool:
     """No single-item extension is supported by all of the given supporters."""
-    common: set[tuple] | None = None
-    for keys in _supporter_keys(db, pattern, support_ids, strategy, itemset_mode, False):
-        common = set(keys) if common is None else (common & keys)
-        if not common:
-            return True
-    return not common
+    return _no_common_extension(db, pattern, support_ids, strategy, itemset_mode, False)
 
 
 def backward_filter(
@@ -231,20 +236,9 @@ def backward_filter(
 ) -> bool:
     """Closed/maximal restricted to append-slot extensions (prefix growth)."""
     if kind == "maximal":
-        counts: dict[tuple, int] = {}
-        for keys in _supporter_keys(db, pattern, support_ids, strategy, itemset_mode, True):
-            for key in keys:
-                counts[key] = counts.get(key, 0) + 1
-                if counts[key] >= fmin:
-                    return False
-        return True
+        return _no_frequent_extension(db, pattern, fmin, support_ids, strategy, itemset_mode, True)
     if kind == "closed":
-        common: set[tuple] | None = None
-        for keys in _supporter_keys(db, pattern, support_ids, strategy, itemset_mode, True):
-            common = set(keys) if common is None else (common & keys)
-            if not common:
-                return True
-        return not common
+        return _no_common_extension(db, pattern, support_ids, strategy, itemset_mode, True)
     raise ValueError(f"unknown backward kind: {kind!r}")
 
 

@@ -9,16 +9,16 @@ are inherited from the parent's locally frequent items (anti-monotone, so
 nothing is lost; a differential flag can switch this narrowing off for
 testing).
 
-What the search keeps for a pattern depends on the pattern shape and
-constraints, and nothing else:
+What the search keeps for a pattern depends on the constraints, and nothing
+else:
 
-* simple mode: one big int over the whole database with a bit at every
-  position where the pattern's last item matches after the leftmost
-  embedding of the rest (SPAM-style vertical bitmaps: the fill-gaps
-  frontier of every sequence at once, extended by a few whole-int
-  operations per candidate);
-* itemset mode: per supporting sequence, the ascending positions where an
-  embedding can end, so the last element can still be augmented;
+* no gap or span bound (simple and itemset mode): one big int over the whole
+  database with a bit at every position where the pattern's last element
+  matches after the leftmost embedding of the rest (SPAM-style vertical
+  bitmaps: the fill-gaps frontier of every sequence at once).  Appending a
+  new element is the S-step, a few whole-int operations per candidate;
+  adding an item to the last element (itemset mode) is the I-step, an AND
+  with the item's bitmap;
 * gap/span constraints: per supporting sequence, the (last position, first
   position) pairs of admissible chains, admitted step by step.
 
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_left
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import compress
@@ -158,34 +157,19 @@ def locally_frequent_items(view: ProjectedView, db: SequenceDatabase, fmin: int)
 
 
 class _Index:
-    """Per-sequence position tables: item -> ascending 1-based positions."""
+    """The database's sequences in order: their elements and sids."""
 
-    __slots__ = ("elements", "pos", "sids", "n")
+    __slots__ = ("elements", "sids", "n")
 
     def __init__(self, db: SequenceDatabase):
         self.elements = [s.elements for s in db.sequences]
-        self.pos: list[dict[int, list[int]]] = []
         self.sids = [s.sid for s in db.sequences]
         self.n = len(db.sequences)
-        for seq in db.sequences:
-            table: dict[int, list[int]] = {}
-            for p, elem in enumerate(seq.elements, start=1):
-                for item in elem:
-                    table.setdefault(item, []).append(p)
-            self.pos.append(table)
 
 
 def _check_deadline(deadline: float | None) -> None:
     if deadline is not None and time.monotonic() > deadline:
         raise MiningTimeout()
-
-
-def _root_candidates(index: _Index, fmin: int, cannot: frozenset[int]) -> list[int]:
-    counts: dict[int, int] = {}
-    for table in index.pos:
-        for item in table:
-            counts[item] = counts.get(item, 0) + 1
-    return sorted(i for i, c in counts.items() if c >= fmin and i not in cannot)
 
 
 def _emission_ok(cs, elements: tuple[tuple[int, ...], ...]) -> bool:
@@ -207,24 +191,24 @@ def _emission_ok(cs, elements: tuple[tuple[int, ...], ...]) -> bool:
 # ---------------------------------------------------------------------------
 # Search states
 #
-# Every state answers the same calls, so the search never asks which one it
+# Both states answer the same calls, so the search never asks which one it
 # has.  ``root_entries()`` gives the empty pattern's entries.
 # ``count(entries, candidates)`` maps each candidate to the supporters that
 # admit it as a new last element, ``support`` and ``sids`` read such a
 # supporter set (or a pattern's entries), and ``child(supporters, c)`` turns
-# it into the extended pattern's entries.  States used in itemset mode also
-# have ``count_aug``/``child_aug``, which do the same for adding the
-# candidate to the last element.
+# it into the extended pattern's entries.  ``count_aug``/``child_aug`` do
+# the same for adding the candidate to the last element (itemset mode).
 
 
 class _Bitmap:
-    """Simple mode: vertical bitmaps, one big int per item over the whole
-    database (SPAM, Ayres et al. 2002).
+    """No gap or span bound: vertical bitmaps, one big int per item over the
+    whole database (SPAM, Ayres et al. 2002).
 
     Each sequence of length L owns a byte-aligned segment of ceil((L+1)/8)
     bytes.  Its L position bits, position 1 lowest, sit directly below a
     guard bit, the segment's top bit; the bits below position 1 stay clear.
-    A pattern's entries are one int: the bits where its last item matches
+    A position's bit is set in the bitmap of every item of its element.  A
+    pattern's entries are one int: the bits where its last element matches
     after the leftmost embedding of the rest, i.e. the fill-gaps frontier of
     every sequence at once.  ``None`` stands for the empty pattern.  Only
     ``items``, the root's candidates, get a bitmap: the search extends by no
@@ -232,12 +216,13 @@ class _Bitmap:
 
     The S-step sets every position bit above each segment's lowest entry bit
     (``starts`` holds each segment's lowest bit, and the guard stops the
-    borrow of ``v - starts`` at the segment's top), and
-    adding ``mask`` carries into a segment's guard exactly when the segment
-    holds an entry bit, so support and supporting sids come from the guard
-    bits with no loop over sequences.  To read the sids, every byte other
-    than a guard byte is set to 0x01 and deleted, which leaves one byte per
-    sequence, 0x80 where it supports the pattern.
+    borrow of ``v - starts`` at the segment's top); the I-step keeps the
+    entry bits whose element holds the new item.  Adding ``mask`` carries
+    into a segment's guard exactly when the segment holds an entry bit, so
+    support and supporting sids come from the guard bits with no loop over
+    sequences.  To read the sids, every byte other than a guard byte is set
+    to 0x01 and deleted, which leaves one byte per sequence, 0x80 where it
+    supports the pattern.
     """
 
     narrows = True
@@ -287,88 +272,17 @@ class _Bitmap:
         items = self.items
         return {c: after & items[c] for c in candidates}
 
+    def count_aug(self, entries, candidates):
+        items = self.items
+        return {c: entries & items[c] for c in candidates}
+
     def child(self, supporters, c):
         return supporters
 
-
-class _Entries:
-    """Base of the states that keep a list of (sequence index, state)
-    entries, one per supporting sequence."""
-
-    root = None
-
-    def __init__(self, index: _Index):
-        self.sid_of = index.sids
-        self.n = index.n
-
-    def root_entries(self):
-        return [(si, self.root) for si in range(self.n)]
-
-    support = staticmethod(len)
-
-    def sids(self, entries) -> tuple[int, ...]:
-        sid_of = self.sid_of
-        return tuple(sid_of[ent[0]] for ent in entries)
+    child_aug = child
 
 
-class _EndSet(_Entries):
-    """Itemset mode: ascending positions where an embedding of the pattern
-    can end.  Appending admits matches after the minimum end; augmenting the
-    last element keeps the ends whose element holds the new item.
-
-    Candidate narrowing needs care: an item that never occurs after the
-    minimum end cannot appear in any later element, but it can still augment
-    the current one.  The search therefore hands augment-children the union
-    of the append-viable and augment-viable items.
-    """
-
-    root = (0,)
-    narrows = True
-
-    def __init__(self, index: _Index):
-        super().__init__(index)
-        self.pos = index.pos
-        self.elements = index.elements
-
-    def count(self, entries, candidates):
-        out = {c: [] for c in candidates}
-        for ent in entries:
-            table = self.pos[ent[0]]
-            floor = ent[1][0]
-            for c in candidates:
-                pl = table.get(c)
-                if pl is not None and pl[-1] > floor:
-                    out[c].append(ent)
-        return out
-
-    def child(self, supporters, c):
-        out = []
-        for si, ends in supporters:
-            pl = self.pos[si][c]
-            out.append((si, tuple(pl[bisect_left(pl, ends[0] + 1) :])))
-        return out
-
-    def count_aug(self, entries, candidates):
-        out = {c: [] for c in candidates}
-        for ent in entries:
-            elems = self.elements[ent[0]]
-            present = set()
-            for j in ent[1]:
-                present.update(elems[j - 1])
-            for c in candidates:
-                if c in present:
-                    out[c].append(ent)
-        return out
-
-    def child_aug(self, supporters, c):
-        out = []
-        for si, ends in supporters:
-            elems = self.elements[si]
-            out.append((si, tuple(j for j in ends if c in elems[j - 1])))
-        return out
-
-
-class _Chain(_Entries):
+class _Chain:
     """Gap/span constraints: sorted distinct (last, first) pairs of admissible
     partial chains.  Admission of a next position j after (j', f) requires
     mingap <= j-j'-1 <= maxgap and minspan <= j-f+1 <= maxspan, mirroring the
@@ -382,14 +296,23 @@ class _Chain(_Entries):
     """
 
     narrows = False
+    support = staticmethod(len)
 
     def __init__(self, index: _Index, cs):
-        super().__init__(index)
+        self.sid_of = index.sids
+        self.n = index.n
         self.elements = index.elements
         self.mingap = cs.mingap if cs.mingap is not None else 0
         self.maxgap = cs.maxgap
         self.minspan = cs.minspan
         self.maxspan = cs.maxspan
+
+    def root_entries(self):
+        return [(si, None) for si in range(self.n)]
+
+    def sids(self, entries) -> tuple[int, ...]:
+        sid_of = self.sid_of
+        return tuple(sid_of[si] for si, _ in entries)
 
     def admissible_next(self, si: int, pairs) -> dict[int, list[tuple[int, int]]]:
         """Map next-position j -> chain pairs (j, f) reachable from the state,
@@ -505,6 +428,9 @@ def _search(
             out = state.count_aug(entries, aug_cands)
             supports = {c: support_of(out[c]) for c in aug_cands}
             aug_local = [c for c in aug_cands if supports[c] >= fmin]
+            # An item that never occurs after the last element's leftmost match
+            # cannot appear in a later element, but it can still augment the
+            # last one, so augment-children get the union of both lists.
             inherited = sorted(set(local).union(aug_local)) if narrow else candidates
             for c in aug_local:
                 extensions.append(
@@ -563,11 +489,9 @@ def mine(
     deadline = None if timeout is None else time.monotonic() + timeout
 
     index = _Index(db)
-    root_cands = _root_candidates(index, fmin, cs.cannot_have if cs else frozenset())
+    root_cands = sorted(frequent_items(db, fmin) - (cs.cannot_have if cs else frozenset()))
     if cs is not None and cs.has_embedding_constraints():
         state = _Chain(index, cs)
-    elif params.itemset_mode:
-        state = _EndSet(index)
     else:
         state = _Bitmap(index, root_cands)
     narrow = use_local_pruning and state.narrows

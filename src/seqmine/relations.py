@@ -39,10 +39,6 @@ def is_subitemset(a: Itemset, b: Itemset) -> bool:
     return set(a).issubset(b)
 
 
-def element_matches(pattern_elem: Itemset, seq_elem: Itemset) -> bool:
-    return is_subitemset(pattern_elem, seq_elem)
-
-
 def is_subsequence(pattern: Pattern | Elements, target: Pattern | Sequence | Elements) -> bool:
     """Greedy leftmost test for pattern containment (vacuous truth when empty).
 

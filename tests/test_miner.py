@@ -274,11 +274,11 @@ def test_simple_mode_random_vs_oracle(strategy):
 
 
 # ---------------------------------------------------------------------------
-# Simple-mode search against the oracle, on the bitmap's layout edges
+# The bitmap search against the oracle, on the bitmap's layout edges
 #
-# A sequence of L elements takes ceil((L+1)/8) bytes of the simple-mode
-# bitmap, so 0, 7, 15 and 23 fill a segment exactly and 8, 16 and 24 start
-# a new byte.
+# A sequence of L elements takes ceil((L+1)/8) bytes of the bitmap, so 0, 7,
+# 15 and 23 fill a segment exactly and 8, 16 and 24 start a new byte.  Both
+# simple and itemset mode run on the bitmap.
 
 BOUNDARY_LENGTHS = (0, 1, 2, 6, 7, 8, 9, 15, 16, 17)
 # Long enough for every maxlen the databases below allow; the guard exists to
@@ -290,17 +290,21 @@ MAX_PATTERNS = 200
 
 
 @st.composite
-def simple_dbs(draw):
+def bitmap_dbs(draw, itemset_mode):
     """Up to six sequences over at most three labels, with lengths on the
-    byte boundaries and often skewed: a long sequence among short ones."""
+    byte boundaries and often skewed: a long sequence among short ones.  In
+    itemset mode an element holds one or two labels."""
     labels = "abc"[: draw(st.integers(1, 3))]
     lengths = draw(st.lists(st.sampled_from(BOUNDARY_LENGTHS), min_size=1, max_size=6))
-    rows = [draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n)) for n in lengths]
+    element = st.sampled_from(labels)
+    if itemset_mode:
+        element = st.lists(element, min_size=1, max_size=2, unique=True)
+    rows = [draw(st.lists(element, min_size=n, max_size=n)) for n in lengths]
     return SequenceDatabase.from_label_sequences(rows)
 
 
 @st.composite
-def simple_params(draw, db):
+def bitmap_params(draw, db, itemset_mode):
     """fmin from 1 to the database size; maxlen from 1 to the longest
     sequence; minlen from 1 to maxlen."""
     longest = max(len(s) for s in db.sequences)
@@ -309,15 +313,20 @@ def simple_params(draw, db):
         fmin=draw(st.integers(1, len(db))),
         maxlen=maxlen,
         minlen=draw(st.integers(1, maxlen)),
+        itemset_mode=itemset_mode,
     )
 
 
 @st.composite
-def simple_constraints(draw, db):
-    """None, must-have, a regex over the database's labels, or an aggregate
-    (the summed upper bound prunes during the search, the others do not)."""
+def bitmap_constraints(draw, db, itemset_mode):
+    """None, must-have, a regex over the database's labels (simple mode
+    only), or an aggregate (the summed upper bound prunes during the search,
+    the others do not)."""
     labels = [db.alphabet.label(i) for i in range(len(db.alphabet))]
-    kind = draw(st.sampled_from(["none", "must_have", "regex", "aggregate"]))
+    kinds = ["none", "must_have", "regex", "aggregate"]
+    if itemset_mode:
+        kinds.remove("regex")
+    kind = draw(st.sampled_from(kinds))
     if kind == "none" or not labels:
         return None
     if kind == "must_have":
@@ -337,45 +346,58 @@ def _assume_oracle_sized(db, params):
     more than MAX_PATTERNS patterns.  Growing maxlen one level at a time
     keeps a discarded draw cheap."""
     for maxlen in range(1, params.maxlen + 1):
-        assume(len(mine(db, MiningParams(fmin=params.fmin, maxlen=maxlen))) <= MAX_PATTERNS)
+        level = MiningParams(fmin=params.fmin, maxlen=maxlen, itemset_mode=params.itemset_mode)
+        assume(len(mine(db, level)) <= MAX_PATTERNS)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_simple_search_matches_oracle(data):
-    db = data.draw(simple_dbs())
-    params = data.draw(simple_params(db))
+    itemset_mode = data.draw(st.booleans())
+    db = data.draw(bitmap_dbs(itemset_mode))
+    params = data.draw(bitmap_params(db, itemset_mode))
     _assume_oracle_sized(db, params)
     got = mine(db, params, use_local_pruning=data.draw(st.booleans()))
-    want = oracle_frequent(db, params.fmin, params.maxlen, config=WIDE)
+    want = oracle_frequent(db, params.fmin, params.maxlen, itemset_mode=itemset_mode, config=WIDE)
     want = [e for e in want if len(e.pattern) >= params.minlen]
     assert result_key(got) == result_key(want)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_constrained_simple_search_matches_oracle(data):
-    db = data.draw(simple_dbs())
-    params = data.draw(simple_params(db))
-    cs = data.draw(simple_constraints(db))
+    itemset_mode = data.draw(st.booleans())
+    db = data.draw(bitmap_dbs(itemset_mode))
+    params = data.draw(bitmap_params(db, itemset_mode))
+    cs = data.draw(bitmap_constraints(db, itemset_mode))
     _assume_oracle_sized(db, params)
     got = mine(db, params, cs, use_local_pruning=data.draw(st.booleans()))
     want = oracle_constrained(
-        db, params.fmin, params.maxlen, cs or ConstraintSet(), minlen=params.minlen, config=WIDE
+        db, params.fmin, params.maxlen, cs or ConstraintSet(), minlen=params.minlen,
+        itemset_mode=itemset_mode, config=WIDE,
     )
     assert result_key(got) == result_key(want)
 
 
 def test_simple_search_long_sequence_among_short_ones():
     # One 1,200-element sequence (a 151-byte bitmap segment) among 60 short
-    # ones, some of them empty.
+    # ones, some of them empty, in both modes.  In itemset mode two labels
+    # keep every element the oracle enumerates, (a), (b) and (ab), present in
+    # the long sequence, where the oracle's search for an absent one takes
+    # cubic time.
     rng = random.Random(12)
-    rows = [[rng.choice("abcd") for _ in range(rng.randint(0, 9))] for _ in range(60)]
-    rows.insert(17, [rng.choice("abcd") for _ in range(1200)])
-    db = SequenceDatabase.from_label_sequences(rows)
     config = OracleConfig(max_db_size=61, max_seq_len=1200)
-    for fmin, maxlen in ((1, 3), (2, 4), (6, 4)):
-        got = mine(db, MiningParams(fmin=fmin, maxlen=maxlen))
-        want = oracle_frequent(db, fmin, maxlen, config=config)
-        assert result_key(got) == result_key(want)
-        assert all(18 in e.support_ids for e in got)
+    for itemset_mode, labels in ((False, "abcd"), (True, "ab")):
+
+        def element():
+            return rng.sample(labels, rng.randint(1, 2)) if itemset_mode else rng.choice(labels)
+
+        rows = [[element() for _ in range(rng.randint(0, 9))] for _ in range(60)]
+        rows.insert(17, [element() for _ in range(1200)])
+        db = SequenceDatabase.from_label_sequences(rows)
+        for fmin, maxlen in ((1, 3), (2, 4), (6, 4)):
+            params = MiningParams(fmin=fmin, maxlen=maxlen, itemset_mode=itemset_mode)
+            got = mine(db, params)
+            want = oracle_frequent(db, fmin, maxlen, itemset_mode=itemset_mode, config=config)
+            assert result_key(got) == result_key(want)
+            assert all(18 in e.support_ids for e in got)
