@@ -16,6 +16,16 @@ backward variants restrict insertions to the append slot after the last
 element.  In itemset mode a second extension kind exists (adding an item to
 an existing element); it is checked at the completable match positions of
 that element.
+
+A supporter admits an extension exactly when it contains the one-item
+extension pattern, so an extension's supporter count is that pattern's
+support.  When the frequent result is complete (no constraints, a
+threshold no higher than the caller's), every extension of a pattern
+shorter than ``maxlen`` that could disqualify it is itself in the result:
+``filter_result`` then judges such a pattern by looking it up among the
+one-item deletions of the result's patterns, and rescans supporters only
+for patterns at ``maxlen`` (whose insertions are longer than the result
+holds) and for constrained runs (whose output is not the frequent set).
 """
 
 from __future__ import annotations
@@ -265,6 +275,31 @@ def _pairwise_keep(result: MiningResult, kind: str) -> list[ResultEntry]:
     return kept
 
 
+def _best_extension_support(
+    entries: tuple[ResultEntry, ...], itemset_mode: bool, append_only: bool
+) -> dict[Elements, int]:
+    """Map every one-item deletion of every entry's pattern to the highest
+    support among the patterns it came from.
+
+    Deleting a one-item element undoes an insertion; deleting one item of a
+    larger element undoes an augmentation (itemset mode only).  Backward
+    kinds delete only from the last element.
+    """
+    best: dict[Elements, int] = {}
+    for e in entries:
+        p = e.pattern.elements
+        for i in [len(p) - 1] if append_only else range(len(p)):
+            elem = p[i]
+            if len(elem) > 1 and not itemset_mode:
+                continue
+            for k in range(len(elem)):
+                rest = elem[:k] + elem[k + 1:]
+                sub = p[:i] + ((rest,) if rest else ()) + p[i + 1:]
+                if best.get(sub, 0) < e.support:
+                    best[sub] = e.support
+    return best
+
+
 def filter_result(
     db: SequenceDatabase,
     result: MiningResult,
@@ -281,18 +316,43 @@ def filter_result(
     Default semantics judge each pattern by single-item extension checks
     against its own supporters (unrestricted by any active constraint set);
     ``within_constraints`` switches to pairwise comparison inside the result.
+
+    The extension checks read the result itself when it is known to hold
+    every frequent pattern of length ``minlen``..``maxlen``: no constraints
+    (``None`` or neutral), and ``result.params`` records a ``maxlen``, the
+    mode ``frequent`` or ``kind``, and a threshold that resolves on ``db``
+    to at most ``fmin``.  A pattern shorter than ``maxlen`` is then
+    dominated exactly when one of its one-item extensions is in the result
+    with equal support (closed kinds) or support of at least ``fmin``
+    (maximal kinds).  Patterns at ``maxlen``, constrained runs and results
+    without such params (e.g. from ``read_results``) rescan supporters.
     """
     if kind not in ("closed", "maximal", "backward-closed", "backward-maximal"):
         raise ValueError(f"unknown condensed kind: {kind!r}")
     if within_constraints:
         return MiningResult.build(_pairwise_keep(result, kind), result.params)
+    params = result.params
+    maxlen = getattr(params, "maxlen", None)
+    complete = (
+        (constraints is None or constraints.is_neutral())
+        and maxlen is not None
+        and params.mode in ("frequent", kind)
+        and params.resolved_fmin(len(db)) <= fmin
+    )
+    append_only = kind.startswith("backward")
+    best = _best_extension_support(result.entries, itemset_mode, append_only) if complete else {}
     kept = []
     for e in result.entries:
         if deadline is not None and time.monotonic() > deadline:
             from .miner import MiningTimeout
 
             raise MiningTimeout()
-        if kind == "closed":
+        if complete and len(e.pattern) < maxlen:
+            if kind.endswith("closed"):
+                ok = best.get(e.pattern.elements) != e.support
+            else:
+                ok = best.get(e.pattern.elements, 0) < fmin
+        elif kind == "closed":
             ok = is_closed(db, e.pattern, fmin, e.support_ids, strategy, itemset_mode)
         elif kind == "maximal":
             ok = is_maximal(db, e.pattern, fmin, e.support_ids, strategy, itemset_mode)

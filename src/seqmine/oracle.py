@@ -43,16 +43,26 @@ def _contains_itemset(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
 
 
 def naive_contains(pattern, target) -> bool:
-    """Existence of a strictly increasing matching position mapping."""
+    """Existence of a strictly increasing matching position mapping.
+
+    The search stays exhaustive but remembers failures: ``walk(pi, lo)``
+    tries a subset of the mappings ``walk(pi, lo')`` tries for any
+    ``lo' < lo``, so once it fails, every later start for pattern index
+    ``pi`` fails too.  A miss then costs O(k·n) rather than O(n^k).
+    """
     p = _elems(pattern)
     s = _elems(target)
+    failed_from = [len(s) + 1] * len(p)
 
     def walk(pi: int, lo: int) -> bool:
         if pi == len(p):
             return True
+        if lo >= failed_from[pi]:
+            return False
         for j in range(lo, len(s)):
             if _contains_itemset(p[pi], s[j]) and walk(pi + 1, j + 1):
                 return True
+        failed_from[pi] = lo
         return False
 
     return walk(0, 0)

@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import random
+import time
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seqmine import (
     ConstraintSet,
     MiningParams,
+    MiningResult,
+    MiningTimeout,
+    OracleConfig,
     SequenceDatabase,
     backward_filter,
     insertable_regions,
@@ -171,6 +176,13 @@ def test_filter_result_rejects_unknown_kind(d7):
         filter_result(d7, frequent, 3, "open")
 
 
+def test_filter_result_honours_the_deadline(d7):
+    frequent = mine(d7, MiningParams(fmin=3, maxlen=4))
+    for kind in ("closed", "maximal"):
+        with pytest.raises(MiningTimeout):
+            filter_result(d7, frequent, 3, kind, deadline=time.monotonic() - 1)
+
+
 def test_condensed_containment_and_closure_recovery(d7):
     frequent = mine(d7, MiningParams(fmin=3, maxlen=4))
     closed = mine(d7, MiningParams(fmin=3, maxlen=4, mode="closed"))
@@ -211,3 +223,88 @@ def test_condensed_random_vs_oracle():
                 )
                 want = oracle_condensed(oracle_frequent(db, 2, maxlen), kind)
                 assert result_key(got) == result_key(want)
+
+
+# ---------------------------------------------------------------------------
+# Result-set judgement against supporter rescans and the oracle
+
+KINDS = ("closed", "maximal", "backward-closed", "backward-maximal")
+# Patterns may be as long as the longest drawn sequence.
+LONG = OracleConfig(max_pattern_len=9)
+# Draws whose frequent set is larger are discarded, so that the rescan and
+# the oracle's pairwise comparison stay fast.
+MAX_PATTERNS = 150
+
+
+@st.composite
+def condensed_dbs(draw, itemset_mode):
+    """Up to six sequences of 0-9 elements over at most three labels; in
+    itemset mode an element holds one or two labels."""
+    labels = "abc"[: draw(st.integers(1, 3))]
+    element = st.sampled_from(labels)
+    if itemset_mode:
+        element = st.lists(element, min_size=1, max_size=2, unique=True)
+    rows = draw(st.lists(st.lists(element, max_size=9), min_size=1, max_size=6))
+    return SequenceDatabase.from_label_sequences(rows)
+
+
+def rescan_filter(db, result, fmin, kind, strategy, itemset_mode):
+    """Every entry judged by rescanning its supporters."""
+    kept = []
+    for e in result:
+        if kind == "closed":
+            ok = is_closed(db, e.pattern, fmin, e.support_ids, strategy, itemset_mode)
+        elif kind == "maximal":
+            ok = is_maximal(db, e.pattern, fmin, e.support_ids, strategy, itemset_mode)
+        else:
+            ok = backward_filter(
+                db, e.pattern, fmin, e.support_ids, kind.removeprefix("backward-"), strategy, itemset_mode
+            )
+        if ok:
+            kept.append(e)
+    return kept
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_filter_result_matches_rescan_and_oracle(data):
+    """The result-set judgement, for all four kinds, against the supporter
+    rescan on every pattern and against the oracle below ``maxlen``.  The
+    caller's threshold above the result's, a neutral constraint set, a
+    constrained run, a result without params and an already condensed result
+    must all keep the rescan's answer."""
+    itemset_mode = data.draw(st.booleans())
+    db = data.draw(condensed_dbs(itemset_mode))
+    maxlen = data.draw(st.integers(1, max(1, max(len(s) for s in db.sequences))))
+    params = MiningParams(
+        fmin=data.draw(st.integers(1, len(db))),
+        maxlen=maxlen,
+        minlen=data.draw(st.integers(1, maxlen)),
+        strategy=data.draw(st.sampled_from(["skip", "fill"])),
+        itemset_mode=itemset_mode,
+    )
+    cs = data.draw(st.sampled_from([ConstraintSet(cannot_have={0}), ConstraintSet(maxgap=1)]))
+    for level in range(1, maxlen + 1):
+        assume(len(mine(db, replace(params, maxlen=level, minlen=1))) <= MAX_PATTERNS)
+
+    fmin, strategy = params.fmin, params.strategy
+    frequent = mine(db, params)
+    cases = [
+        (fmin, None, frequent),
+        (fmin + data.draw(st.integers(1, 2)), None, frequent),
+        (fmin, ConstraintSet(), frequent),
+        (fmin, None, MiningResult.build(frequent.entries)),
+        (fmin, cs, mine(db, params, cs)),
+    ] + [(fmin, None, mine(db, replace(params, mode=k))) for k in KINDS]
+    want_oracle = oracle_frequent(db, fmin, maxlen, itemset_mode, config=LONG)
+    for kind in KINDS:
+        for caller_fmin, constraints, result in cases:
+            got = filter_result(db, result, caller_fmin, kind, strategy, itemset_mode, constraints)
+            want = rescan_filter(db, result, caller_fmin, kind, strategy, itemset_mode)
+            assert result_key(got) == result_key(want)
+        got = filter_result(db, frequent, fmin, kind, strategy, itemset_mode)
+        assert result_key(got) == result_key(mine(db, replace(params, mode=kind)))
+        want = oracle_condensed(want_oracle, kind)
+        assert result_key([e for e in got if len(e.pattern) < maxlen]) == result_key(
+            [e for e in want if params.minlen <= len(e.pattern) < maxlen]
+        )
