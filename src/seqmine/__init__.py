@@ -1,9 +1,9 @@
 """seqmine: sequential pattern mining over sequence databases.
 
 Frequent, constrained, and condensed (closed/maximal and backward
-variants) pattern mining with two interchangeable embedding strategies,
-plus brute-force reference implementations, a synthetic data generator,
-and a benchmarking harness.
+variants) pattern mining, the paper's two embedding representations
+(skip-gaps and fill-gaps) as reference models, brute-force reference
+implementations, a synthetic data generator, and a benchmarking harness.
 """
 
 from .seqdb import (
@@ -31,21 +31,16 @@ from .relations import (
     is_subsequence,
     skip_gaps_embedding,
     support,
-    supports_via,
 )
 from .miner import (
     DataError,
     MineStats,
     MiningParams,
     MiningTimeout,
-    ProjectedView,
     frequent_items,
-    locally_frequent_items,
     mine,
     mine_frequent,
     mine_itemset_patterns,
-    project,
-    root_view,
 )
 from .constraints import (
     AggregateSpec,

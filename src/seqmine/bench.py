@@ -1,9 +1,10 @@
 """Benchmark harness: run a grid of mining cells and record what happened.
 
-A cell is one (dataset, threshold, strategy, mode) combination.  Each cell
-records wall time, peak RSS, a search-size proxy (nodes expanded), and the
-pattern count; cells that hit their timeout are marked incomplete and the
-sweep moves on.
+A cell is one (dataset, threshold, mode) combination.  Each cell records
+wall time, peak RSS, a search-size proxy (nodes expanded), and the pattern
+count; cells that hit their timeout are marked incomplete and the sweep
+moves on.  Every cell's parameters are checked, and every threshold
+resolved on its dataset, before the first cell runs.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ class BenchRecord:
     dataset: str
     fmin: int | float
     resolved_fmin: int
-    strategy: str
     mode: str
     constraint_summary: str
     wall_seconds: float
@@ -37,7 +37,6 @@ class BenchRecord:
             "dataset": self.dataset,
             "fmin": self.fmin,
             "resolved_fmin": self.resolved_fmin,
-            "strategy": self.strategy,
             "mode": self.mode,
             "constraints": self.constraint_summary,
             "wall_seconds": round(self.wall_seconds, 6),
@@ -75,7 +74,6 @@ def _summarize_constraints(constraints) -> str:
 def run_suite(
     datasets: Iterable[tuple[str, SequenceDatabase]],
     thresholds: Iterable[int | float],
-    strategies: Iterable[str],
     modes: Iterable[str],
     maxlen: int,
     minlen: int = 1,
@@ -83,19 +81,24 @@ def run_suite(
     constraints=None,
     timeout: float | None = None,
 ) -> Iterator[BenchRecord]:
-    """Yield one record per cell of the (dataset x threshold x strategy x mode) grid."""
-    cells = [
-        (name, db, fmin, strategy, mode)
-        for name, db in datasets
-        for fmin in thresholds
-        for strategy in strategies
-        for mode in modes
-    ]
-    for name, db, fmin, strategy, mode in cells:
-        params = MiningParams(
-            fmin=fmin, maxlen=maxlen, minlen=minlen,
-            strategy=strategy, mode=mode, itemset_mode=itemset_mode,
-        )
+    """Yield one record per cell of the (dataset x threshold x mode) grid.
+
+    Raises ``ValueError`` for bad parameters and ``DataError`` for a
+    threshold that does not resolve on a dataset, before any cell runs.
+    """
+    cells = []
+    for name, db in datasets:
+        for fmin in thresholds:
+            for mode in modes:
+                params = MiningParams(
+                    fmin=fmin, maxlen=maxlen, minlen=minlen, mode=mode, itemset_mode=itemset_mode
+                )
+                cells.append((name, db, params, params.resolved_fmin(len(db))))
+    return _run_cells(cells, constraints, timeout)
+
+
+def _run_cells(cells, constraints, timeout) -> Iterator[BenchRecord]:
+    for name, db, params, fmin in cells:
         stats = MineStats()
         start = time.monotonic()
         completed = True
@@ -108,10 +111,9 @@ def run_suite(
         wall = time.monotonic() - start
         yield BenchRecord(
             dataset=name,
-            fmin=fmin,
-            resolved_fmin=params.resolved_fmin(len(db)),
-            strategy=strategy,
-            mode=mode,
+            fmin=params.fmin,
+            resolved_fmin=fmin,
+            mode=params.mode,
             constraint_summary=_summarize_constraints(constraints),
             wall_seconds=wall,
             peak_rss_kb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
@@ -124,12 +126,12 @@ def run_suite(
 def summarize(records: Iterable[BenchRecord]) -> str:
     """Fixed-width table for terminal display."""
     rows = list(records)
-    header = f"{'dataset':<18} {'fmin':>6} {'strategy':<8} {'mode':<17} {'time(s)':>9} {'nodes':>9} {'patterns':>9}"
+    header = f"{'dataset':<18} {'fmin':>6} {'mode':<17} {'time(s)':>9} {'nodes':>9} {'patterns':>9}"
     lines = [header, "-" * len(header)]
     for r in rows:
         patterns = str(r.pattern_count) if r.completed else "timeout"
         lines.append(
-            f"{r.dataset:<18} {r.resolved_fmin:>6} {r.strategy:<8} {r.mode:<17} "
+            f"{r.dataset:<18} {r.resolved_fmin:>6} {r.mode:<17} "
             f"{r.wall_seconds:>9.3f} {r.nodes_expanded:>9} {patterns:>9}"
         )
     return "\n".join(lines)

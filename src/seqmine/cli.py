@@ -6,8 +6,9 @@ brute-force reference miner on small inputs.
 
 Exit codes: 0 success, 1 usage error (bad flags or parameter values,
 including constraint parameters that do not fit the dataset's alphabet),
-2 timeout, 3 data error (unreadable or malformed input files, or a
-database/mode mismatch).
+2 timeout, 3 data error (unreadable or malformed input files, a
+database/mode mismatch, or a percentage ``--min-support`` on a database
+with no sequences).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .miner import (
     MineStats,
     mine,
 )
-from .relations import STRATEGIES
 from .constraints import (
     AggregateSpec,
     ConstraintError,
@@ -124,7 +124,6 @@ def build_parser() -> _Parser:
                         help="absolute count or percentage of sequences")
     p_mine.add_argument("--maxlen", required=True, type=int)
     p_mine.add_argument("--minlen", type=int, default=1)
-    p_mine.add_argument("--strategy", choices=STRATEGIES, default="fill")
     p_mine.add_argument("--mode", choices=MODES, default="frequent")
     p_mine.add_argument("--max-gap", type=int, default=None)
     p_mine.add_argument("--min-gap", type=int, default=None)
@@ -171,8 +170,6 @@ def build_parser() -> _Parser:
     p_bench.add_argument("--format", choices=("spmf", "aspfacts"), default="spmf")
     p_bench.add_argument("--min-support", required=True,
                          help="comma separated list of N or N%% values")
-    p_bench.add_argument("--strategy", default="both",
-                         help="comma separated subset of skip,fill, or 'both'")
     p_bench.add_argument("--mode", default="frequent", help="comma separated modes")
     p_bench.add_argument("--maxlen", required=True, type=int)
     p_bench.add_argument("--minlen", type=int, default=1)
@@ -190,6 +187,11 @@ def build_parser() -> _Parser:
     p_oracle.add_argument("--output", default=None)
 
     return parser
+
+
+def _data_error(exc: Exception) -> int:
+    print(f"seqmine: data error: {exc}", file=sys.stderr)
+    return EXIT_DATA
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -234,7 +236,7 @@ def _cmd_mine(args) -> int:
     try:
         params = MiningParams(
             fmin=fmin, maxlen=args.maxlen, minlen=args.minlen,
-            strategy=args.strategy, mode=args.mode, itemset_mode=args.itemset_mode,
+            mode=args.mode, itemset_mode=args.itemset_mode,
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
@@ -242,19 +244,14 @@ def _cmd_mine(args) -> int:
     try:
         db = load_database(args.input, args.format)
     except (FormatError, OSError) as exc:
-        print(f"seqmine: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return _data_error(exc)
 
     try:
         constraints = _build_constraints(args, db)
     except ConstraintError as exc:
         raise _UsageError(str(exc)) from None
-    except FormatError as exc:
-        print(f"seqmine: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
-        print(f"seqmine: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    except (FormatError, OSError) as exc:
+        return _data_error(exc)
 
     if args.emit_asp_facts is not None:
         _write_text(args.emit_asp_facts, write_asp_facts(db))
@@ -270,8 +267,7 @@ def _cmd_mine(args) -> int:
         print("seqmine: timed out", file=sys.stderr)
         return EXIT_TIMEOUT
     except (DataError, ConstraintError) as exc:
-        print(f"seqmine: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return _data_error(exc)
 
     _write_text(args.output, write_results(result, db))
     print(
@@ -320,10 +316,6 @@ def _cmd_bench(args) -> int:
     thresholds = [_parse_support(tok) for tok in _parse_labels(args.min_support)]
     if not thresholds:
         raise _UsageError("--min-support list is empty")
-    strategies = list(STRATEGIES) if args.strategy == "both" else _parse_labels(args.strategy)
-    for s in strategies:
-        if s not in STRATEGIES:
-            raise _UsageError(f"unknown strategy: {s!r}")
     modes = _parse_labels(args.mode)
     for m in modes:
         if m not in MODES:
@@ -333,22 +325,29 @@ def _cmd_bench(args) -> int:
         try:
             datasets.append((os.path.basename(path), load_database(path, args.format)))
         except (FormatError, OSError) as exc:
-            print(f"seqmine: data error: {exc}", file=sys.stderr)
-            return EXIT_DATA
+            return _data_error(exc)
+    try:
+        cells = bench_mod.run_suite(
+            datasets, thresholds, modes,
+            maxlen=args.maxlen, minlen=args.minlen, itemset_mode=args.itemset_mode,
+            timeout=args.timeout,
+        )
+    except DataError as exc:
+        return _data_error(exc)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     records = []
     sink = None
     try:
         if args.output is not None:
             sink = io.open(args.output, "w", encoding="utf-8")
-        for record in bench_mod.run_suite(
-            datasets, thresholds, strategies, modes,
-            maxlen=args.maxlen, minlen=args.minlen, itemset_mode=args.itemset_mode,
-            timeout=args.timeout,
-        ):
+        for record in cells:
             records.append(record)
             if sink is not None:
                 sink.write(record.to_json() + "\n")
                 sink.flush()
+    except DataError as exc:
+        return _data_error(exc)
     finally:
         if sink is not None:
             sink.close()
@@ -357,18 +356,19 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    fmin = _parse_support(args.min_support)
+    try:
+        params = MiningParams(fmin=_parse_support(args.min_support), maxlen=args.maxlen)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     try:
         db = load_database(args.input, args.format)
     except (FormatError, OSError) as exc:
-        print(f"seqmine: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    resolved = MiningParams(fmin=fmin, maxlen=args.maxlen).resolved_fmin(len(db))
+        return _data_error(exc)
     try:
+        resolved = params.resolved_fmin(len(db))
         result = oracle_frequent(db, resolved, args.maxlen, itemset_mode=args.itemset_mode)
-    except GuardError as exc:
-        print(f"seqmine: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+    except (DataError, GuardError) as exc:
+        return _data_error(exc)
     _write_text(args.output, write_results(result, db))
     return EXIT_OK
 

@@ -14,8 +14,9 @@ A pattern is maximal when no insertion candidate is shared by fmin
 supporters, closed when none is shared by *all* supporters, and the
 backward variants restrict insertions to the append slot after the last
 element.  In itemset mode a second extension kind exists (adding an item to
-an existing element); it is checked at the completable match positions of
-that element.
+an existing element); it is checked at the matches of that element lying
+strictly between the leftmost match of element i-1 and the rightmost match
+of element i+1, the positions some embedding uses for it.
 
 A supporter admits an extension exactly when it contains the one-item
 extension pattern, so an extension's supporter count is that pattern's
@@ -34,14 +35,7 @@ import time
 from dataclasses import dataclass
 
 from .seqdb import Elements, MiningResult, Pattern, ResultEntry, Sequence, SequenceDatabase
-from .relations import (
-    _match_positions,
-    as_elements,
-    fill_gaps_frontier,
-    is_prefix,
-    is_subsequence,
-    skip_gaps_levels,
-)
+from .relations import as_elements, fill_gaps_frontier, is_prefix, is_subitemset, is_subsequence
 
 
 @dataclass(frozen=True)
@@ -52,45 +46,27 @@ class OccurrenceBounds:
     rightmost: tuple[int, ...]
 
 
-def occurrence_bounds(
-    seq: Sequence | Elements, pattern: Pattern | Elements, strategy: str = "skip"
-) -> OccurrenceBounds | None:
+def occurrence_bounds(seq: Sequence | Elements, pattern: Pattern | Elements) -> OccurrenceBounds | None:
     """Bounds of the pattern's embeddings in one sequence; None if unsupported.
 
-    The two strategies compute identical bounds through different
-    intermediates: ``skip`` filters the reachable-match levels backwards,
-    ``fill`` pairs the leftmost frontier with a raw-match backward sweep.
+    The leftmost matches are the fill-gaps frontier; the rightmost come from
+    one greedy sweep backwards from the sequence's end.
     """
     s = as_elements(seq)
     p = as_elements(pattern)
     if not p:
         return OccurrenceBounds((), ())
-    if strategy == "skip":
-        levels = skip_gaps_levels(s, p)
-        if not levels[-1]:
-            return None
-        leftmost = tuple(lvl[0] for lvl in levels)
-        rightmost = [0] * len(p)
-        ceiling = len(s) + 1
-        for i in range(len(p) - 1, -1, -1):
-            candidates = [j for j in levels[i] if j < ceiling]
-            if not candidates:
-                return None
-            rightmost[i] = candidates[-1]
-            ceiling = rightmost[i]
-        return OccurrenceBounds(leftmost, tuple(rightmost))
-    if strategy == "fill":
-        frontier = fill_gaps_frontier(s, p)
-        if not frontier.supports:
-            return None
-        rightmost = [0] * len(p)
-        ceiling = len(s) + 1
-        for i in range(len(p) - 1, -1, -1):
-            candidates = [jj for jj in _match_positions(s, p[i]) if jj < ceiling]
-            rightmost[i] = candidates[-1]
-            ceiling = rightmost[i]
-        return OccurrenceBounds(frontier.firsts, tuple(rightmost))
-    raise ValueError(f"unknown strategy tag: {strategy!r}")
+    frontier = fill_gaps_frontier(s, p)
+    if not frontier.supports:
+        return None
+    rightmost = [0] * len(p)
+    j = len(s)
+    for i in range(len(p) - 1, -1, -1):
+        while not is_subitemset(p[i], s[j - 1]):
+            j -= 1
+        rightmost[i] = j
+        j -= 1
+    return OccurrenceBounds(frontier.firsts, tuple(rightmost))
 
 
 @dataclass(frozen=True)
@@ -106,12 +82,10 @@ class InsertableRegions:
     items: tuple[frozenset[int], ...]
 
 
-def insertable_regions(
-    seq: Sequence | Elements, pattern: Pattern | Elements, strategy: str = "skip"
-) -> InsertableRegions:
+def insertable_regions(seq: Sequence | Elements, pattern: Pattern | Elements) -> InsertableRegions:
     s = as_elements(seq)
     p = as_elements(pattern)
-    ob = occurrence_bounds(s, p, strategy)
+    ob = occurrence_bounds(s, p)
     if ob is None:
         raise ValueError("pattern does not occur in the sequence")
     n = len(s)
@@ -128,73 +102,48 @@ def insertable_regions(
     return InsertableRegions(tuple(bounds), tuple(items))
 
 
-def _completable_levels(s: Elements, p: Elements) -> list[list[int]] | None:
-    """Match positions per element restricted to completable embeddings."""
-    levels = skip_gaps_levels(s, p)
-    if not levels or not levels[-1]:
-        return None
-    valid: list[list[int]] = [[] for _ in p]
-    valid[-1] = list(levels[-1])
-    for i in range(len(p) - 2, -1, -1):
-        ceiling = valid[i + 1][-1]
-        valid[i] = [j for j in levels[i] if j < ceiling]
-    return valid
-
-
-def _augmentable_items(s: Elements, p: Elements, only_last: bool = False) -> dict[int, frozenset[int]]:
-    """Per element index (1-based), items addable to that element in-place."""
-    valid = _completable_levels(s, p)
-    if valid is None:
-        return {}
-    out: dict[int, frozenset[int]] = {}
-    indices = [len(p)] if only_last else range(1, len(p) + 1)
-    for i in indices:
-        pool: set[int] = set()
-        for j in valid[i - 1]:
-            pool.update(s[j - 1])
-        pool.difference_update(p[i - 1])
-        if pool:
-            out[i] = frozenset(pool)
-    return out
-
-
 def _extension_candidates(
-    seq: Sequence | Elements,
-    pattern: Pattern | Elements,
-    strategy: str,
-    itemset_mode: bool,
-    append_only: bool,
+    seq: Sequence | Elements, pattern: Pattern | Elements, *, itemset_mode: bool, append_only: bool
 ) -> set[tuple]:
     """All single-item extension keys this supporter admits.
 
     Keys are ("ins", position, item) for new-element insertion and
-    ("aug", position, item) for element augmentation (itemset mode).
+    ("aug", position, item) for element augmentation (itemset mode).  Some
+    embedding matches element i at j exactly when p_i is a sub-itemset of
+    s_j and j lies between the lower end of slot i and the upper end of slot
+    i+1, so augmentations read the same regions as insertions.
     """
     s = as_elements(seq)
     p = as_elements(pattern)
     keys: set[tuple] = set()
-    regions = insertable_regions(s, p, strategy)
+    regions = insertable_regions(s, p)
     positions = [len(p) + 1] if append_only else range(1, len(p) + 2)
     for i in positions:
         for a in regions.items[i - 1]:
             keys.add(("ins", i, a))
     if itemset_mode:
-        for i, pool in _augmentable_items(s, p, only_last=append_only).items():
+        for i in [len(p)] if append_only else range(1, len(p) + 1):
+            elem = p[i - 1]
+            pool: set[int] = set()
+            for j in range(regions.bounds[i - 1][0] + 1, regions.bounds[i][1]):
+                if is_subitemset(elem, s[j - 1]):
+                    pool.update(s[j - 1])
+            pool.difference_update(elem)
             for a in pool:
                 keys.add(("aug", i, a))
     return keys
 
 
-def _supporter_keys(db, pattern, support_ids, strategy, itemset_mode, append_only):
+def _supporter_keys(db, pattern, support_ids, itemset_mode, append_only):
     for sid in support_ids:
         yield _extension_candidates(
-            db.sequence(sid), pattern, strategy, itemset_mode, append_only
+            db.sequence(sid), pattern, itemset_mode=itemset_mode, append_only=append_only
         )
 
 
-def _no_frequent_extension(db, pattern, fmin, support_ids, strategy, itemset_mode, append_only) -> bool:
+def _no_frequent_extension(db, pattern, fmin, support_ids, itemset_mode, append_only) -> bool:
     counts: dict[tuple, int] = {}
-    for keys in _supporter_keys(db, pattern, support_ids, strategy, itemset_mode, append_only):
+    for keys in _supporter_keys(db, pattern, support_ids, itemset_mode, append_only):
         for key in keys:
             counts[key] = counts.get(key, 0) + 1
             if counts[key] >= fmin:
@@ -202,9 +151,9 @@ def _no_frequent_extension(db, pattern, fmin, support_ids, strategy, itemset_mod
     return True
 
 
-def _no_common_extension(db, pattern, support_ids, strategy, itemset_mode, append_only) -> bool:
+def _no_common_extension(db, pattern, support_ids, itemset_mode, append_only) -> bool:
     common: set[tuple] | None = None
-    for keys in _supporter_keys(db, pattern, support_ids, strategy, itemset_mode, append_only):
+    for keys in _supporter_keys(db, pattern, support_ids, itemset_mode, append_only):
         common = set(keys) if common is None else (common & keys)
         if not common:
             return True
@@ -216,11 +165,11 @@ def is_maximal(
     pattern: Pattern,
     fmin: int,
     support_ids: tuple[int, ...],
-    strategy: str = "skip",
+    *,
     itemset_mode: bool = False,
 ) -> bool:
     """No single-item extension is supported by fmin of the given supporters."""
-    return _no_frequent_extension(db, pattern, fmin, support_ids, strategy, itemset_mode, False)
+    return _no_frequent_extension(db, pattern, fmin, support_ids, itemset_mode, False)
 
 
 def is_closed(
@@ -228,11 +177,11 @@ def is_closed(
     pattern: Pattern,
     fmin: int,
     support_ids: tuple[int, ...],
-    strategy: str = "skip",
+    *,
     itemset_mode: bool = False,
 ) -> bool:
     """No single-item extension is supported by all of the given supporters."""
-    return _no_common_extension(db, pattern, support_ids, strategy, itemset_mode, False)
+    return _no_common_extension(db, pattern, support_ids, itemset_mode, False)
 
 
 def backward_filter(
@@ -241,14 +190,14 @@ def backward_filter(
     fmin: int,
     support_ids: tuple[int, ...],
     kind: str,
-    strategy: str = "skip",
+    *,
     itemset_mode: bool = False,
 ) -> bool:
     """Closed/maximal restricted to append-slot extensions (prefix growth)."""
     if kind == "maximal":
-        return _no_frequent_extension(db, pattern, fmin, support_ids, strategy, itemset_mode, True)
+        return _no_frequent_extension(db, pattern, fmin, support_ids, itemset_mode, True)
     if kind == "closed":
-        return _no_common_extension(db, pattern, support_ids, strategy, itemset_mode, True)
+        return _no_common_extension(db, pattern, support_ids, itemset_mode, True)
     raise ValueError(f"unknown backward kind: {kind!r}")
 
 
@@ -305,7 +254,7 @@ def filter_result(
     result: MiningResult,
     fmin: int,
     kind: str,
-    strategy: str = "skip",
+    *,
     itemset_mode: bool = False,
     constraints=None,
     within_constraints: bool = False,
@@ -353,13 +302,13 @@ def filter_result(
             else:
                 ok = best.get(e.pattern.elements, 0) < fmin
         elif kind == "closed":
-            ok = is_closed(db, e.pattern, fmin, e.support_ids, strategy, itemset_mode)
+            ok = is_closed(db, e.pattern, fmin, e.support_ids, itemset_mode=itemset_mode)
         elif kind == "maximal":
-            ok = is_maximal(db, e.pattern, fmin, e.support_ids, strategy, itemset_mode)
+            ok = is_maximal(db, e.pattern, fmin, e.support_ids, itemset_mode=itemset_mode)
         else:
             ok = backward_filter(
                 db, e.pattern, fmin, e.support_ids,
-                kind.removeprefix("backward-"), strategy, itemset_mode,
+                kind.removeprefix("backward-"), itemset_mode=itemset_mode,
             )
         if ok:
             kept.append(e)

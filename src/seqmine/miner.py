@@ -22,9 +22,9 @@ else:
 * gap/span constraints: per supporting sequence, the (last position, first
   position) pairs of admissible chains, admitted step by step.
 
-``MiningParams.strategy`` does not reach the search.  It selects the
-skip-gaps or fill-gaps embedding representation that ``relations`` and the
-condensed filter use; both give the same supports.
+The paper's two embedding representations, skip-gaps and fill-gaps, give
+the same supports; the bitmaps keep the fill-gaps one, and ``relations``
+holds both as reference models.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from fractions import Fraction
 from itertools import compress
 
 from .seqdb import MiningResult, Pattern, ResultEntry, SequenceDatabase
-from .relations import STRATEGIES, is_subitemset, is_subsequence
+from .relations import is_subsequence
 
 MODES = ("frequent", "closed", "maximal", "backward-closed", "backward-maximal")
 
@@ -54,7 +54,6 @@ class MiningParams:
     fmin: int | float
     maxlen: int
     minlen: int = 1
-    strategy: str = "fill"
     mode: str = "frequent"
     itemset_mode: bool = False
 
@@ -70,8 +69,6 @@ class MiningParams:
             raise ValueError("maxlen must be >= 1")
         if not 1 <= self.minlen <= self.maxlen:
             raise ValueError("need 1 <= minlen <= maxlen")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy: {self.strategy!r}")
         if self.mode not in MODES:
             raise ValueError(f"unknown mode: {self.mode!r}")
 
@@ -81,7 +78,8 @@ class MiningParams:
         # Exact: the float product rounds 0.07 * 100 up to 7.000000000000001.
         resolved = math.ceil(Fraction(repr(self.fmin)) * n_sequences)
         if resolved < 1:
-            raise ValueError(f"fractional fmin {self.fmin} resolves to {resolved} on {n_sequences} sequences")
+            # A percentage of no sequences: the database, not the value, is at fault.
+            raise DataError(f"fractional fmin {self.fmin} resolves to {resolved} on {n_sequences} sequences")
         return resolved
 
 
@@ -94,23 +92,7 @@ class MineStats:
 
 
 # ---------------------------------------------------------------------------
-# Public projection primitives: plain per-sequence reference forms of the
-# pseudo-projection.  The search does not call them; it keeps its own states.
-
-
-@dataclass(frozen=True)
-class ProjectedView:
-    """Pseudo-projected supporter list: (sid, start_pos) pairs, 1-based.
-
-    start_pos points at the first suffix element still available for
-    extension; it is at most len(sequence)+1 (empty suffix).
-    """
-
-    entries: tuple[tuple[int, int], ...]
-
-
-def root_view(db: SequenceDatabase) -> ProjectedView:
-    return ProjectedView(tuple((s.sid, 1) for s in db.sequences))
+# Search plumbing
 
 
 def frequent_items(db: SequenceDatabase, fmin: int) -> frozenset[int]:
@@ -120,40 +102,6 @@ def frequent_items(db: SequenceDatabase, fmin: int) -> frozenset[int]:
         for item in set(seq.items()):
             counts[item] = counts.get(item, 0) + 1
     return frozenset(i for i, c in counts.items() if c >= fmin)
-
-
-def project(
-    view: ProjectedView, db: SequenceDatabase, extension: int | tuple[int, ...]
-) -> ProjectedView:
-    """Advance each entry past the first match of the extension.
-
-    Entries whose suffix has no match are dropped; surviving entries get
-    start_pos = match position + 1.
-    """
-    ext = (extension,) if isinstance(extension, int) else tuple(extension)
-    out = []
-    for sid, start in view.entries:
-        elems = db.sequence(sid).elements
-        for pos in range(start, len(elems) + 1):
-            if is_subitemset(ext, elems[pos - 1]):
-                out.append((sid, pos + 1))
-                break
-    return ProjectedView(tuple(out))
-
-
-def locally_frequent_items(view: ProjectedView, db: SequenceDatabase, fmin: int) -> frozenset[int]:
-    """Items present in at least fmin of the view's suffixes."""
-    counts: dict[int, int] = {}
-    for sid, start in view.entries:
-        elems = db.sequence(sid).elements
-        suffix_items = {i for elem in elems[start - 1 :] for i in elem}
-        for item in suffix_items:
-            counts[item] = counts.get(item, 0) + 1
-    return frozenset(i for i, c in counts.items() if c >= fmin)
-
-
-# ---------------------------------------------------------------------------
-# Search plumbing
 
 
 class _Index:
@@ -504,7 +452,6 @@ def mine(
             result,
             fmin,
             kind=params.mode,
-            strategy=params.strategy,
             itemset_mode=params.itemset_mode,
             constraints=cs,
             within_constraints=condensed_within_constraints,

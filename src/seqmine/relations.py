@@ -14,6 +14,10 @@ Two redundant representations of "where P sits inside S" are provided:
   {(i, j) : first_i <= j <= n} is monotone in j and a superset of skip-gaps.
 
 Both answer the support question identically; they differ in memory shape.
+They are the paper's two encodings of embeddings, kept here as reference
+models: the search keeps the fill-gaps frontier of every sequence at once
+(``miner._Bitmap``), and the condensed filter's rescans pair the frontier
+with a backward sweep (``condensed.occurrence_bounds``).
 """
 
 from __future__ import annotations
@@ -21,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .seqdb import Elements, Itemset, Pattern, Sequence, SequenceDatabase
-
-STRATEGIES = ("skip", "fill")
 
 
 def as_elements(x: Pattern | Sequence | Elements) -> Elements:
@@ -175,12 +177,3 @@ def fill_gaps_frontier(seq: Sequence | Elements, pattern: Pattern | Elements) ->
         j += 1
         firsts.append(j)
     return FillGapsFrontier(len(p), len(s), tuple(firsts))
-
-
-def supports_via(strategy: str, seq: Sequence | Elements, pattern: Pattern | Elements) -> bool:
-    """Answer the support question through the named representation."""
-    if strategy == "skip":
-        return skip_gaps_embedding(seq, pattern).supports
-    if strategy == "fill":
-        return fill_gaps_frontier(seq, pattern).supports
-    raise ValueError(f"unknown strategy tag: {strategy!r}")

@@ -4,29 +4,26 @@ from __future__ import annotations
 
 import json
 
-from seqmine import ConstraintSet, generate, run_suite
+import pytest
+
+from seqmine import ConstraintSet, DataError, SequenceDatabase, generate, run_suite
 from seqmine.bench import summarize
 from seqmine.datagen import GenParams
 
 
 def test_grid_shape_and_counts(d7):
-    records = list(
-        run_suite([("d7", d7)], [3, 4, 5, 6, 7], ["skip", "fill"], ["frequent"], maxlen=4)
-    )
+    records = list(run_suite([("d7", d7)], [3, 4, 5, 6, 7], ["frequent", "maximal"], maxlen=4))
     assert len(records) == 10
     assert all(r.completed for r in records)
-    counts = {}
-    for r in records:
-        counts.setdefault(r.fmin, set()).add(r.pattern_count)
-    # both strategies agree per threshold
-    assert counts == {3: {7}, 4: {7}, 5: {5}, 6: {2}, 7: {0}}
+    counts = {(r.fmin, r.mode): r.pattern_count for r in records}
+    assert {f: c for (f, m), c in counts.items() if m == "frequent"} == {3: 7, 4: 7, 5: 5, 6: 2, 7: 0}
+    assert counts[(3, "maximal")] == 1
 
 
 def test_record_fields_and_json(d7):
-    (record,) = run_suite([("d7", d7)], [3], ["skip"], ["maximal"], maxlen=4)
+    (record,) = run_suite([("d7", d7)], [3], ["maximal"], maxlen=4)
     assert record.dataset == "d7"
     assert record.resolved_fmin == 3
-    assert record.strategy == "skip"
     assert record.mode == "maximal"
     assert record.completed
     assert record.pattern_count == 1
@@ -34,13 +31,25 @@ def test_record_fields_and_json(d7):
     assert record.peak_rss_kb > 0
     assert record.nodes_expanded > 0
     payload = json.loads(record.to_json())
+    assert set(payload) == {
+        "dataset", "fmin", "resolved_fmin", "mode", "constraints", "wall_seconds",
+        "peak_rss_kb", "nodes_expanded", "completed", "pattern_count",
+    }
     assert payload["dataset"] == "d7"
     assert payload["constraints"] == "none"
     assert payload["pattern_count"] == 1
 
 
+def test_bad_cells_are_rejected_before_any_cell_runs(d7):
+    with pytest.raises(ValueError):
+        run_suite([("d7", d7)], [3], ["frequent"], maxlen=4, minlen=5)
+    empty = SequenceDatabase.from_label_sequences([])
+    with pytest.raises(DataError):
+        run_suite([("d7", d7), ("empty", empty)], [0.5], ["frequent"], maxlen=4)
+
+
 def test_fractional_threshold_resolution(d7):
-    (record,) = run_suite([("d7", d7)], [3 / 7], ["fill"], ["frequent"], maxlen=4)
+    (record,) = run_suite([("d7", d7)], [3 / 7], ["frequent"], maxlen=4)
     assert record.fmin == 3 / 7
     assert record.resolved_fmin == 3
     assert record.pattern_count == 7
@@ -48,7 +57,7 @@ def test_fractional_threshold_resolution(d7):
 
 def test_timeout_cell_is_marked_incomplete():
     db, _ = generate(GenParams(num_sequences=150, seed=5))
-    (record,) = run_suite([("big", db)], [2], ["fill"], ["frequent"], maxlen=8, timeout=1e-5)
+    (record,) = run_suite([("big", db)], [2], ["frequent"], maxlen=8, timeout=1e-5)
     assert not record.completed
     assert record.pattern_count is None
     assert "pattern_count" not in json.loads(record.to_json())
@@ -57,13 +66,13 @@ def test_timeout_cell_is_marked_incomplete():
 def test_constraint_summary_string(d7):
     cs = ConstraintSet(must_have={2}, maxgap=0)
     (record,) = run_suite(
-        [("d7", d7)], [3], ["skip"], ["frequent"], maxlen=4, constraints=cs
+        [("d7", d7)], [3], ["frequent"], maxlen=4, constraints=cs
     )
     assert record.constraint_summary == "maxgap=0,must=1"
 
 
 def test_summarize_table(d7):
-    records = list(run_suite([("d7", d7)], [3, 5], ["skip"], ["frequent"], maxlen=4))
+    records = list(run_suite([("d7", d7)], [3, 5], ["frequent"], maxlen=4))
     table = summarize(records)
     lines = table.splitlines()
     assert len(lines) == 2 + len(records)
@@ -74,6 +83,6 @@ def test_summarize_table(d7):
 def test_summarize_marks_timeouts():
     db, _ = generate(GenParams(num_sequences=150, seed=5))
     records = list(
-        run_suite([("big", db)], [2], ["fill"], ["frequent"], maxlen=8, timeout=1e-5)
+        run_suite([("big", db)], [2], ["frequent"], maxlen=8, timeout=1e-5)
     )
     assert "timeout" in summarize(records)

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import argparse
 import json
+import re
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 
-from seqmine.cli import main
+from seqmine.cli import build_parser, main
 
 D7 = None  # path fixture supplies the file
 
@@ -156,6 +159,8 @@ def test_mine_usage_errors(d7_path, tmp_path, capsys):
          "--min-gap", "2", "--max-gap", "1"],
         ["mine", "--input", str(d7_path), "--min-support", "3", "--maxlen", "4",
          "--regex", "1("],
+        # The reference miner checks its parameters as mine does.
+        ["oracle", "--input", str(d7_path), "--min-support", "3", "--maxlen", "0"],
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)
@@ -181,11 +186,24 @@ def test_mine_data_errors(d7_path, tmp_path, capsys):
         capsys, "mine", "--input", str(itemsets), "--min-support", "1", "--maxlen", "2"
     )
     assert code == 3 and "itemset_mode" in err
+    code, out, err = run(
+        capsys, "bench", "--input", str(itemsets), "--min-support", "1", "--maxlen", "2"
+    )
+    assert code == 3 and "itemset_mode" in err and not out
     code, _, _ = run(
         capsys, "mine", "--input", str(itemsets), "--min-support", "1",
         "--maxlen", "2", "--itemset-mode",
     )
     assert code == 0
+
+    # A percentage of no sequences is no threshold: the database is at fault.
+    empty = tmp_path / "empty.spmf"
+    empty.write_text("")
+    for command in ("mine", "bench", "oracle"):
+        code, out, err = run(
+            capsys, command, "--input", str(empty), "--min-support", "10%", "--maxlen", "2"
+        )
+        assert code == 3 and "data error" in err and not out, command
 
 
 def test_mine_timeout_exit_code(tmp_path, capsys):
@@ -216,6 +234,21 @@ def test_mine_deep_pattern(tmp_path, capsys):
 def test_no_subcommand_is_usage_error(capsys):
     code, _, _ = run(capsys)
     assert code == 1
+
+
+def test_readme_lists_every_mine_flag():
+    """README's ``seqmine mine`` flag block names exactly the parser's flags."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("`seqmine mine` mines one database.", 1)[1].split("```")[1]
+    documented = set(re.findall(r"--[a-z][a-z-]*", block))
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        flag
+        for action in sub.choices["mine"]._actions
+        for flag in action.option_strings
+        if flag.startswith("--")
+    }
+    assert documented == flags - {"--help"}
 
 
 # ---------------------------------------------------------------------------
@@ -272,29 +305,28 @@ def test_bench_grid_and_jsonl(d7_path, tmp_path, capsys):
     records_path = tmp_path / "records.jsonl"
     code, out, _ = run(
         capsys, "bench", "--input", str(d7_path), "--min-support", "3,5",
-        "--strategy", "both", "--maxlen", "4", "--output", str(records_path),
+        "--mode", "frequent,maximal", "--maxlen", "4", "--output", str(records_path),
     )
     assert code == 0
     assert "dataset" in out and "d7.spmf" in out
     records = out_lines(records_path.read_text())
     assert len(records) == 4
-    assert {r["resolved_fmin"] for r in records} == {3, 5}
-    counts = {(r["resolved_fmin"], r["strategy"]): r["pattern_count"] for r in records}
-    assert counts[(3, "skip")] == counts[(3, "fill")] == 7
-    assert counts[(5, "skip")] == counts[(5, "fill")] == 5
+    counts = {(r["resolved_fmin"], r["mode"]): r["pattern_count"] for r in records}
+    assert counts == {(3, "frequent"): 7, (3, "maximal"): 1, (5, "frequent"): 5, (5, "maximal"): 2}
 
 
 def test_bench_usage_errors(d7_path, capsys):
     cases = [
         ["bench", "--input", str(d7_path), "--min-support", ",", "--maxlen", "4"],
         ["bench", "--input", str(d7_path), "--min-support", "3",
-         "--strategy", "warp", "--maxlen", "4"],
-        ["bench", "--input", str(d7_path), "--min-support", "3",
          "--mode", "open", "--maxlen", "4"],
+        ["bench", "--input", str(d7_path), "--min-support", "3", "--maxlen", "0"],
+        ["bench", "--input", str(d7_path), "--min-support", "3", "--minlen", "5", "--maxlen", "4"],
     ]
     for argv in cases:
-        code, _, _ = run(capsys, *argv)
+        code, out, err = run(capsys, *argv)
         assert code == 1, argv
+        assert err and not out, argv
 
 
 def test_bench_missing_input_is_data_error(tmp_path, capsys):

@@ -25,10 +25,12 @@ from seqmine import (
     mine,
     occurrence_bounds,
     oracle_condensed,
+    oracle_embeddings,
     oracle_frequent,
     support,
 )
-from seqmine.condensed import filter_result
+from seqmine.condensed import _extension_candidates, filter_result
+from seqmine.oracle import naive_contains
 
 from helpers import db_maxlen, entry_labels, pat, pattern_set, random_simple_db, result_key
 
@@ -48,14 +50,13 @@ AC = elems((A,), (C,))
 # Occurrence bounds
 
 
-@pytest.mark.parametrize("strategy", ["skip", "fill"])
-def test_occurrence_bounds_worked_examples(strategy):
-    ob = occurrence_bounds(DABC, AC, strategy)
+def test_occurrence_bounds_worked_examples():
+    ob = occurrence_bounds(DABC, AC)
     assert (ob.leftmost, ob.rightmost) == ((2, 4), (2, 4))
-    ob = occurrence_bounds(ACBC, AC, strategy)
+    ob = occurrence_bounds(ACBC, AC)
     assert (ob.leftmost, ob.rightmost) == ((1, 2), (1, 4))
-    assert occurrence_bounds(elems((B,)), AC, strategy) is None
-    empty = occurrence_bounds(ACBC, (), strategy)
+    assert occurrence_bounds(elems((B,)), AC) is None
+    empty = occurrence_bounds(ACBC, ())
     assert (empty.leftmost, empty.rightmost) == ((), ())
 
 
@@ -67,33 +68,34 @@ raw_elements = st.lists(
 ).map(tuple)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(raw_elements, raw_elements)
-def test_occurrence_bounds_strategies_agree(seq, pattern):
-    skip = occurrence_bounds(seq, pattern, "skip")
-    fill = occurrence_bounds(seq, pattern, "fill")
-    assert skip == fill
-    if skip is not None and pattern:
-        assert all(a <= b for a, b in zip(skip.leftmost, skip.rightmost))
-        assert all(a < b for a, b in zip(skip.leftmost, skip.leftmost[1:]))
-        assert all(a < b for a, b in zip(skip.rightmost, skip.rightmost[1:]))
+def test_occurrence_bounds_match_oracle(seq, pattern):
+    """Per element, the least and greatest position any embedding uses;
+    None exactly when there is no embedding."""
+    embeddings = oracle_embeddings(seq, pattern)
+    ob = occurrence_bounds(seq, pattern)
+    if not embeddings:
+        assert ob is None
+        return
+    assert ob.leftmost == tuple(min(e[i] for e in embeddings) for i in range(len(pattern)))
+    assert ob.rightmost == tuple(max(e[i] for e in embeddings) for i in range(len(pattern)))
 
 
 # ---------------------------------------------------------------------------
 # Insertable regions
 
 
-@pytest.mark.parametrize("strategy", ["skip", "fill"])
-def test_insertable_regions_worked_examples(strategy):
-    r = insertable_regions(DABC, AC, strategy)
+def test_insertable_regions_worked_examples():
+    r = insertable_regions(DABC, AC)
     assert r.bounds == ((0, 2), (2, 4), (4, 5))
     assert r.items == (frozenset({D}), frozenset({B}), frozenset())
 
-    r = insertable_regions(AC, AC, strategy)
+    r = insertable_regions(AC, AC)
     assert r.bounds == ((0, 1), (1, 2), (2, 3))
     assert r.items == (frozenset(), frozenset(), frozenset())
 
-    r = insertable_regions(ACBC, AC, strategy)
+    r = insertable_regions(ACBC, AC)
     assert r.bounds == ((0, 1), (1, 4), (2, 5))
     assert r.items == (frozenset(), frozenset({B, C}), frozenset({B, C}))
 
@@ -114,6 +116,34 @@ def test_insertable_regions_sound(seq, pattern):
         for item in pool:
             grown = pattern[:i] + ((item,),) + pattern[i:]
             assert is_subsequence(grown, seq)
+
+
+@st.composite
+def supported_pairs(draw):
+    """A sequence of 1-7 elements of 1-3 items over four items, and a pattern
+    it contains: some of its positions, each with a non-empty sub-itemset."""
+    element = st.sets(st.integers(0, 3), min_size=1, max_size=3).map(lambda e: tuple(sorted(e)))
+    seq = tuple(draw(st.lists(element, min_size=1, max_size=7)))
+    picks = draw(st.sets(st.integers(0, len(seq) - 1), min_size=1))
+    pattern = tuple(
+        tuple(sorted(draw(st.sets(st.sampled_from(seq[j]), min_size=1)))) for j in sorted(picks)
+    )
+    return seq, pattern
+
+
+@settings(max_examples=300, deadline=None)
+@given(supported_pairs(), st.booleans())
+def test_augmentation_keys_match_oracle(pair, append_only):
+    """In itemset mode a supporter advertises ("aug", i, a) exactly when it
+    contains the pattern with item a added to element i (only the last
+    element when ``append_only``)."""
+    seq, pattern = pair
+    keys = _extension_candidates(seq, pattern, itemset_mode=True, append_only=append_only)
+    for i in range(1, len(pattern) + 1):
+        for a in set(range(4)) - set(pattern[i - 1]):
+            grown = pattern[: i - 1] + (tuple(sorted(pattern[i - 1] + (a,))),) + pattern[i:]
+            expect = naive_contains(grown, seq) and (not append_only or i == len(pattern))
+            assert (("aug", i, a) in keys) == expect
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +190,12 @@ D7_CONDENSED = {
 
 
 @pytest.mark.parametrize("kind", sorted(D7_CONDENSED))
-@pytest.mark.parametrize("strategy", ["skip", "fill"])
-def test_condensed_kinds_on_fixture(d7, kind, strategy):
-    result = mine(d7, MiningParams(fmin=3, maxlen=4, strategy=strategy, mode=kind))
+def test_condensed_kinds_on_fixture(d7, kind):
+    result = mine(d7, MiningParams(fmin=3, maxlen=4, mode=kind))
     assert {l for l, _ in entry_labels(d7, result)} == D7_CONDENSED[kind]
     # filtering the frequent result directly gives the same answer
-    frequent = mine(d7, MiningParams(fmin=3, maxlen=4, strategy=strategy))
-    filtered = filter_result(d7, frequent, 3, kind, strategy=strategy)
+    frequent = mine(d7, MiningParams(fmin=3, maxlen=4))
+    filtered = filter_result(d7, frequent, 3, kind)
     assert result_key(result) == result_key(filtered)
 
 
@@ -217,12 +246,9 @@ def test_condensed_random_vs_oracle():
         db = random_simple_db(rng)
         maxlen = db_maxlen(db)
         for kind in ("closed", "maximal", "backward-closed", "backward-maximal"):
-            for strategy in ("skip", "fill"):
-                got = mine(
-                    db, MiningParams(fmin=2, maxlen=maxlen, strategy=strategy, mode=kind)
-                )
-                want = oracle_condensed(oracle_frequent(db, 2, maxlen), kind)
-                assert result_key(got) == result_key(want)
+            got = mine(db, MiningParams(fmin=2, maxlen=maxlen, mode=kind))
+            want = oracle_condensed(oracle_frequent(db, 2, maxlen), kind)
+            assert result_key(got) == result_key(want)
 
 
 # ---------------------------------------------------------------------------
@@ -248,17 +274,17 @@ def condensed_dbs(draw, itemset_mode):
     return SequenceDatabase.from_label_sequences(rows)
 
 
-def rescan_filter(db, result, fmin, kind, strategy, itemset_mode):
+def rescan_filter(db, result, fmin, kind, itemset_mode):
     """Every entry judged by rescanning its supporters."""
     kept = []
     for e in result:
         if kind == "closed":
-            ok = is_closed(db, e.pattern, fmin, e.support_ids, strategy, itemset_mode)
+            ok = is_closed(db, e.pattern, fmin, e.support_ids, itemset_mode=itemset_mode)
         elif kind == "maximal":
-            ok = is_maximal(db, e.pattern, fmin, e.support_ids, strategy, itemset_mode)
+            ok = is_maximal(db, e.pattern, fmin, e.support_ids, itemset_mode=itemset_mode)
         else:
             ok = backward_filter(
-                db, e.pattern, fmin, e.support_ids, kind.removeprefix("backward-"), strategy, itemset_mode
+                db, e.pattern, fmin, e.support_ids, kind.removeprefix("backward-"), itemset_mode=itemset_mode
             )
         if ok:
             kept.append(e)
@@ -280,14 +306,13 @@ def test_filter_result_matches_rescan_and_oracle(data):
         fmin=data.draw(st.integers(1, len(db))),
         maxlen=maxlen,
         minlen=data.draw(st.integers(1, maxlen)),
-        strategy=data.draw(st.sampled_from(["skip", "fill"])),
         itemset_mode=itemset_mode,
     )
     cs = data.draw(st.sampled_from([ConstraintSet(cannot_have={0}), ConstraintSet(maxgap=1)]))
     for level in range(1, maxlen + 1):
         assume(len(mine(db, replace(params, maxlen=level, minlen=1))) <= MAX_PATTERNS)
 
-    fmin, strategy = params.fmin, params.strategy
+    fmin = params.fmin
     frequent = mine(db, params)
     cases = [
         (fmin, None, frequent),
@@ -299,10 +324,12 @@ def test_filter_result_matches_rescan_and_oracle(data):
     want_oracle = oracle_frequent(db, fmin, maxlen, itemset_mode, config=LONG)
     for kind in KINDS:
         for caller_fmin, constraints, result in cases:
-            got = filter_result(db, result, caller_fmin, kind, strategy, itemset_mode, constraints)
-            want = rescan_filter(db, result, caller_fmin, kind, strategy, itemset_mode)
+            got = filter_result(
+                db, result, caller_fmin, kind, itemset_mode=itemset_mode, constraints=constraints
+            )
+            want = rescan_filter(db, result, caller_fmin, kind, itemset_mode)
             assert result_key(got) == result_key(want)
-        got = filter_result(db, frequent, fmin, kind, strategy, itemset_mode)
+        got = filter_result(db, frequent, fmin, kind, itemset_mode=itemset_mode)
         assert result_key(got) == result_key(mine(db, replace(params, mode=kind)))
         want = oracle_condensed(want_oracle, kind)
         assert result_key([e for e in got if len(e.pattern) < maxlen]) == result_key(

@@ -1,4 +1,4 @@
-"""Projection primitives and the pattern-growth engine."""
+"""Parameter validation and the pattern-growth engine."""
 
 from __future__ import annotations
 
@@ -18,16 +18,13 @@ from seqmine import (
     SequenceDatabase,
     frequent_items,
     generate,
-    locally_frequent_items,
     mine,
     mine_frequent,
     mine_itemset_patterns,
     OracleConfig,
     oracle_constrained,
     oracle_frequent,
-    project,
     regex_compile,
-    root_view,
 )
 from seqmine.datagen import GenParams
 
@@ -51,7 +48,6 @@ def test_mining_params_validation():
         dict(fmin=3, maxlen=0),
         dict(fmin=3, maxlen=2, minlen=3),
         dict(fmin=3, maxlen=2, minlen=0),
-        dict(fmin=3, maxlen=3, strategy="hop"),
         dict(fmin=3, maxlen=3, mode="open"),
     ]:
         with pytest.raises(ValueError):
@@ -72,36 +68,13 @@ def test_fractional_fmin_resolution():
 
 
 # ---------------------------------------------------------------------------
-# Projection primitives
+# Root candidates
 
 
 def test_frequent_items(d7):
     assert frequent_items(d7, 3) == {A, B, C}
     assert frequent_items(d7, 1) == {A, B, C, D}
     assert frequent_items(d7, 7) == frozenset()
-
-
-def test_root_view_and_project(d7):
-    root = root_view(d7)
-    assert root.entries == tuple((sid, 1) for sid in range(1, 8))
-    after_a = project(root, d7, A)
-    assert after_a.entries == ((1, 2), (2, 3), (4, 2), (5, 2), (6, 2), (7, 2))
-    after_ac = project(after_a, d7, C)
-    assert after_ac.entries == ((1, 3), (2, 5), (4, 4), (6, 3), (7, 4))
-
-
-def test_project_with_itemset_extension():
-    db = SequenceDatabase.from_label_sequences([[("a", "b"), "c"], ["a", ("b", "c")]])
-    view = project(root_view(db), db, (0, 1))
-    assert view.entries == ((1, 2),)
-
-
-def test_locally_frequent_items(d7):
-    after_a = project(root_view(d7), d7, A)
-    assert locally_frequent_items(after_a, d7, 3) == {B, C}
-    after_abc = project(project(after_a, d7, B), d7, C)
-    assert locally_frequent_items(after_abc, d7, 3) == frozenset()
-    assert locally_frequent_items(after_abc, d7, 1) == {C}
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +91,8 @@ D7_AT_3 = {
 }
 
 
-@pytest.mark.parametrize("strategy", ["skip", "fill"])
-def test_mine_d7_fmin3(d7, strategy):
-    result = mine_frequent(d7, MiningParams(fmin=3, maxlen=4, strategy=strategy))
+def test_mine_d7_fmin3(d7):
+    result = mine_frequent(d7, MiningParams(fmin=3, maxlen=4))
     assert set(entry_labels(d7, result)) == D7_AT_3
     assert result.support_of(pat(d7, "a", "b", "c")) == 4
 
@@ -238,8 +210,7 @@ def test_itemset_repeated_triple_regression():
     assert len(result) == 399
 
 
-@pytest.mark.parametrize("strategy", ["skip", "fill"])
-def test_itemset_mode_random_vs_oracle(strategy):
+def test_itemset_mode_random_vs_oracle():
     rng = random.Random(20)
     from helpers import db_maxlen, random_itemset_db
 
@@ -247,10 +218,7 @@ def test_itemset_mode_random_vs_oracle(strategy):
         db = random_itemset_db(rng)
         maxlen = db_maxlen(db, cap=5)
         for fmin in (1, 2):
-            got = mine(
-                db,
-                MiningParams(fmin=fmin, maxlen=maxlen, strategy=strategy, itemset_mode=True),
-            )
+            got = mine(db, MiningParams(fmin=fmin, maxlen=maxlen, itemset_mode=True))
             want = oracle_frequent(db, fmin, maxlen, itemset_mode=True)
             assert result_key(got) == result_key(want)
 
@@ -259,8 +227,7 @@ def test_itemset_mode_random_vs_oracle(strategy):
 # Random differential check (small; the acceptance suite does the big sweep)
 
 
-@pytest.mark.parametrize("strategy", ["skip", "fill"])
-def test_simple_mode_random_vs_oracle(strategy):
+def test_simple_mode_random_vs_oracle():
     rng = random.Random(7)
     from helpers import db_maxlen, random_simple_db
 
@@ -268,7 +235,7 @@ def test_simple_mode_random_vs_oracle(strategy):
         db = random_simple_db(rng)
         maxlen = db_maxlen(db)
         for fmin in (1, 2, 3):
-            got = mine(db, MiningParams(fmin=fmin, maxlen=maxlen, strategy=strategy))
+            got = mine(db, MiningParams(fmin=fmin, maxlen=maxlen))
             want = oracle_frequent(db, fmin, maxlen)
             assert result_key(got) == result_key(want)
 

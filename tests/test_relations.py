@@ -14,7 +14,6 @@ from seqmine import (
     is_subsequence,
     skip_gaps_embedding,
     support,
-    supports_via,
 )
 from seqmine.relations import skip_gaps_levels
 
@@ -118,11 +117,6 @@ def test_fill_gaps_partial_prefix():
     assert not emb.supports
 
 
-def test_supports_via_rejects_unknown_strategy():
-    with pytest.raises(ValueError):
-        supports_via("nope", elems((0,)), elems((0,)))
-
-
 # ---------------------------------------------------------------------------
 # Properties tying the representations together
 
@@ -138,8 +132,8 @@ raw_elements = st.lists(
 @given(raw_elements, raw_elements)
 def test_representations_agree_on_support(seq, pattern):
     expected = is_subsequence(pattern, seq)
-    assert supports_via("skip", seq, pattern) == expected
-    assert supports_via("fill", seq, pattern) == expected
+    assert skip_gaps_embedding(seq, pattern).supports == expected
+    assert fill_gaps_frontier(seq, pattern).supports == expected
 
 
 @settings(max_examples=200, deadline=None)
