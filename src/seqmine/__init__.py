@@ -39,8 +39,6 @@ from .miner import (
     MiningTimeout,
     frequent_items,
     mine,
-    mine_frequent,
-    mine_itemset_patterns,
 )
 from .constraints import (
     AggregateSpec,
@@ -49,15 +47,10 @@ from .constraints import (
     ConstraintSet,
     RegexDfa,
     RegexError,
-    aggregate_constraint,
     constrained_embeddings,
-    item_constraint,
-    length_constraint,
     load_cost_text,
-    regex_check,
     regex_compile,
     resolve_costs,
-    superpattern_constraint,
 )
 from .condensed import (
     InsertableRegions,

@@ -54,10 +54,14 @@ EXIT_DATA = 3
 
 
 class _UsageError(Exception):
-    pass
+    """A bad flag or parameter value.  The subcommands raise it with a bare
+    message; ``main`` hands that to the subcommand parser's ``error``, which
+    adds the usage line and the ``prog: error:`` prefix."""
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, "_Parser"]  # the subcommand parsers, set by build_parser
+
     def error(self, message: str):  # type: ignore[override]
         self.print_usage(sys.stderr)
         raise _UsageError(f"{self.prog}: error: {message}")
@@ -116,6 +120,7 @@ def _resolve_items(labels: list[str], db: SequenceDatabase, flag: str) -> frozen
 def build_parser() -> _Parser:
     parser = _Parser(prog="seqmine", description="Sequential pattern mining toolkit")
     sub = parser.add_subparsers(dest="command", metavar="{mine,gen,bench}")
+    parser.commands = sub.choices
 
     p_mine = sub.add_parser("mine", help="mine patterns from a sequence database")
     p_mine.add_argument("--input", required=True, help="database file")
@@ -202,7 +207,7 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _build_constraints(args, db: SequenceDatabase) -> ConstraintSet | None:
+def _build_constraints(args, db: SequenceDatabase) -> ConstraintSet:
     agg_flags = (args.agg, args.agg_threshold, args.cost_file)
     if any(f is not None for f in agg_flags) and None in agg_flags:
         raise _UsageError("--agg, --agg-threshold and --cost-file must be given together")
@@ -216,7 +221,7 @@ def _build_constraints(args, db: SequenceDatabase) -> ConstraintSet | None:
     regex = None
     if args.regex is not None:
         regex = regex_compile(args.regex, db.alphabet)
-    cs = ConstraintSet(
+    return ConstraintSet(
         must_have=_resolve_items(_parse_labels(args.must_have), db, "--must-have"),
         cannot_have=_resolve_items(_parse_labels(args.cannot_have), db, "--cannot-have"),
         super_patterns=tuple(_parse_pattern_expr(expr, db) for expr in args.super_pattern),
@@ -228,7 +233,6 @@ def _build_constraints(args, db: SequenceDatabase) -> ConstraintSet | None:
         minspan=args.min_span,
         maxspan=args.max_span,
     )
-    return None if cs.is_neutral() else cs
 
 
 def _cmd_mine(args) -> int:
@@ -375,18 +379,16 @@ def _cmd_oracle(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    commands = {"mine": _cmd_mine, "gen": _cmd_gen, "bench": _cmd_bench, "oracle": _cmd_oracle}
     try:
         args = parser.parse_args(argv)
         if args.command is None:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
-        if args.command == "mine":
-            return _cmd_mine(args)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        return _cmd_oracle(args)
+        try:
+            return commands[args.command](args)
+        except _UsageError as exc:
+            parser.commands[args.command].error(str(exc))
     except _UsageError as exc:
         print(str(exc) if str(exc) else "seqmine: usage error", file=sys.stderr)
         return EXIT_USAGE

@@ -12,6 +12,13 @@ Constraint families:
   labels (simple mode only);
 * gap/span: bounds on embedding shape, enforced per extension step.
 
+Each rule is written once.  ``ConstraintSet.accepts`` is the emission check
+(item, super-pattern and aggregate); ``ConstraintSet.reach`` is the one
+chain step that admits positions under the gap/span bounds, used by the
+search and by ``constrained_embeddings``; the regex is stepped through its
+DFA, whose live states cut dead prefixes; length bounds live in
+``MiningParams``.
+
 The regex sublanguage supports label tokens (runs of ``[A-Za-z0-9_]``),
 implicit concatenation, ``|`` alternation, ``*`` ``+`` ``?`` postfix
 repetition, and ``( )`` grouping.  Expressions compile through a Thompson
@@ -23,7 +30,7 @@ acceptance.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .seqdb import Alphabet, Elements, FormatError, Pattern, Sequence
@@ -102,6 +109,12 @@ class AggregateSpec:
 
 @dataclass(frozen=True)
 class ConstraintSet:
+    """Every constraint of a mining run; ``ConstraintSet()`` is no constraint.
+
+    The search asks ``accepts`` before it emits a pattern, calls ``reach``
+    for each chain step under gap/span bounds, and steps ``regex`` itself.
+    """
+
     must_have: frozenset[int] = frozenset()
     cannot_have: frozenset[int] = frozenset()
     super_patterns: tuple[Pattern, ...] = ()
@@ -112,12 +125,16 @@ class ConstraintSet:
     maxgap: int | None = None
     minspan: int | None = None
     maxspan: int | None = None
+    # Whether ``accepts`` has a rule to check; derived, so not compared.
+    _judges: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "must_have", frozenset(self.must_have))
         object.__setattr__(self, "cannot_have", frozenset(self.cannot_have))
         object.__setattr__(self, "super_patterns", tuple(self.super_patterns))
         self.validate()
+        judges = bool(self.must_have or self.cannot_have or self.super_patterns) or self.aggregate is not None
+        object.__setattr__(self, "_judges", judges)
 
     def validate(self) -> None:
         overlap = self.must_have & self.cannot_have
@@ -145,43 +162,48 @@ class ConstraintSet:
     def is_neutral(self) -> bool:
         return self == ConstraintSet()
 
+    def accepts(self, elements: Elements) -> bool:
+        """The emission check: must-have, cannot-have, super-pattern (any or
+        all) and aggregate, on a complete pattern.  Regex, length and
+        gap/span bounds are enforced during the search, so a pattern that
+        reaches this check already satisfies them."""
+        if not self._judges:
+            return True
+        items = tuple(i for e in elements for i in e)
+        if not self.cannot_have.isdisjoint(items) or not self.must_have.issubset(items):
+            return False
+        if self.super_patterns:
+            hits = (is_subsequence(sp.elements, elements) for sp in self.super_patterns)
+            if not (all(hits) if self.super_pattern_all else any(hits)):
+                return False
+        return self.aggregate is None or self.aggregate.accepts(items)
 
-# ---------------------------------------------------------------------------
-# Constraint predicates (viability = some extension may still satisfy)
+    def reach(self, n: int, pairs) -> dict[int, list[tuple[int, int]]]:
+        """The chain step on a sequence of ``n`` elements.
 
-
-def item_constraint(
-    pattern: Pattern | Elements, must_have: frozenset[int], cannot_have: frozenset[int]
-) -> tuple[bool, bool]:
-    items = {i for e in as_elements(pattern) for i in e}
-    viable = not (items & cannot_have)
-    return viable, viable and must_have.issubset(items)
-
-
-def length_constraint(length: int, minlen: int, maxlen: int) -> tuple[bool, bool]:
-    viable = length <= maxlen
-    return viable, viable and length >= minlen
-
-
-def superpattern_constraint(
-    pattern: Pattern | Elements, subs: Iterable[Pattern], require_all: bool = False
-) -> bool:
-    hits = (is_subsequence(sp, pattern) for sp in subs)
-    return all(hits) if require_all else any(hits)
-
-
-def aggregate_constraint(pattern: Pattern | Elements, spec: AggregateSpec) -> bool:
-    return spec.accepts(i for e in as_elements(pattern) for i in e)
-
-
-def regex_check(pattern: Pattern | Elements, dfa: "RegexDfa") -> tuple[bool, bool]:
-    elems = as_elements(pattern)
-    if any(len(e) != 1 for e in elems):
-        raise ConstraintError("regex constraints require simple patterns")
-    state = dfa.run(e[0] for e in elems)
-    if state is None:
-        return False, False
-    return state in dfa.live, state in dfa.accepting
+        ``pairs`` are the (last, first) positions, 1-based, of admissible
+        partial chains.  A next position j is admitted after (last, first)
+        when mingap <= j-last-1 <= maxgap and minspan <= j-first+1 <=
+        maxspan.  Returns next position -> the (j, first) pairs admitted
+        there, keys ascending and each list sorted.  ``pairs=None`` is the
+        root, where every position starts a chain (first = last).
+        """
+        if pairs is None:
+            return {j: [(j, j)] for j in range(1, n + 1)}
+        mingap, maxgap, minspan, maxspan = self.mingap or 0, self.maxgap, self.minspan, self.maxspan
+        found: set[tuple[int, int]] = set()
+        for last, first in pairs:
+            lo = last + 1 + mingap
+            hi = n if maxgap is None else min(n, last + 1 + maxgap)
+            if minspan is not None:
+                lo = max(lo, first + minspan - 1)
+            if maxspan is not None:
+                hi = min(hi, first + maxspan - 1)
+            found.update((j, first) for j in range(lo, hi + 1))
+        reach: dict[int, list[tuple[int, int]]] = {}
+        for pair in sorted(found):
+            reach.setdefault(pair[0], []).append(pair)
+        return reach
 
 
 # ---------------------------------------------------------------------------
@@ -327,10 +349,6 @@ class RegexDfa:
     live: frozenset[int]
     expr: str = ""
 
-    @property
-    def num_states(self) -> int:
-        return len(self.transitions)
-
     def step(self, state: int, item: int) -> int | None:
         return self.transitions[state].get(item)
 
@@ -345,10 +363,6 @@ class RegexDfa:
     def accepts(self, items: Iterable[int]) -> bool:
         state = self.run(items)
         return state is not None and state in self.accepting
-
-    def is_viable(self, items: Iterable[int]) -> bool:
-        state = self.run(items)
-        return state is not None and state in self.live
 
 
 def regex_compile(expr: str, alphabet: Alphabet) -> RegexDfa:
@@ -432,31 +446,18 @@ def constrained_embeddings(
     minspan: int | None = None,
     maxspan: int | None = None,
 ) -> ChainEmbedding:
-    """Level-by-level chain construction under per-step gap/span admission."""
+    """Level-by-level chain construction, one ``ConstraintSet.reach`` step
+    per pattern element.  Invalid bounds raise ``ConstraintError``."""
+    step = ConstraintSet(mingap=mingap, maxgap=maxgap, minspan=minspan, maxspan=maxspan).reach
     s = as_elements(seq)
     p = as_elements(pattern)
     n = len(s)
-    gap_lo = mingap if mingap is not None else 0
     triples: set[tuple[int, int, int]] = set()
-    level: set[tuple[int, int]] = set()
-    if p:
-        level = {(j, j) for j in range(1, n + 1) if is_subitemset(p[0], s[j - 1])}
-        triples.update((1, j, f) for j, f in level)
-    for i in range(1, len(p)):
-        nxt: set[tuple[int, int]] = set()
-        for last, first in level:
-            lo = last + 1 + gap_lo
-            hi = n if maxgap is None else min(n, last + 1 + maxgap)
-            if minspan is not None:
-                lo = max(lo, first + minspan - 1)
-            if maxspan is not None:
-                hi = min(hi, first + maxspan - 1)
-            for j in range(lo, hi + 1):
-                if is_subitemset(p[i], s[j - 1]):
-                    nxt.add((j, first))
-        level = nxt
-        triples.update((i + 1, j, f) for j, f in level)
-        if not level:
+    pairs = None
+    for i, elem in enumerate(p, start=1):
+        pairs = [pair for j, found in step(n, pairs).items() if is_subitemset(elem, s[j - 1]) for pair in found]
+        triples.update((i, j, f) for j, f in pairs)
+        if not pairs:
             break
     return ChainEmbedding(len(p), n, frozenset(triples))
 

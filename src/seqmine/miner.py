@@ -3,11 +3,13 @@ states.
 
 One search grows patterns one extension at a time, from the empty pattern,
 over an explicit stack of frames, and counts an extension's support among
-the current pattern's supporters.  The regex, aggregate, emission, length
-and deadline gates live in that one loop.  Candidate extensions at a node
-are inherited from the parent's locally frequent items (anti-monotone, so
-nothing is lost; a differential flag can switch this narrowing off for
-testing).
+the current pattern's supporters.  The gates live in that one loop: the
+regex steps its DFA and stops at dead states, a summed aggregate bound
+stops early, ``MiningParams`` bounds the length, ``ConstraintSet.accepts``
+judges each pattern before it is emitted, and the deadline is checked at
+every node.  Candidate extensions at a node are inherited from the
+parent's locally frequent items (anti-monotone, so nothing is lost; a
+differential flag can switch this narrowing off for testing).
 
 What the search keeps for a pattern depends on the constraints, and nothing
 else:
@@ -31,12 +33,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 
 from .seqdb import MiningResult, Pattern, ResultEntry, SequenceDatabase
-from .relations import is_subsequence
+from .constraints import ConstraintError, ConstraintSet
 
 MODES = ("frequent", "closed", "maximal", "backward-closed", "backward-maximal")
 
@@ -120,22 +122,6 @@ def _check_deadline(deadline: float | None) -> None:
         raise MiningTimeout()
 
 
-def _emission_ok(cs, elements: tuple[tuple[int, ...], ...]) -> bool:
-    """Pattern-level acceptance; regex and length are checked by the search."""
-    if cs is None:
-        return True
-    items = tuple(i for e in elements for i in e)
-    if cs.must_have and not cs.must_have.issubset(items):
-        return False
-    if cs.super_patterns:
-        hits = (is_subsequence(sp.elements, elements) for sp in cs.super_patterns)
-        if not (all(hits) if cs.super_pattern_all else any(hits)):
-            return False
-    if cs.aggregate is not None and not cs.aggregate.accepts(items):
-        return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Search states
 #
@@ -146,6 +132,9 @@ def _emission_ok(cs, elements: tuple[tuple[int, ...], ...]) -> bool:
 # supporter set (or a pattern's entries), and ``child(supporters, c)`` turns
 # it into the extended pattern's entries.  ``count_aug``/``child_aug`` do
 # the same for adding the candidate to the last element (itemset mode).
+# Neither state judges a constraint: the bitmaps exist only without gap
+# and span bounds, and the chains take their admission windows from
+# ``ConstraintSet.reach``.
 
 
 class _Bitmap:
@@ -231,10 +220,9 @@ class _Bitmap:
 
 
 class _Chain:
-    """Gap/span constraints: sorted distinct (last, first) pairs of admissible
-    partial chains.  Admission of a next position j after (j', f) requires
-    mingap <= j-j'-1 <= maxgap and minspan <= j-f+1 <= maxspan, mirroring the
-    step rules; first elements are unconstrained and set first=last.
+    """Gap/span constraints: per supporting sequence, the sorted distinct
+    (last, first) pairs of admissible partial chains.  The constraint set's
+    ``reach`` admits each next position; the root's pairs are ``None``.
 
     Candidates are not narrowed: admission windows move as the pattern
     grows, so an item that is an infrequent extension here can be a frequent
@@ -246,14 +234,11 @@ class _Chain:
     narrows = False
     support = staticmethod(len)
 
-    def __init__(self, index: _Index, cs):
+    def __init__(self, index: _Index, cs: ConstraintSet):
         self.sid_of = index.sids
         self.n = index.n
         self.elements = index.elements
-        self.mingap = cs.mingap if cs.mingap is not None else 0
-        self.maxgap = cs.maxgap
-        self.minspan = cs.minspan
-        self.maxspan = cs.maxspan
+        self.reach = cs.reach
 
     def root_entries(self):
         return [(si, None) for si in range(self.n)]
@@ -262,31 +247,12 @@ class _Chain:
         sid_of = self.sid_of
         return tuple(sid_of[si] for si, _ in entries)
 
-    def admissible_next(self, si: int, pairs) -> dict[int, list[tuple[int, int]]]:
-        """Map next-position j -> chain pairs (j, f) reachable from the state,
-        keys ascending and each list sorted."""
-        n = len(self.elements[si])
-        if pairs is None:
-            return {j: [(j, j)] for j in range(1, n + 1)}
-        found: set[tuple[int, int]] = set()
-        for last, first in pairs:
-            lo = last + 1 + self.mingap
-            hi = n if self.maxgap is None else min(n, last + 1 + self.maxgap)
-            if self.minspan is not None:
-                lo = max(lo, first + self.minspan - 1)
-            if self.maxspan is not None:
-                hi = min(hi, first + self.maxspan - 1)
-            found.update((j, first) for j in range(lo, hi + 1))
-        reach: dict[int, list[tuple[int, int]]] = {}
-        for pair in sorted(found):
-            reach.setdefault(pair[0], []).append(pair)
-        return reach
-
     def count(self, entries, candidates):
         out = {c: [] for c in candidates}
+        step = self.reach
         for si, pairs in entries:
             elems = self.elements[si]
-            reach = self.admissible_next(si, pairs)
+            reach = step(len(elems), pairs)
             present = set()
             for j in reach:
                 present.update(elems[j - 1])
@@ -332,7 +298,7 @@ def _search(
     root_cands: list[int],
     fmin: int,
     params: MiningParams,
-    cs,
+    cs: ConstraintSet,
     stats: MineStats,
     deadline: float | None,
     narrow: bool,
@@ -341,9 +307,10 @@ def _search(
     (elements, entries, support, candidates, dfa_state, running_sum),
     starting from the empty pattern.  Every gate is applied here; ``state``
     only counts supporters and builds child entries."""
-    dfa = cs.regex if cs else None
-    agg = cs.aggregate if cs else None
+    dfa = cs.regex
+    agg = cs.aggregate
     agg_prunes = agg is not None and agg.prunes_as_sum()
+    accepts = cs.accepts
     support_of = state.support
     sink: list[ResultEntry] = []
     # The root is never emitted (minlen >= 1), so its support is not needed.
@@ -353,9 +320,8 @@ def _search(
         stats.nodes_expanded += 1
         _check_deadline(deadline)
         depth = len(elements)
-        if depth >= params.minlen and (dfa is None or dfa_state in dfa.accepting):
-            if _emission_ok(cs, elements):
-                sink.append(ResultEntry(Pattern(elements), support, state.sids(entries)))
+        if depth >= params.minlen and (dfa is None or dfa_state in dfa.accepting) and accepts(elements):
+            sink.append(ResultEntry(Pattern(elements), support, state.sids(entries)))
 
         # (child elements, added item, supporters, support, child builder, child candidates)
         extensions = []
@@ -409,27 +375,24 @@ def _search(
 def mine(
     db: SequenceDatabase,
     params: MiningParams,
-    constraints=None,
+    constraints: ConstraintSet | None = None,
     *,
     timeout: float | None = None,
     stats: MineStats | None = None,
     use_local_pruning: bool = True,
     condensed_within_constraints: bool = False,
 ) -> MiningResult:
-    """Mine the database under the given parameters and optional constraints.
+    """Mine the database under the given parameters and optional constraints
+    (``None`` is ``ConstraintSet()``).
 
     Condensed modes run the frequent search first, then filter.  Returns a
     canonically ordered result; raises MiningTimeout past the deadline.
     """
     from . import condensed as _condensed
 
-    cs = constraints
-    if cs is not None:
-        cs.validate()
-        if cs.regex is not None and params.itemset_mode:
-            from .constraints import ConstraintError
-
-            raise ConstraintError("regex constraints require simple mode")
+    cs = ConstraintSet() if constraints is None else constraints
+    if cs.regex is not None and params.itemset_mode:
+        raise ConstraintError("regex constraints require simple mode")
     if not params.itemset_mode and not db.simple_mode:
         raise DataError("database has multi-item elements; enable itemset_mode")
     fmin = params.resolved_fmin(len(db))
@@ -437,8 +400,8 @@ def mine(
     deadline = None if timeout is None else time.monotonic() + timeout
 
     index = _Index(db)
-    root_cands = sorted(frequent_items(db, fmin) - (cs.cannot_have if cs else frozenset()))
-    if cs is not None and cs.has_embedding_constraints():
+    root_cands = sorted(frequent_items(db, fmin) - cs.cannot_have)
+    if cs.has_embedding_constraints():
         state = _Chain(index, cs)
     else:
         state = _Bitmap(index, root_cands)
@@ -459,16 +422,3 @@ def mine(
         )
     return result
 
-
-def mine_frequent(db: SequenceDatabase, params: MiningParams, constraints=None, **kw) -> MiningResult:
-    """Simple-pattern entry point; coerces itemset_mode off."""
-    if params.itemset_mode:
-        params = replace(params, itemset_mode=False)
-    return mine(db, params, constraints, **kw)
-
-
-def mine_itemset_patterns(db: SequenceDatabase, params: MiningParams, constraints=None, **kw) -> MiningResult:
-    """Itemset-pattern entry point; coerces itemset_mode on."""
-    if not params.itemset_mode:
-        params = replace(params, itemset_mode=True)
-    return mine(db, params, constraints, **kw)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib
 import json
 import re
 import shutil
@@ -165,7 +167,8 @@ def test_mine_usage_errors(d7_path, tmp_path, capsys):
     for argv in cases:
         code, _, err = run(capsys, *argv)
         assert code == 1, argv
-        assert err
+        # Errors found after parsing read like argparse's own.
+        assert err.splitlines()[-1].startswith(f"seqmine {argv[0]}: error: "), (argv, err)
 
 
 def test_mine_data_errors(d7_path, tmp_path, capsys):
@@ -251,6 +254,27 @@ def test_readme_lists_every_mine_flag():
     assert documented == flags - {"--help"}
 
 
+def test_readme_supporting_modules_exist():
+    """Every backticked name in README's "Supporting modules" list resolves
+    as an attribute (a dotted one for class members) of the module its
+    bullet names."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Supporting modules:", 1)[1].split("\n## ", 1)[0]
+    bullets = re.split(r"\n\* ", "\n" + block.strip())[1:]
+    assert bullets
+    checked = 0
+    for bullet in bullets:
+        module_name, rest = re.fullmatch(r"`(seqmine\.\w+)`:(.*)", bullet, re.S).groups()
+        module = importlib.import_module(module_name)
+        for name in re.findall(r"`([A-Za-z_][\w.]*)`", rest):
+            try:
+                functools.reduce(getattr, name.split("."), module)
+            except AttributeError:
+                pytest.fail(f"README documents {module_name}.{name}, which does not exist")
+            checked += 1
+    assert checked >= 10
+
+
 # ---------------------------------------------------------------------------
 # gen
 
@@ -326,7 +350,8 @@ def test_bench_usage_errors(d7_path, capsys):
     for argv in cases:
         code, out, err = run(capsys, *argv)
         assert code == 1, argv
-        assert err and not out, argv
+        assert not out, argv
+        assert err.splitlines()[-1].startswith("seqmine bench: error: "), (argv, err)
 
 
 def test_bench_missing_input_is_data_error(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Constraint predicates, the regex automaton, and constrained mining."""
+"""Constraint sets, the regex automaton, and constrained mining."""
 
 from __future__ import annotations
 
@@ -10,17 +10,13 @@ from seqmine import (
     ConstraintSet,
     FormatError,
     MiningParams,
+    Pattern,
     RegexError,
-    aggregate_constraint,
     constrained_embeddings,
-    item_constraint,
-    length_constraint,
     load_cost_text,
     mine,
-    regex_check,
     regex_compile,
     resolve_costs,
-    superpattern_constraint,
 )
 
 from helpers import entry_labels, pat
@@ -62,39 +58,39 @@ def test_constraint_set_flags():
 
 
 # ---------------------------------------------------------------------------
-# Per-family predicates
+# The emission check, one family at a time
 
 
-def test_item_constraint():
+def test_accepts_item_rules():
     p = elems((0,), (2,))
-    assert item_constraint(p, frozenset(), frozenset()) == (True, True)
-    assert item_constraint(p, frozenset({0, 2}), frozenset()) == (True, True)
-    assert item_constraint(p, frozenset({1}), frozenset()) == (True, False)
-    assert item_constraint(p, frozenset(), frozenset({2})) == (False, False)
+    assert ConstraintSet().accepts(p)
+    assert ConstraintSet(must_have={0, 2}).accepts(p)
+    assert not ConstraintSet(must_have={1}).accepts(p)
+    assert not ConstraintSet(cannot_have={2}).accepts(p)
+    assert ConstraintSet(must_have={0}, cannot_have={1}).accepts(p)
 
 
-def test_length_constraint():
-    assert length_constraint(2, 1, 3) == (True, True)
-    assert length_constraint(1, 2, 3) == (True, False)
-    assert length_constraint(4, 1, 3) == (False, False)
-
-
-def test_superpattern_constraint():
+def test_accepts_super_patterns():
     p = elems((0,), (1,), (2,))
-    ac = pat_like(elems((0,), (2,)))
-    ca = pat_like(elems((2,), (0,)))
-    assert superpattern_constraint(p, [ac])
-    assert not superpattern_constraint(p, [ca])
-    assert superpattern_constraint(p, [ac, ca], require_all=False)
-    assert not superpattern_constraint(p, [ac, ca], require_all=True)
-    assert superpattern_constraint(p, [], require_all=True)
-    assert not superpattern_constraint(p, [])
+    ac = Pattern(elems((0,), (2,)))
+    ca = Pattern(elems((2,), (0,)))
+    assert ConstraintSet(super_patterns=[ac]).accepts(p)
+    assert not ConstraintSet(super_patterns=[ca]).accepts(p)
+    assert ConstraintSet(super_patterns=[ac, ca]).accepts(p)
+    assert not ConstraintSet(super_patterns=[ac, ca], super_pattern_all=True).accepts(p)
+    # No super-patterns is no rule, whichever way it is combined.
+    assert ConstraintSet(super_pattern_all=True).accepts(p)
+    # Itemset containment: (0 1) holds (1), not the other way round.
+    assert ConstraintSet(super_patterns=[Pattern(elems((1,)))]).accepts(elems((0, 1)))
+    assert not ConstraintSet(super_patterns=[Pattern(elems((0, 1)))]).accepts(elems((0,), (1,)))
 
 
-def pat_like(elements):
-    from seqmine import Pattern
-
-    return Pattern(elements)
+def test_accepts_ignores_search_time_rules(d7):
+    # Regex and gap/span bounds are enforced while the search grows a
+    # pattern; the emission check does not judge them again.
+    p = elems((B,),)
+    assert ConstraintSet(regex=regex_compile("a", d7.alphabet)).accepts(p)
+    assert ConstraintSet(maxgap=0, maxspan=1).accepts(p)
 
 
 def test_aggregate_spec_validation():
@@ -117,7 +113,10 @@ def test_aggregate_ops_and_comparators():
     assert AggregateSpec(costs, "min", "eq", 1).accepts(items)
     assert AggregateSpec(costs, "max", "ge", 4).accepts(items)
     assert AggregateSpec(costs, "avg", "le", 2.25).accepts(items)
-    assert aggregate_constraint(elems((0, 1), (1,), (2,)), AggregateSpec(costs, "sum", "eq", 9))
+    # Counted with multiplicity across elements: 1 + 2 + 2 + 4.
+    p = elems((0, 1), (1,), (2,))
+    assert ConstraintSet(aggregate=AggregateSpec(costs, "sum", "eq", 9)).accepts(p)
+    assert not ConstraintSet(aggregate=AggregateSpec(costs, "sum", "lt", 9)).accepts(p)
 
 
 def test_aggregate_sum_pruning_predicates():
@@ -136,12 +135,21 @@ def test_aggregate_sum_pruning_predicates():
 # Regex compilation and checking
 
 
+def regex_verdict(dfa, items):
+    """(viable, accepted): whether some extension of the item sequence can
+    still match, and whether it matches now."""
+    state = dfa.run(items)
+    if state is None:
+        return False, False
+    return state in dfa.live, state in dfa.accepting
+
+
 def test_regex_accepts_and_viability(d7):
     dfa = regex_compile("a(b|c)*c", d7.alphabet)
-    assert regex_check(elems((A,), (C,)), dfa) == (True, True)
-    assert regex_check(elems((A,), (B,), (C,)), dfa) == (True, True)
-    assert regex_check(elems((A,),), dfa) == (True, False)
-    assert regex_check(elems((B,),), dfa) == (False, False)
+    assert regex_verdict(dfa, [A, C]) == (True, True)
+    assert regex_verdict(dfa, [A, B, C]) == (True, True)
+    assert regex_verdict(dfa, [A]) == (True, False)
+    assert regex_verdict(dfa, [B]) == (False, False)
     assert dfa.accepts([A, B, B, C, B, C])
     assert not dfa.accepts([A, B])
 
@@ -151,8 +159,8 @@ def test_regex_postfix_ops(d7):
     assert not plus.accepts([])
     assert plus.accepts([A]) and plus.accepts([A, A, A])
     opt = regex_compile("a?", d7.alphabet)
-    assert regex_check((), opt) == (True, True)
-    assert regex_check((), regex_compile("a", d7.alphabet)) == (True, False)
+    assert regex_verdict(opt, []) == (True, True)
+    assert regex_verdict(regex_compile("a", d7.alphabet), []) == (True, False)
     assert opt.accepts([A]) and not opt.accepts([A, A])
 
 
@@ -171,12 +179,6 @@ def test_regex_errors(d7):
     for expr in ["", "a.", "(a", "a)", "a|", "*a", "z", "a||b"]:
         with pytest.raises(RegexError):
             regex_compile(expr, d7.alphabet)
-
-
-def test_regex_check_requires_simple_patterns(d7):
-    dfa = regex_compile("a", d7.alphabet)
-    with pytest.raises(ConstraintError):
-        regex_check(elems((A, B),), dfa)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +214,33 @@ def test_constrained_embeddings_empty_pattern():
     assert constrained_embeddings(ACBC, ()).supports
 
 
+def test_constrained_embeddings_rejects_bad_bounds():
+    for bad in [
+        dict(mingap=2, maxgap=1),
+        dict(minspan=4, maxspan=3),
+        dict(mingap=-1),
+        dict(maxgap=-1),
+        dict(minspan=0),
+        dict(maxspan=0),
+    ]:
+        with pytest.raises(ConstraintError):
+            constrained_embeddings(ACBC, AC, **bad)
+
+
+def test_reach_is_the_chain_step():
+    # The root starts a chain at every position.
+    assert ConstraintSet().reach(3, None) == {1: [(1, 1)], 2: [(2, 2)], 3: [(3, 3)]}
+    # From a chain ending at 2 that began at 1, on 6 positions: the gap
+    # bounds admit 4..5, the span bounds 3..5.
+    cs = ConstraintSet(mingap=1, maxgap=2, minspan=3, maxspan=5)
+    assert cs.reach(6, [(2, 1)]) == {4: [(4, 1)], 5: [(5, 1)]}
+    # Pairs merge per next position, sorted by first position.
+    assert ConstraintSet(maxgap=1).reach(4, [(2, 2), (1, 1)]) == {
+        2: [(2, 1)], 3: [(3, 1), (3, 2)], 4: [(4, 2)],
+    }
+    assert ConstraintSet(maxspan=2).reach(4, [(2, 1)]) == {}
+
+
 # ---------------------------------------------------------------------------
 # Cost tables
 
@@ -233,7 +262,7 @@ def test_resolve_costs(d7):
 # Constrained mining end to end
 
 
-def test_mine_with_item_constraints(d7):
+def test_mine_with_must_and_cannot_have(d7):
     cs = ConstraintSet(must_have={C}, cannot_have={B})
     result = mine(d7, MiningParams(fmin=3, maxlen=4), cs)
     assert set(entry_labels(d7, result)) == {("c", 5), ("ac", 5)}

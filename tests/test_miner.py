@@ -15,12 +15,11 @@ from seqmine import (
     MineStats,
     MiningParams,
     MiningTimeout,
+    Pattern,
     SequenceDatabase,
     frequent_items,
     generate,
     mine,
-    mine_frequent,
-    mine_itemset_patterns,
     OracleConfig,
     oracle_constrained,
     oracle_frequent,
@@ -92,13 +91,13 @@ D7_AT_3 = {
 
 
 def test_mine_d7_fmin3(d7):
-    result = mine_frequent(d7, MiningParams(fmin=3, maxlen=4))
+    result = mine(d7, MiningParams(fmin=3, maxlen=4))
     assert set(entry_labels(d7, result)) == D7_AT_3
     assert result.support_of(pat(d7, "a", "b", "c")) == 4
 
 
 def test_mine_d7_fmin5(d7):
-    result = mine_frequent(d7, MiningParams(fmin=5, maxlen=4))
+    result = mine(d7, MiningParams(fmin=5, maxlen=4))
     assert set(entry_labels(d7, result)) == {
         ("a", 6),
         ("b", 6),
@@ -109,27 +108,27 @@ def test_mine_d7_fmin5(d7):
 
 
 def test_mine_d7_length_bounds(d7):
-    short = mine_frequent(d7, MiningParams(fmin=3, maxlen=1))
+    short = mine(d7, MiningParams(fmin=3, maxlen=1))
     assert set(entry_labels(d7, short)) == {("a", 6), ("b", 6), ("c", 5)}
-    long = mine_frequent(d7, MiningParams(fmin=3, maxlen=4, minlen=2))
+    long = mine(d7, MiningParams(fmin=3, maxlen=4, minlen=2))
     assert set(entry_labels(d7, long)) == {("ab", 5), ("ac", 5), ("bc", 4), ("abc", 4)}
 
 
 def test_mine_d7_fractional_threshold(d7):
-    frac = mine_frequent(d7, MiningParams(fmin=3 / 7, maxlen=4))
-    absolute = mine_frequent(d7, MiningParams(fmin=3, maxlen=4))
+    frac = mine(d7, MiningParams(fmin=3 / 7, maxlen=4))
+    absolute = mine(d7, MiningParams(fmin=3, maxlen=4))
     assert result_key(frac) == result_key(absolute)
 
 
 def test_mine_support_ids_are_exact(d7):
-    result = mine_frequent(d7, MiningParams(fmin=3, maxlen=4))
+    result = mine(d7, MiningParams(fmin=3, maxlen=4))
     by_pattern = {e.pattern: e for e in result}
     assert by_pattern[pat(d7, "b", "c")].support_ids == (2, 4, 6, 7)
     assert by_pattern[pat(d7, "a")].support_ids == (1, 2, 4, 5, 6, 7)
 
 
 def test_mine_canonical_order(d7):
-    result = mine_frequent(d7, MiningParams(fmin=3, maxlen=4))
+    result = mine(d7, MiningParams(fmin=3, maxlen=4))
     keys = [e.pattern.sort_key() for e in result]
     assert keys == sorted(keys)
 
@@ -180,7 +179,7 @@ def test_itemset_mode_small_fixture():
     db = SequenceDatabase.from_label_sequences(
         [[("a", "b"), "c"], [("a", "b"), ("a", "c")]]
     )
-    result = mine_itemset_patterns(db, MiningParams(fmin=2, maxlen=3))
+    result = mine(db, MiningParams(fmin=2, maxlen=3, itemset_mode=True))
     assert {(e.pattern.elements, e.support) for e in result} == {
         (((0,),), 2),
         (((1,),), 2),
@@ -193,8 +192,8 @@ def test_itemset_mode_small_fixture():
 
 
 def test_itemset_mode_agrees_with_simple_on_singleton_data(d7):
-    simple = mine_frequent(d7, MiningParams(fmin=3, maxlen=4))
-    itemset = mine_itemset_patterns(d7, MiningParams(fmin=3, maxlen=4))
+    simple = mine(d7, MiningParams(fmin=3, maxlen=4))
+    itemset = mine(d7, MiningParams(fmin=3, maxlen=4, itemset_mode=True))
     assert result_key(simple) == result_key(itemset)
 
 
@@ -204,7 +203,7 @@ def test_itemset_repeated_triple_regression():
     db = SequenceDatabase.from_label_sequences(
         [[("a", "b", "c"), ("a", "b", "c"), ("a", "b", "c")]]
     )
-    result = mine_itemset_patterns(db, MiningParams(fmin=1, maxlen=3))
+    result = mine(db, MiningParams(fmin=1, maxlen=3, itemset_mode=True))
     expected = oracle_frequent(db, 1, 3, itemset_mode=True)
     assert result_key(result) == result_key(expected)
     assert len(result) == 399
@@ -286,18 +285,31 @@ def bitmap_params(draw, db, itemset_mode):
 
 @st.composite
 def bitmap_constraints(draw, db, itemset_mode):
-    """None, must-have, a regex over the database's labels (simple mode
-    only), or an aggregate (the summed upper bound prunes during the search,
-    the others do not)."""
+    """None, must-have, cannot-have, super-patterns (any or all of them), a
+    regex over the database's labels (simple mode only), or an aggregate
+    (the summed upper bound prunes during the search, the others do not).
+    Together these cover every rule ``ConstraintSet.accepts`` checks."""
     labels = [db.alphabet.label(i) for i in range(len(db.alphabet))]
-    kinds = ["none", "must_have", "regex", "aggregate"]
+    kinds = ["none", "must_have", "cannot_have", "super_patterns", "regex", "aggregate"]
     if itemset_mode:
         kinds.remove("regex")
     kind = draw(st.sampled_from(kinds))
     if kind == "none" or not labels:
         return None
+    item = st.sampled_from(range(len(labels)))
     if kind == "must_have":
-        return ConstraintSet(must_have={db.alphabet.id_of(draw(st.sampled_from(labels)))})
+        return ConstraintSet(must_have={draw(item)})
+    if kind == "cannot_have":
+        return ConstraintSet(cannot_have={draw(item)})
+    if kind == "super_patterns":
+        element = st.lists(item, min_size=1, max_size=2 if itemset_mode else 1, unique=True).map(
+            lambda e: tuple(sorted(e))
+        )
+        pattern = st.lists(element, min_size=1, max_size=3).map(lambda e: Pattern(tuple(e)))
+        return ConstraintSet(
+            super_patterns=draw(st.lists(pattern, min_size=1, max_size=3)),
+            super_pattern_all=draw(st.booleans()),
+        )
     if kind == "regex":
         x, y, z = (draw(st.sampled_from(labels)) for _ in range(3))
         template = draw(st.sampled_from(["{x}*", "({x}|{y})* {z}", "{x} ({y}|{z})*", "({x} {y})+ {z}?"]))
@@ -344,6 +356,39 @@ def test_constrained_simple_search_matches_oracle(data):
         itemset_mode=itemset_mode, config=WIDE,
     )
     assert result_key(got) == result_key(want)
+
+
+
+@st.composite
+def chain_constraints(draw):
+    """Gap and span bounds, each set or not and at least one set, so the
+    search runs on chains: mingap 0-2, maxgap at least mingap, minspan 1-4,
+    maxspan at least minspan."""
+    optional = st.booleans()
+    mingap = draw(st.integers(0, 2)) if draw(optional) else None
+    maxgap = draw(st.integers(mingap or 0, (mingap or 0) + 3)) if draw(optional) else None
+    minspan = draw(st.integers(1, 4)) if draw(optional) else None
+    maxspan = draw(st.integers(minspan or 1, (minspan or 1) + 5)) if draw(optional) else None
+    if (mingap, maxgap, minspan, maxspan) == (None, None, None, None):
+        maxgap = draw(st.integers(0, 3))
+    return ConstraintSet(mingap=mingap, maxgap=maxgap, minspan=minspan, maxspan=maxspan)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_chain_search_matches_oracle(data):
+    itemset_mode = data.draw(st.booleans())
+    db = data.draw(bitmap_dbs(itemset_mode))
+    params = data.draw(bitmap_params(db, itemset_mode))
+    cs = data.draw(chain_constraints())
+    _assume_oracle_sized(db, params)
+    got = mine(db, params, cs, use_local_pruning=data.draw(st.booleans()))
+    want = oracle_constrained(
+        db, params.fmin, params.maxlen, cs, minlen=params.minlen,
+        itemset_mode=itemset_mode, config=WIDE,
+    )
+    assert result_key(got) == result_key(want)
+
 
 
 def test_simple_search_long_sequence_among_short_ones():
