@@ -381,14 +381,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     commands = {"mine": _cmd_mine, "gen": _cmd_gen, "bench": _cmd_bench, "oracle": _cmd_oracle}
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        # Errors, unknown arguments included, are reported by the subcommand's
+        # parser, so they read "seqmine mine: error: ...".
+        scope = parser if args.command is None else parser.commands[args.command]
+        if extra:
+            scope.error(f"unrecognized arguments: {' '.join(extra)}")
         if args.command is None:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
         try:
             return commands[args.command](args)
         except _UsageError as exc:
-            parser.commands[args.command].error(str(exc))
+            scope.error(str(exc))
     except _UsageError as exc:
         print(str(exc) if str(exc) else "seqmine: usage error", file=sys.stderr)
         return EXIT_USAGE

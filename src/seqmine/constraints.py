@@ -13,11 +13,12 @@ Constraint families:
 * gap/span: bounds on embedding shape, enforced per extension step.
 
 Each rule is written once.  ``ConstraintSet.accepts`` is the emission check
-(item, super-pattern and aggregate); ``ConstraintSet.reach`` is the one
-chain step that admits positions under the gap/span bounds, used by the
-search and by ``constrained_embeddings``; the regex is stepped through its
-DFA, whose live states cut dead prefixes; length bounds live in
-``MiningParams``.
+(item, super-pattern and aggregate); ``ConstraintSet.gap_window`` is the gap
+rule, read by the bitmap search's gap S-step and by ``ConstraintSet.reach``,
+the one chain step that admits positions under the gap/span bounds, used by
+the span-bounded search and by ``constrained_embeddings``; the regex is
+stepped through its DFA, whose live states cut dead prefixes; length bounds
+live in ``MiningParams``.
 
 The regex sublanguage supports label tokens (runs of ``[A-Za-z0-9_]``),
 implicit concatenation, ``|`` alternation, ``*`` ``+`` ``?`` postfix
@@ -111,8 +112,9 @@ class AggregateSpec:
 class ConstraintSet:
     """Every constraint of a mining run; ``ConstraintSet()`` is no constraint.
 
-    The search asks ``accepts`` before it emits a pattern, calls ``reach``
-    for each chain step under gap/span bounds, and steps ``regex`` itself.
+    The search asks ``accepts`` before it emits a pattern, reads
+    ``gap_window`` for its gap S-step, calls ``reach`` for each chain step
+    under span bounds, and steps ``regex`` itself.
     """
 
     must_have: frozenset[int] = frozenset()
@@ -132,11 +134,6 @@ class ConstraintSet:
         object.__setattr__(self, "must_have", frozenset(self.must_have))
         object.__setattr__(self, "cannot_have", frozenset(self.cannot_have))
         object.__setattr__(self, "super_patterns", tuple(self.super_patterns))
-        self.validate()
-        judges = bool(self.must_have or self.cannot_have or self.super_patterns) or self.aggregate is not None
-        object.__setattr__(self, "_judges", judges)
-
-    def validate(self) -> None:
         overlap = self.must_have & self.cannot_have
         if overlap:
             raise ConstraintError(f"items both required and forbidden: {sorted(overlap)}")
@@ -152,6 +149,8 @@ class ConstraintSet:
             raise ConstraintError("mingap > maxgap")
         if self.minspan is not None and self.maxspan is not None and self.minspan > self.maxspan:
             raise ConstraintError("minspan > maxspan")
+        judges = bool(self.must_have or self.cannot_have or self.super_patterns) or self.aggregate is not None
+        object.__setattr__(self, "_judges", judges)
 
     def has_embedding_constraints(self) -> bool:
         """True when any gap/span bound is set, even a neutral one."""
@@ -178,6 +177,13 @@ class ConstraintSet:
                 return False
         return self.aggregate is None or self.aggregate.accepts(items)
 
+    def gap_window(self) -> tuple[int, int | None]:
+        """The gap rule: the distances ``j - last`` by which a next position j
+        may follow the previous match ``last``, so that mingap <= j-last-1 <=
+        maxgap.  Returns (lowest, highest), highest ``None`` with no maxgap.
+        ``reach`` and the bitmap search's gap S-step both read it."""
+        return (self.mingap or 0) + 1, None if self.maxgap is None else self.maxgap + 1
+
     def reach(self, n: int, pairs) -> dict[int, list[tuple[int, int]]]:
         """The chain step on a sequence of ``n`` elements.
 
@@ -190,11 +196,12 @@ class ConstraintSet:
         """
         if pairs is None:
             return {j: [(j, j)] for j in range(1, n + 1)}
-        mingap, maxgap, minspan, maxspan = self.mingap or 0, self.maxgap, self.minspan, self.maxspan
+        nearest, farthest = self.gap_window()
+        minspan, maxspan = self.minspan, self.maxspan
         found: set[tuple[int, int]] = set()
         for last, first in pairs:
-            lo = last + 1 + mingap
-            hi = n if maxgap is None else min(n, last + 1 + maxgap)
+            lo = last + nearest
+            hi = n if farthest is None else min(n, last + farthest)
             if minspan is not None:
                 lo = max(lo, first + minspan - 1)
             if maxspan is not None:
@@ -359,10 +366,6 @@ class RegexDfa:
             if state is None:
                 return None
         return state
-
-    def accepts(self, items: Iterable[int]) -> bool:
-        state = self.run(items)
-        return state is not None and state in self.accepting
 
 
 def regex_compile(expr: str, alphabet: Alphabet) -> RegexDfa:

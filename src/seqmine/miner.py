@@ -21,8 +21,12 @@ else:
   new element is the S-step, a few whole-int operations per candidate;
   adding an item to the last element (itemset mode) is the I-step, an AND
   with the item's bitmap;
-* gap/span constraints: per supporting sequence, the (last position, first
-  position) pairs of admissible chains, admitted step by step.
+* gap bounds and no span bound: the same bitmaps, with a bit at every
+  position where a gap-admissible embedding ends; the S-step shifts those
+  bits across the gap window (cSPADE's gap join on SPAM bitmaps);
+* span bounds, with or without gap bounds: per supporting sequence, the
+  (last position, first position) pairs of admissible chains, admitted
+  step by step.
 
 The paper's two embedding representations, skip-gaps and fill-gaps, give
 the same supports; the bitmaps keep the fill-gaps one, and ``relations``
@@ -125,16 +129,17 @@ def _check_deadline(deadline: float | None) -> None:
 # ---------------------------------------------------------------------------
 # Search states
 #
-# Both states answer the same calls, so the search never asks which one it
-# has.  ``root_entries()`` gives the empty pattern's entries.
+# The three states answer the same calls, so the search never asks which one
+# it has.  ``root_entries()`` gives the empty pattern's entries.
 # ``count(entries, candidates)`` maps each candidate to the supporters that
 # admit it as a new last element, ``support`` and ``sids`` read such a
 # supporter set (or a pattern's entries), and ``child(supporters, c)`` turns
 # it into the extended pattern's entries.  ``count_aug``/``child_aug`` do
 # the same for adding the candidate to the last element (itemset mode).
-# Neither state judges a constraint: the bitmaps exist only without gap
-# and span bounds, and the chains take their admission windows from
-# ``ConstraintSet.reach``.
+# No state judges a constraint: the plain bitmaps exist only without gap
+# and span bounds, the gap bitmaps take their window from
+# ``ConstraintSet.gap_window`` and the chains, kept for span bounds, take
+# theirs from ``ConstraintSet.reach``.
 
 
 class _Bitmap:
@@ -219,10 +224,79 @@ class _Bitmap:
     child_aug = child
 
 
+def _smear(x: int, width: int, shift) -> int:
+    """``x | shift(x, 1) | ... | shift(x, width - 1)`` for width >= 1, in
+    O(log width) calls.  ``shift`` must compose: shift(shift(x, a), b) ==
+    shift(x, a + b).  With ``acc`` the OR of the shifts below m, ``acc |
+    shift(acc, m)`` is the OR below 2m and ``acc | shift(x, m)`` the OR
+    below m + 1."""
+    acc, m = x, 1
+    for bit in bin(width)[3:]:
+        acc |= shift(acc, m)
+        m *= 2
+        if bit == "1":
+            acc |= shift(x, m)
+            m += 1
+    return acc
+
+
+class _GapBitmap(_Bitmap):
+    """Gap bounds and no span bound: ``_Bitmap``'s layout, but a pattern's
+    entries hold every position where a gap-admissible embedding ends, not
+    only the ends after the leftmost one (the gap join of cSPADE, Zaki 2000,
+    done on SPAM bitmaps).
+
+    With ``ConstraintSet.gap_window`` (nearest, farthest), the S-step admits
+    the positions nearest..farthest after each entry bit: the OR over d in
+    nearest..farthest of ``(E & keep[d]) << d``, where ``keep[d]`` holds the
+    positions p with p + d <= L, so no bit leaves its segment.  ``_smear``
+    builds that OR in O(log(farthest - nearest)) shifts.  With no farthest
+    bound, or one no sequence is long enough to reach, one shift by
+    nearest - 1 and ``_Bitmap``'s borrow admit every later position.  The
+    root, the I-step, ``support`` and ``sids`` are ``_Bitmap``'s.
+
+    Candidates are not narrowed: admission windows move as the pattern
+    grows, so an item that is an infrequent extension here can be a
+    frequent extension one level deeper.
+    """
+
+    narrows = False
+
+    def __init__(self, index: _Index, items: list[int], window: tuple[int, int | None]):
+        super().__init__(index, items)
+        self.nearest, farthest = window
+        longest = max(map(len, index.elements), default=0)
+        # No two positions of one sequence lie more than longest - 1 apart, so
+        # a farthest distance of longest - 1 or more bounds nothing.
+        self.width = None if farthest is None or farthest >= longest - 1 else farthest - self.nearest + 1
+        self.keeps = {0: self.mask}
+
+    def _shift(self, x: int, d: int) -> int:
+        keep = self.keeps.get(d)
+        if keep is None:
+            # The bits 1..d below a guard are the positions p with p + d > L.
+            keep = self.keeps[d] = self.mask & ~_smear(self.guards >> 1, d, int.__rshift__)
+        return (x & keep) << d
+
+    def count(self, entries, candidates):
+        if entries is None:
+            after = self.mask
+        elif self.width is None:
+            v = self._shift(entries, self.nearest - 1) | self.guards
+            after = ~(v ^ (v - self.starts)) & self.mask
+        else:
+            after = self._shift(_smear(entries, self.width, self._shift), self.nearest)
+        items = self.items
+        return {c: after & items[c] for c in candidates}
+
+
 class _Chain:
-    """Gap/span constraints: per supporting sequence, the sorted distinct
-    (last, first) pairs of admissible partial chains.  The constraint set's
-    ``reach`` admits each next position; the root's pairs are ``None``.
+    """Span constraints, with or without gap bounds: per supporting
+    sequence, the sorted distinct (last, first) pairs of admissible partial
+    chains.  A span bound depends on where the chain started, which a
+    position bit does not record, so these runs stay off the bitmaps.  The
+    constraint set's ``reach`` admits each next position; the root's pairs
+    are ``None``.
 
     Candidates are not narrowed: admission windows move as the pattern
     grows, so an item that is an infrequent extension here can be a frequent
@@ -401,8 +475,10 @@ def mine(
 
     index = _Index(db)
     root_cands = sorted(frequent_items(db, fmin) - cs.cannot_have)
-    if cs.has_embedding_constraints():
+    if cs.minspan is not None or cs.maxspan is not None:
         state = _Chain(index, cs)
+    elif cs.mingap is not None or cs.maxgap is not None:
+        state = _GapBitmap(index, root_cands, cs.gap_window())
     else:
         state = _Bitmap(index, root_cands)
     narrow = use_local_pruning and state.narrows

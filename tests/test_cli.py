@@ -222,13 +222,20 @@ def test_mine_timeout_exit_code(tmp_path, capsys):
     assert code == 2 and "timed out" in err
 
 
-def test_mine_deep_pattern(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "bounds",
+    # A span bound runs on chains.  Alone, maxspan admits every (last, first)
+    # pair of the 1,200 positions, so the gap bound keeps the span case small.
+    [[], ["--max-gap", "0"], ["--max-gap", "0", "--max-span", "1200"]],
+    ids=["none", "gap", "span"],
+)
+def test_mine_deep_pattern(bounds, tmp_path, capsys):
     deep = tmp_path / "deep.spmf"
     deep.write_text("1 -1 " * 1200 + "-2\n")
     out = tmp_path / "out.jsonl"
     code, _, err = run(
         capsys, "mine", "--input", str(deep), "--min-support", "1",
-        "--maxlen", "1200", "--output", str(out),
+        "--maxlen", "1200", "--output", str(out), *bounds,
     )
     assert code == 0, err
     assert len(out_lines(out.read_text())) == 1200
@@ -237,6 +244,16 @@ def test_mine_deep_pattern(tmp_path, capsys):
 def test_no_subcommand_is_usage_error(capsys):
     code, _, _ = run(capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize("command", ["mine", "bench"])
+def test_unknown_flag_is_reported_by_the_subcommand(command, d7_path, capsys):
+    code, out, err = run(
+        capsys, command, "--input", str(d7_path), "--min-support", "3", "--maxlen", "4", "--bogus",
+    )
+    assert code == 1 and not out
+    assert err.splitlines()[0].startswith(f"usage: seqmine {command} ")
+    assert err.splitlines()[-1] == f"seqmine {command}: error: unrecognized arguments: --bogus"
 
 
 def test_readme_lists_every_mine_flag():

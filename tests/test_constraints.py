@@ -150,18 +150,18 @@ def test_regex_accepts_and_viability(d7):
     assert regex_verdict(dfa, [A, B, C]) == (True, True)
     assert regex_verdict(dfa, [A]) == (True, False)
     assert regex_verdict(dfa, [B]) == (False, False)
-    assert dfa.accepts([A, B, B, C, B, C])
-    assert not dfa.accepts([A, B])
+    assert dfa.run([A, B, B, C, B, C]) in dfa.accepting
+    assert dfa.run([A, B]) not in dfa.accepting
 
 
 def test_regex_postfix_ops(d7):
     plus = regex_compile("a+", d7.alphabet)
-    assert not plus.accepts([])
-    assert plus.accepts([A]) and plus.accepts([A, A, A])
+    assert plus.run([]) not in plus.accepting
+    assert plus.run([A]) in plus.accepting and plus.run([A, A, A]) in plus.accepting
     opt = regex_compile("a?", d7.alphabet)
     assert regex_verdict(opt, []) == (True, True)
     assert regex_verdict(regex_compile("a", d7.alphabet), []) == (True, False)
-    assert opt.accepts([A]) and not opt.accepts([A, A])
+    assert opt.run([A]) in opt.accepting and opt.run([A, A]) not in opt.accepting
 
 
 def test_regex_multichar_labels_and_maximal_munch():
@@ -169,8 +169,8 @@ def test_regex_multichar_labels_and_maximal_munch():
 
     al = Alphabet(["ab", "b"])
     dfa = regex_compile("ab b", al)
-    assert dfa.accepts([0, 1])
-    assert not dfa.accepts([0, 0])
+    assert dfa.run([0, 1]) in dfa.accepting
+    assert dfa.run([0, 0]) not in dfa.accepting
     with pytest.raises(RegexError):
         regex_compile("abb", al)  # lexes as one unknown label
 
@@ -239,6 +239,17 @@ def test_reach_is_the_chain_step():
         2: [(2, 1)], 3: [(3, 1), (3, 2)], 4: [(4, 2)],
     }
     assert ConstraintSet(maxspan=2).reach(4, [(2, 1)]) == {}
+
+
+def test_gap_window_is_the_gap_rule():
+    # Distances j - last from a match at last to the next match at j.
+    assert ConstraintSet().gap_window() == (1, None)
+    assert ConstraintSet(maxgap=0).gap_window() == (1, 1)
+    assert ConstraintSet(mingap=2).gap_window() == (3, None)
+    assert ConstraintSet(mingap=1, maxgap=3, maxspan=9).gap_window() == (2, 4)
+    # reach admits exactly that window when no span bound narrows it.
+    cs = ConstraintSet(mingap=1, maxgap=3)
+    assert list(cs.reach(9, [(2, 2)])) == [2 + d for d in range(2, 5)]
 
 
 # ---------------------------------------------------------------------------

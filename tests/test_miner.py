@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,6 +16,7 @@ from seqmine import (
     DataError,
     MineStats,
     MiningParams,
+    MiningResult,
     MiningTimeout,
     Pattern,
     SequenceDatabase,
@@ -25,7 +28,9 @@ from seqmine import (
     oracle_frequent,
     regex_compile,
 )
+from seqmine import miner
 from seqmine.datagen import GenParams
+from seqmine.miner import _Chain, _GapBitmap, _Index, _search
 
 from helpers import entry_labels, pat, result_key
 
@@ -147,11 +152,19 @@ def test_stats_counts_nodes(d7):
 
 @pytest.mark.parametrize(
     "itemset_mode, constraints",
-    [(False, None), (True, None), (False, ConstraintSet(maxgap=0))],
-    ids=["simple", "itemset", "chain"],
+    [
+        (False, None),
+        (True, None),
+        (False, ConstraintSet(maxgap=0)),
+        # Alone, maxspan admits every (last, first) pair of the 1,200
+        # positions; the gap bound keeps the chains small.
+        (False, ConstraintSet(maxgap=0, maxspan=1200)),
+    ],
+    ids=["simple", "itemset", "gap", "span"],
 )
 def test_deep_pattern_search(itemset_mode, constraints):
-    # Deeper than the interpreter's default recursion limit.
+    # Deeper than the interpreter's default recursion limit.  The gap case
+    # runs on the gap bitmaps, the span case on the chains.
     db = SequenceDatabase.from_label_sequences([["a"] * 1200])
     params = MiningParams(fmin=1, maxlen=1200, itemset_mode=itemset_mode)
     result = mine(db, params, constraints)
@@ -361,9 +374,10 @@ def test_constrained_simple_search_matches_oracle(data):
 
 @st.composite
 def chain_constraints(draw):
-    """Gap and span bounds, each set or not and at least one set, so the
-    search runs on chains: mingap 0-2, maxgap at least mingap, minspan 1-4,
-    maxspan at least minspan."""
+    """Gap and span bounds, each set or not and at least one set: mingap
+    0-2, maxgap at least mingap, minspan 1-4, maxspan at least minspan.  A
+    draw with a span bound runs on chains, one with gap bounds alone on the
+    gap bitmaps."""
     optional = st.booleans()
     mingap = draw(st.integers(0, 2)) if draw(optional) else None
     maxgap = draw(st.integers(mingap or 0, (mingap or 0) + 3)) if draw(optional) else None
@@ -389,6 +403,102 @@ def test_chain_search_matches_oracle(data):
     )
     assert result_key(got) == result_key(want)
 
+
+
+# ---------------------------------------------------------------------------
+# Gap bounds: the gap bitmaps against the chains and the oracle
+#
+# A gap bound with no span bound runs on _GapBitmap; _Chain answers the same
+# runs, so both states are driven directly through _search, as mine() sets
+# them up, and both must match the oracle.
+
+
+def _search_on(state_cls, db, params, cs, deadline=None):
+    """One frequent run of _search on a fresh state of the given class.
+    Neither state narrows candidates, so ``use_local_pruning`` reaches them
+    only through mine()."""
+    fmin = params.resolved_fmin(len(db))
+    index = _Index(db)
+    root = sorted(frequent_items(db, fmin) - cs.cannot_have)
+    if state_cls is _GapBitmap:
+        state = _GapBitmap(index, root, cs.gap_window())
+    else:
+        state = _Chain(index, cs)
+    entries = _search(state, root, fmin, params, cs, MineStats(), deadline, state.narrows)
+    return MiningResult.build(entries, params)
+
+
+@st.composite
+def gap_bounds(draw):
+    """maxgap only, mingap only (the unbounded shift), both, or maxgap=0.
+    Bounds run to 20, past the longest sequence (17 elements)."""
+    bound = st.one_of(st.integers(0, 3), st.integers(0, 20))
+    kind = draw(st.sampled_from(["maxgap", "mingap", "both", "zero"]))
+    if kind == "zero":
+        return dict(maxgap=0)
+    if kind == "maxgap":
+        return dict(maxgap=draw(bound))
+    if kind == "mingap":
+        return dict(mingap=draw(bound))
+    mingap = draw(bound)
+    return dict(mingap=mingap, maxgap=draw(st.integers(mingap, 20)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_gap_bitmap_search_matches_chains_and_oracle(data):
+    itemset_mode = data.draw(st.booleans())
+    db = data.draw(bitmap_dbs(itemset_mode))
+    params = data.draw(bitmap_params(db, itemset_mode))
+    rules = data.draw(bitmap_constraints(db, itemset_mode)) or ConstraintSet()
+    cs = replace(rules, **data.draw(gap_bounds()))
+    _assume_oracle_sized(db, params)
+    want = oracle_constrained(
+        db, params.fmin, params.maxlen, cs, minlen=params.minlen,
+        itemset_mode=itemset_mode, config=WIDE,
+    )
+    assert result_key(_search_on(_GapBitmap, db, params, cs)) == result_key(want)
+    assert result_key(_search_on(_Chain, db, params, cs)) == result_key(want)
+    narrow = data.draw(st.booleans())
+    assert result_key(mine(db, params, cs, use_local_pruning=narrow)) == result_key(want)
+
+
+@pytest.mark.parametrize("length", [7, 8, 9, 15, 16, 17])
+def test_gap_window_at_the_sequence_length(length):
+    # <a c> embeds only across the whole sequence, a gap of length - 2; one
+    # short sequence sits beside it.  Gap windows just short of, equal to
+    # and past that gap must cut or keep the pattern exactly.
+    db = SequenceDatabase.from_label_sequences([["b"] * 3, ["a"] + ["b"] * (length - 2) + ["c"]])
+    params = MiningParams(fmin=1, maxlen=2)
+    for gaps in (
+        dict(maxgap=length - 3), dict(maxgap=length - 2), dict(maxgap=length - 1),
+        dict(mingap=length - 2), dict(mingap=length - 1), dict(mingap=1, maxgap=length - 3),
+    ):
+        cs = ConstraintSet(**gaps)
+        want = oracle_constrained(db, 1, 2, cs, config=WIDE)
+        assert result_key(_search_on(_GapBitmap, db, params, cs)) == result_key(want), gaps
+
+
+def test_gap_only_runs_skip_the_chains(d7, monkeypatch):
+    # The state follows the bounds: a span bound means chains, a gap bound
+    # alone the gap bitmaps.
+    monkeypatch.setattr(miner, "_Chain", None)
+    params = MiningParams(fmin=2, maxlen=4)
+    for gaps in (dict(maxgap=0), dict(mingap=1), dict(mingap=0, maxgap=2)):
+        mine(d7, params, ConstraintSet(**gaps))
+    with pytest.raises(TypeError):
+        mine(d7, params, ConstraintSet(maxgap=1, maxspan=3))
+
+
+@pytest.mark.parametrize("gaps", [dict(maxgap=3), dict(mingap=1)], ids=["maxgap", "mingap"])
+def test_gap_timeout_raises(gaps):
+    db, _ = generate(GenParams(num_sequences=150, seed=5))
+    cs = ConstraintSet(**gaps)
+    with pytest.raises(MiningTimeout):
+        mine(db, MiningParams(fmin=2, maxlen=8), cs, timeout=1e-5)
+    # Past the deadline, the gap state stops at the root.
+    with pytest.raises(MiningTimeout):
+        _search_on(_GapBitmap, db, MiningParams(fmin=2, maxlen=8), cs, deadline=time.monotonic() - 1)
 
 
 def test_simple_search_long_sequence_among_short_ones():
