@@ -6,9 +6,12 @@ brute-force reference miner on small inputs.
 
 Exit codes: 0 success, 1 usage error (bad flags or parameter values,
 including constraint parameters that do not fit the dataset's alphabet),
-2 timeout, 3 data error (unreadable or malformed input files, a
-database/mode mismatch, or a percentage ``--min-support`` on a database
-with no sequences).
+2 timeout, 3 data error (unreadable or malformed input files, an output
+file that cannot be written, a database/mode mismatch, or a percentage
+``--min-support`` on a database with no sequences).
+
+``mine`` imports only the modules a mining run needs; ``gen``, ``bench``
+and ``oracle`` import theirs when they run.
 """
 
 from __future__ import annotations
@@ -43,9 +46,6 @@ from .constraints import (
     regex_compile,
     resolve_costs,
 )
-from .oracle import GuardError, oracle_frequent
-from . import bench as bench_mod
-from . import datagen
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -247,14 +247,14 @@ def _cmd_mine(args) -> int:
 
     try:
         db = load_database(args.input, args.format)
-    except (FormatError, OSError) as exc:
+    except FormatError as exc:
         return _data_error(exc)
 
     try:
         constraints = _build_constraints(args, db)
     except ConstraintError as exc:
         raise _UsageError(str(exc)) from None
-    except (FormatError, OSError) as exc:
+    except FormatError as exc:
         return _data_error(exc)
 
     if args.emit_asp_facts is not None:
@@ -292,6 +292,8 @@ def _parse_coverage(text: str) -> float:
 
 
 def _cmd_gen(args) -> int:
+    from . import datagen
+
     try:
         gp = datagen.GenParams(
             num_sequences=args.num_sequences,
@@ -317,6 +319,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from . import bench as bench_mod
+
     thresholds = [_parse_support(tok) for tok in _parse_labels(args.min_support)]
     if not thresholds:
         raise _UsageError("--min-support list is empty")
@@ -328,7 +332,7 @@ def _cmd_bench(args) -> int:
     for path in args.input:
         try:
             datasets.append((os.path.basename(path), load_database(path, args.format)))
-        except (FormatError, OSError) as exc:
+        except FormatError as exc:
             return _data_error(exc)
     try:
         cells = bench_mod.run_suite(
@@ -360,13 +364,15 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import GuardError, oracle_frequent
+
     try:
         params = MiningParams(fmin=_parse_support(args.min_support), maxlen=args.maxlen)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     try:
         db = load_database(args.input, args.format)
-    except (FormatError, OSError) as exc:
+    except FormatError as exc:
         return _data_error(exc)
     try:
         resolved = params.resolved_fmin(len(db))
@@ -394,6 +400,9 @@ def main(argv: list[str] | None = None) -> int:
             return commands[args.command](args)
         except _UsageError as exc:
             scope.error(str(exc))
+        except OSError as exc:
+            # An input file that cannot be read or an output that cannot be written.
+            return _data_error(exc)
     except _UsageError as exc:
         print(str(exc) if str(exc) else "seqmine: usage error", file=sys.stderr)
         return EXIT_USAGE
@@ -401,3 +410,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

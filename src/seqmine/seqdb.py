@@ -425,17 +425,38 @@ def load_database(path: str, fmt: str = "spmf") -> SequenceDatabase:
 # Result records (JSON lines)
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with ``make(key)``."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 def write_results(result: MiningResult, db: SequenceDatabase) -> str:
-    """One compact JSON object per entry, in the result's canonical order."""
-    lines = []
-    for e in result.entries:
-        record = {
-            "pattern": e.pattern.labels(db.alphabet),
-            "support": e.support,
-            "support_ids": list(e.support_ids),
-        }
-        lines.append(json.dumps(record, separators=(",", ":")))
-    return "\n".join(lines) + ("\n" if lines else "")
+    """One compact JSON object per entry, in the result's canonical order.
+
+    Each line is ``json.dumps(record, separators=(",", ":"))`` of
+    ``{"pattern": label lists, "support": n, "support_ids": [...]}``, joined
+    from pieces encoded once: every label with ``json.dumps`` (so non-ASCII
+    and control characters are escaped the same way), every element's
+    ``[...]`` text by itemset, and every sid's digits by sid.  The sid memo
+    holds the sids the result uses, whatever their range.
+    """
+    labels = [json.dumps(label) for label in db.alphabet.labels]
+    element = _Memo(lambda itemset: "[" + ",".join([labels[i] for i in itemset]) + "]").__getitem__
+    sid = _Memo(str).__getitem__
+    return "".join([
+        f'{{"pattern":[{",".join(map(element, e.pattern.elements))}],"support":{e.support},'
+        f'"support_ids":[{",".join(map(sid, e.support_ids))}]}}\n'
+        for e in result.entries
+    ])
 
 
 def read_results(source: str | bytes | TextIO, db: SequenceDatabase) -> MiningResult:

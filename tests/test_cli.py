@@ -6,9 +6,11 @@ import argparse
 import functools
 import importlib
 import json
+import os
 import re
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -241,6 +243,25 @@ def test_mine_deep_pattern(bounds, tmp_path, capsys):
     assert len(out_lines(out.read_text())) == 1200
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mine", "--input", "{d7}", "--min-support", "3", "--maxlen", "4", "--output", "{out}"],
+        ["mine", "--input", "{d7}", "--min-support", "3", "--maxlen", "4",
+         "--emit-asp-facts", "{out}"],
+        ["gen", "--num-sequences", "5", "--output", "{out}"],
+        ["bench", "--input", "{d7}", "--min-support", "3", "--maxlen", "4", "--output", "{out}"],
+        ["oracle", "--input", "{d7}", "--min-support", "3", "--maxlen", "3", "--output", "{out}"],
+    ],
+    ids=["mine", "mine-emit-asp-facts", "gen", "bench", "oracle"],
+)
+def test_unwritable_output_is_data_error(argv, d7_path, tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "out"
+    code, _, err = run(capsys, *(arg.format(d7=d7_path, out=out) for arg in argv))
+    assert code == 3, err
+    assert err.splitlines()[-1].startswith("seqmine: data error: ") and str(out) in err
+
+
 def test_no_subcommand_is_usage_error(capsys):
     code, _, _ = run(capsys)
     assert code == 1
@@ -417,3 +438,16 @@ def test_console_script(d7_path):
     )
     assert proc.returncode == 0
     assert len([l for l in proc.stdout.splitlines() if l.strip()]) == 7
+
+
+@pytest.mark.parametrize("module", ["seqmine", "seqmine.cli"])
+def test_python_dash_m_runs_the_cli(module, d7_path, capsys):
+    argv = ["mine", "--input", str(d7_path), "--min-support", "3", "--maxlen", "4"]
+    code, expected, _ = run(capsys, *argv)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    for extra, want in (([], code), (["--bogus"], 1)):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, *argv, *extra], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == want, proc.stderr
+        assert proc.stdout == (expected if want == 0 else "")

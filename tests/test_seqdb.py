@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -278,6 +280,68 @@ def test_results_roundtrip(d7):
     result = MiningResult.build(entries)
     again = read_results(write_results(result, d7), d7)
     assert again == result
+
+
+def reference_write_results(result, db):
+    """The record writer as one ``json.dumps`` per entry, the definition the
+    table-driven ``write_results`` must match byte for byte."""
+    lines = []
+    for e in result.entries:
+        record = {
+            "pattern": e.pattern.labels(db.alphabet),
+            "support": e.support,
+            "support_ids": list(e.support_ids),
+        }
+        lines.append(json.dumps(record, separators=(",", ":")))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+# Labels JSON must escape: quotes, backslashes, control characters, DEL,
+# non-ASCII text in and beyond the BMP, and a lone surrogate.
+TRICKY_LABELS = ['"', "\\", "a\"b", "\x00", "\n", "\x1f", "\x7f", "é", "日本", "\U0001f600", "\ud800"]
+
+
+@st.composite
+def results_over_labels(draw):
+    labels = draw(
+        st.lists(st.sampled_from(TRICKY_LABELS) | st.text(max_size=4), min_size=1, max_size=8, unique=True)
+    )
+    alphabet = Alphabet(sorted(labels))
+    n_seqs = draw(st.integers(min_value=0, max_value=3))
+    db = SequenceDatabase(alphabet, tuple(Sequence(sid, ((0,),)) for sid in range(1, n_seqs + 1)))
+    itemset = st.sets(st.integers(min_value=0, max_value=len(alphabet) - 1), min_size=1, max_size=3)
+    pattern = st.lists(itemset, min_size=1, max_size=4).map(
+        lambda elements: Pattern(tuple(tuple(sorted(e)) for e in elements))
+    )
+    # Support ids are not checked against the database, so most drawn here
+    # exceed len(db); some are negative or past 64 bits.
+    entries = draw(
+        st.lists(
+            st.builds(
+                ResultEntry,
+                pattern,
+                st.integers(min_value=0, max_value=10**6),
+                st.lists(st.integers(), max_size=6).map(tuple),
+            ),
+            max_size=8,
+            unique_by=lambda e: e.pattern,
+        )
+    )
+    return MiningResult.build(entries), db
+
+
+@settings(max_examples=300, deadline=None)
+@given(results_over_labels())
+def test_write_results_matches_per_record_json_dumps(case):
+    result, db = case
+    text = write_results(result, db)
+    assert text == reference_write_results(result, db)
+    assert text.isascii()
+    assert read_results(text, db) == result
+
+
+def test_write_results_empty_result_is_empty_text(d7):
+    assert write_results(MiningResult.build([]), d7) == ""
 
 
 def test_read_results_rejects_bad_records(d7):
