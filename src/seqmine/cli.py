@@ -17,6 +17,7 @@ and ``oracle`` import theirs when they run.
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import os
 import sys
@@ -207,6 +208,24 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _check_writable(path: str | None) -> None:
+    """Raise the ``OSError`` that writing ``path`` would raise for a missing
+    directory, a directory in its place or a denied write.  Creates and
+    truncates nothing; the write itself still reports anything else."""
+    if path is None:
+        return
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        code = errno.ENOENT
+    elif os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.access(path if os.path.exists(path) else directory, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def _build_constraints(args, db: SequenceDatabase) -> ConstraintSet:
     agg_flags = (args.agg, args.agg_threshold, args.cost_file)
     if any(f is not None for f in agg_flags) and None in agg_flags:
@@ -244,6 +263,8 @@ def _cmd_mine(args) -> int:
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+    # An unwritable output would otherwise surface only after the search.
+    _check_writable(args.output)
 
     try:
         db = load_database(args.input, args.format)

@@ -14,11 +14,11 @@ Constraint families:
 
 Each rule is written once.  ``ConstraintSet.accepts`` is the emission check
 (item, super-pattern and aggregate); ``ConstraintSet.gap_window`` is the gap
-rule, read by the bitmap search's gap S-step and by ``ConstraintSet.reach``,
-the one chain step that admits positions under the gap/span bounds, used by
-the span-bounded search and by ``constrained_embeddings``; the regex is
-stepped through its DFA, whose live states cut dead prefixes; length bounds
-live in ``MiningParams``.
+rule and ``ConstraintSet.span_window`` the span rule, both read by the bitmap
+search and by ``ConstraintSet.reach``, the chain step that admits positions
+under the gap/span bounds, which serves ``constrained_embeddings``, the
+reference model; the regex is stepped through its DFA, whose live states cut
+dead prefixes; length bounds live in ``MiningParams``.
 
 The regex sublanguage supports label tokens (runs of ``[A-Za-z0-9_]``),
 implicit concatenation, ``|`` alternation, ``*`` ``+`` ``?`` postfix
@@ -113,8 +113,9 @@ class ConstraintSet:
     """Every constraint of a mining run; ``ConstraintSet()`` is no constraint.
 
     The search asks ``accepts`` before it emits a pattern, reads
-    ``gap_window`` for its gap S-step, calls ``reach`` for each chain step
-    under span bounds, and steps ``regex`` itself.
+    ``gap_window`` and ``span_window`` for the layout and S-step of its
+    bitmaps, and steps ``regex`` itself; ``reach`` is the chain step of
+    ``constrained_embeddings``.
     """
 
     must_have: frozenset[int] = frozenset()
@@ -181,8 +182,18 @@ class ConstraintSet:
         """The gap rule: the distances ``j - last`` by which a next position j
         may follow the previous match ``last``, so that mingap <= j-last-1 <=
         maxgap.  Returns (lowest, highest), highest ``None`` with no maxgap.
-        ``reach`` and the bitmap search's gap S-step both read it."""
+        ``reach`` and the bitmap search's S-step under gap bounds both read
+        it."""
         return (self.mingap or 0) + 1, None if self.maxgap is None else self.maxgap + 1
+
+    def span_window(self) -> tuple[int, int | None]:
+        """The span rule: the offsets ``j - first`` at which a chain that
+        started at ``first`` may take a next position j, so that minspan <=
+        j-first+1 <= maxspan.  Returns (lowest, highest), highest ``None``
+        with no maxspan.  ``reach`` and the bitmap search's span state both
+        read it.  The first position itself takes no check: a one-element
+        chain is admitted wherever it matches."""
+        return (self.minspan or 1) - 1, None if self.maxspan is None else self.maxspan - 1
 
     def reach(self, n: int, pairs) -> dict[int, list[tuple[int, int]]]:
         """The chain step on a sequence of ``n`` elements.
@@ -192,20 +203,20 @@ class ConstraintSet:
         when mingap <= j-last-1 <= maxgap and minspan <= j-first+1 <=
         maxspan.  Returns next position -> the (j, first) pairs admitted
         there, keys ascending and each list sorted.  ``pairs=None`` is the
-        root, where every position starts a chain (first = last).
+        root, where every position starts a chain (first = last).  Only
+        ``constrained_embeddings``, the reference the search is tested
+        against, steps chains with it.
         """
         if pairs is None:
             return {j: [(j, j)] for j in range(1, n + 1)}
         nearest, farthest = self.gap_window()
-        minspan, maxspan = self.minspan, self.maxspan
+        lowest, highest = self.span_window()
         found: set[tuple[int, int]] = set()
         for last, first in pairs:
-            lo = last + nearest
+            lo = max(last + nearest, first + lowest)
             hi = n if farthest is None else min(n, last + farthest)
-            if minspan is not None:
-                lo = max(lo, first + minspan - 1)
-            if maxspan is not None:
-                hi = min(hi, first + maxspan - 1)
+            if highest is not None:
+                hi = min(hi, first + highest)
             found.update((j, first) for j in range(lo, hi + 1))
         reach: dict[int, list[tuple[int, int]]] = {}
         for pair in sorted(found):

@@ -1,5 +1,4 @@
-"""Depth-first pattern enumeration over vertical bitmaps and per-sequence
-states.
+"""Depth-first pattern enumeration over vertical bitmaps.
 
 One search grows patterns one extension at a time, from the empty pattern,
 over an explicit stack of frames, and counts an extension's support among
@@ -11,8 +10,8 @@ every node.  Candidate extensions at a node are inherited from the
 parent's locally frequent items (anti-monotone, so nothing is lost; a
 differential flag can switch this narrowing off for testing).
 
-What the search keeps for a pattern depends on the constraints, and nothing
-else:
+What the search keeps for a pattern is one big int; its layout depends on
+the kind of bound, and nothing else:
 
 * no gap or span bound (simple and itemset mode): one big int over the whole
   database with a bit at every position where the pattern's last element
@@ -24,9 +23,10 @@ else:
 * gap bounds and no span bound: the same bitmaps, with a bit at every
   position where a gap-admissible embedding ends; the S-step shifts those
   bits across the gap window (cSPADE's gap join on SPAM bitmaps);
-* span bounds, with or without gap bounds: per supporting sequence, the
-  (last position, first position) pairs of admissible chains, admitted
-  step by step.
+* span bounds, with or without gap bounds: the gap bitmaps on one segment
+  per start position, as long as the span allows, so every chain is cut at
+  its start's upper bound; the root admits only each segment's start.
+  A bound that bounds nothing runs on one of the layouts above.
 
 The paper's two embedding representations, skip-gaps and fill-gaps, give
 the same supports; the bitmaps keep the fill-gaps one, and ``relations``
@@ -113,12 +113,11 @@ def frequent_items(db: SequenceDatabase, fmin: int) -> frozenset[int]:
 class _Index:
     """The database's sequences in order: their elements and sids."""
 
-    __slots__ = ("elements", "sids", "n")
+    __slots__ = ("elements", "sids")
 
     def __init__(self, db: SequenceDatabase):
         self.elements = [s.elements for s in db.sequences]
         self.sids = [s.sid for s in db.sequences]
-        self.n = len(db.sequences)
 
 
 def _check_deadline(deadline: float | None) -> None:
@@ -129,99 +128,102 @@ def _check_deadline(deadline: float | None) -> None:
 # ---------------------------------------------------------------------------
 # Search states
 #
-# The three states answer the same calls, so the search never asks which one
-# it has.  ``root_entries()`` gives the empty pattern's entries.
-# ``count(entries, candidates)`` maps each candidate to the supporters that
-# admit it as a new last element, ``support`` and ``sids`` read such a
-# supporter set (or a pattern's entries), and ``child(supporters, c)`` turns
-# it into the extended pattern's entries.  ``count_aug``/``child_aug`` do
-# the same for adding the candidate to the last element (itemset mode).
-# No state judges a constraint: the plain bitmaps exist only without gap
-# and span bounds, the gap bitmaps take their window from
-# ``ConstraintSet.gap_window`` and the chains, kept for span bounds, take
-# theirs from ``ConstraintSet.reach``.
+# One layout per kind of bound; the three states answer the same calls, so
+# the search never asks which one it has.  ``None`` is the empty pattern's
+# entries.  ``count(entries, candidates)`` maps each candidate to the
+# entries of the pattern extended by it as a new last element, and
+# ``count_aug`` does the same for adding it to the last element (itemset
+# mode); ``support`` and ``sids`` read such entries.  No state judges a
+# constraint: the plain bitmaps run without gap and span bounds, the gap
+# bitmaps take their window from ``ConstraintSet.gap_window``, and the span
+# state takes its segments from ``ConstraintSet.span_window`` as well.
 
 
 class _Bitmap:
     """No gap or span bound: vertical bitmaps, one big int per item over the
     whole database (SPAM, Ayres et al. 2002).
 
-    Each sequence of length L owns a byte-aligned segment of ceil((L+1)/8)
-    bytes.  Its L position bits, position 1 lowest, sit directly below a
-    guard bit, the segment's top bit; the bits below position 1 stay clear.
-    A position's bit is set in the bitmap of every item of its element.  A
-    pattern's entries are one int: the bits where its last element matches
-    after the leftmost embedding of the rest, i.e. the fill-gaps frontier of
-    every sequence at once.  ``None`` stands for the empty pattern.  Only
-    ``items``, the root's candidates, get a bitmap: the search extends by no
-    other item.
+    Each segment of length L owns ceil((L+1)/8) bytes.  Its L position bits,
+    position 1 lowest, sit directly below a guard bit, the segment's top bit;
+    the bits below position 1 stay clear.  A position's bit is set in the
+    bitmap of every item of its element.  ``groups`` holds each sequence's
+    segments, laid out one after another; by default a sequence is one
+    segment.  A pattern's entries are one int: the bits where its last
+    element matches after the leftmost embedding of the rest, i.e. the
+    fill-gaps frontier of every sequence at once.  ``None`` stands for the
+    empty pattern.  Only ``items``, the root's candidates, get a bitmap: the
+    search extends by no other item.
 
     The S-step sets every position bit above each segment's lowest entry bit
     (``starts`` holds each segment's lowest bit, and the guard stops the
     borrow of ``v - starts`` at the segment's top); the I-step keeps the
-    entry bits whose element holds the new item.  Adding ``mask`` carries
-    into a segment's guard exactly when the segment holds an entry bit, so
-    support and supporting sids come from the guard bits with no loop over
-    sequences.  To read the sids, every byte other than a guard byte is set
-    to 0x01 and deleted, which leaves one byte per sequence, 0x80 where it
-    supports the pattern.
+    entry bits whose element holds the new item.  ``carry`` sets every bit of
+    a sequence's group below the guard of its last segment, its head, so
+    adding it carries into the head exactly when the group holds an entry
+    bit: support and supporting sids come from the head bits with no loop
+    over sequences.  To read the sids, every byte other than a head byte is
+    set to 0x01 and deleted, which leaves one byte per sequence, 0x80 where
+    it supports the pattern.
     """
 
     narrows = True
 
-    def __init__(self, index: _Index, items: list[int]):
-        nbytes = sum(len(elements) // 8 + 1 for elements in index.elements)
-        mask, guards, starts = bytearray(nbytes), bytearray(nbytes), bytearray(nbytes)
+    def __init__(self, index: _Index, items: list[int], groups=None):
+        if groups is None:
+            groups = [(elements,) for elements in index.elements]
+        nbytes = sum(len(elements) // 8 + 1 for group in groups for elements in group)
+        mask, guards, starts, bottoms, heads = (bytearray(nbytes) for _ in range(5))
         fill = bytearray(b"\x01") * nbytes
         rows = {c: bytearray(nbytes) for c in items}
-        base = 0
-        for elements in index.elements:
-            top = base + len(elements) // 8
-            starts[base] = 1
-            guards[top], fill[top] = 0x80, 0
-            for bit, elem in enumerate(elements, start=8 * top + 7 - len(elements)):
-                byte, m = bit >> 3, 1 << (bit & 7)
-                mask[byte] |= m
-                for item in elem:
-                    row = rows.get(item)
-                    if row is not None:
-                        row[byte] |= m
-            base = top + 1
+        base = longest = 0
+        for group in groups:
+            bottoms[base] = 1
+            for elements in group:
+                top = base + len(elements) // 8
+                starts[base], guards[top] = 1, 0x80
+                longest = max(longest, len(elements))
+                for bit, elem in enumerate(elements, start=8 * top + 7 - len(elements)):
+                    byte, m = bit >> 3, 1 << (bit & 7)
+                    mask[byte] |= m
+                    for item in elem:
+                        row = rows.get(item)
+                        if row is not None:
+                            row[byte] |= m
+                base = top + 1
+            heads[top], fill[top] = 0x80, 0
         self.nbytes = nbytes
+        self.longest = longest
         self.sid_of = index.sids
         self.mask = int.from_bytes(mask, "little")
         self.guards = int.from_bytes(guards, "little")
         self.starts = int.from_bytes(starts, "little")
+        self.heads = int.from_bytes(heads, "little")
+        self.carry = self.heads - int.from_bytes(bottoms, "little")
         self.fill = int.from_bytes(fill, "little")
         self.items = {c: int.from_bytes(row, "little") for c, row in rows.items()}
 
-    def root_entries(self):
-        return None
-
     def support(self, entries: int) -> int:
-        return ((entries + self.mask) & self.guards).bit_count()
+        return ((entries + self.carry) & self.heads).bit_count()
 
     def sids(self, entries: int) -> tuple[int, ...]:
-        hits = (((entries + self.mask) & self.guards) | self.fill).to_bytes(self.nbytes, "little")
+        hits = (((entries + self.carry) & self.heads) | self.fill).to_bytes(self.nbytes, "little")
         return tuple(compress(self.sid_of, hits.translate(None, b"\x01")))
 
-    def count(self, entries, candidates):
+    def after(self, entries):
+        """The positions an S-step admits after ``entries``."""
         if entries is None:
-            after = self.mask
-        else:
-            v = entries | self.guards
-            after = ~(v ^ (v - self.starts)) & self.mask
+            return self.mask
+        v = entries | self.guards
+        return ~(v ^ (v - self.starts)) & self.mask
+
+    def count(self, entries, candidates):
+        after = self.after(entries)
         items = self.items
         return {c: after & items[c] for c in candidates}
 
     def count_aug(self, entries, candidates):
         items = self.items
         return {c: entries & items[c] for c in candidates}
-
-    def child(self, supporters, c):
-        return supporters
-
-    child_aug = child
 
 
 def _smear(x: int, width: int, shift) -> int:
@@ -241,17 +243,17 @@ def _smear(x: int, width: int, shift) -> int:
 
 
 class _GapBitmap(_Bitmap):
-    """Gap bounds and no span bound: ``_Bitmap``'s layout, but a pattern's
-    entries hold every position where a gap-admissible embedding ends, not
-    only the ends after the leftmost one (the gap join of cSPADE, Zaki 2000,
-    done on SPAM bitmaps).
+    """Gap bounds and no span bound that bounds something: ``_Bitmap``'s
+    layout, but a pattern's entries hold every position where a
+    gap-admissible embedding ends, not only the ends after the leftmost one
+    (the gap join of cSPADE, Zaki 2000, done on SPAM bitmaps).
 
     With ``ConstraintSet.gap_window`` (nearest, farthest), the S-step admits
     the positions nearest..farthest after each entry bit: the OR over d in
     nearest..farthest of ``(E & keep[d]) << d``, where ``keep[d]`` holds the
     positions p with p + d <= L, so no bit leaves its segment.  ``_smear``
     builds that OR in O(log(farthest - nearest)) shifts.  With no farthest
-    bound, or one no sequence is long enough to reach, one shift by
+    bound, or one no segment is long enough to reach, one shift by
     nearest - 1 and ``_Bitmap``'s borrow admit every later position.  The
     root, the I-step, ``support`` and ``sids`` are ``_Bitmap``'s.
 
@@ -262,13 +264,12 @@ class _GapBitmap(_Bitmap):
 
     narrows = False
 
-    def __init__(self, index: _Index, items: list[int], window: tuple[int, int | None]):
-        super().__init__(index, items)
+    def __init__(self, index: _Index, items: list[int], window: tuple[int, int | None], groups=None):
+        super().__init__(index, items, groups)
         self.nearest, farthest = window
-        longest = max(map(len, index.elements), default=0)
-        # No two positions of one sequence lie more than longest - 1 apart, so
+        # No two positions of one segment lie more than longest - 1 apart, so
         # a farthest distance of longest - 1 or more bounds nothing.
-        self.width = None if farthest is None or farthest >= longest - 1 else farthest - self.nearest + 1
+        self.width = None if farthest is None or farthest >= self.longest - 1 else farthest - self.nearest + 1
         self.keeps = {0: self.mask}
 
     def _shift(self, x: int, d: int) -> int:
@@ -278,89 +279,46 @@ class _GapBitmap(_Bitmap):
             keep = self.keeps[d] = self.mask & ~_smear(self.guards >> 1, d, int.__rshift__)
         return (x & keep) << d
 
-    def count(self, entries, candidates):
+    def after(self, entries):
         if entries is None:
-            after = self.mask
-        elif self.width is None:
+            return self.mask
+        if self.width is None:
             v = self._shift(entries, self.nearest - 1) | self.guards
-            after = ~(v ^ (v - self.starts)) & self.mask
-        else:
-            after = self._shift(_smear(entries, self.width, self._shift), self.nearest)
-        items = self.items
-        return {c: after & items[c] for c in candidates}
+            return ~(v ^ (v - self.starts)) & self.mask
+        return self._shift(_smear(entries, self.width, self._shift), self.nearest)
 
 
-class _Chain:
-    """Span constraints, with or without gap bounds: per supporting
-    sequence, the sorted distinct (last, first) pairs of admissible partial
-    chains.  A span bound depends on where the chain started, which a
-    position bit does not record, so these runs stay off the bitmaps.  The
-    constraint set's ``reach`` admits each next position; the root's pairs
-    are ``None``.
+class _SpanBitmap(_GapBitmap):
+    """Span bounds, with or without gap bounds: ``_GapBitmap``'s entries and
+    S-step, on one segment per start position instead of one per sequence.
 
-    Candidates are not narrowed: admission windows move as the pattern
-    grows, so an item that is an infrequent extension here can be a frequent
-    extension one level deeper.  Only each node's own frequency gate prunes
-    (sound, since dropping the last chain step of an admissible chain leaves
-    one).
+    With ``ConstraintSet.span_window`` (lowest, highest), the segment of
+    start f holds positions f..f+highest (or to the sequence's end), so a
+    chain that starts at f cannot pass the span's upper bound; after a
+    sequence's segments comes one empty segment, the head whose guard stands
+    for the sequence in ``support`` and ``sids``.  The root admits only each
+    segment's first position (``firsts``), so every chain starts at its
+    segment's start.  Every later S-step keeps only the positions at offset
+    lowest or more in their segment (``late``); the span's lower bound binds
+    the first S-step alone, after which offsets only grow, so the AND is
+    exact at every step.
     """
 
-    narrows = False
-    support = staticmethod(len)
+    def __init__(self, index: _Index, items: list[int], gaps: tuple[int, int | None], span: tuple[int, int | None]):
+        lowest, highest = span
+        groups = []
+        for elements in index.elements:
+            n = len(elements)
+            stop = n if highest is None else highest + 1
+            groups.append([elements[f : f + stop] for f in range(n)] + [()])
+        super().__init__(index, items, gaps, groups)
+        # Position bits run unbroken within a segment, with a clear guard bit
+        # between segments.
+        self.firsts = self.mask & ~(self.mask << 1)
+        self.late = self.mask & ~_smear(self.firsts, max(lowest, 1), self._shift)
 
-    def __init__(self, index: _Index, cs: ConstraintSet):
-        self.sid_of = index.sids
-        self.n = index.n
-        self.elements = index.elements
-        self.reach = cs.reach
-
-    def root_entries(self):
-        return [(si, None) for si in range(self.n)]
-
-    def sids(self, entries) -> tuple[int, ...]:
-        sid_of = self.sid_of
-        return tuple(sid_of[si] for si, _ in entries)
-
-    def count(self, entries, candidates):
-        out = {c: [] for c in candidates}
-        step = self.reach
-        for si, pairs in entries:
-            elems = self.elements[si]
-            reach = step(len(elems), pairs)
-            present = set()
-            for j in reach:
-                present.update(elems[j - 1])
-            for c in candidates:
-                if c in present:
-                    out[c].append((si, reach))
-        return out
-
-    def child(self, supporters, c):
-        out = []
-        for si, reach in supporters:
-            elems = self.elements[si]
-            kept = tuple(pair for j, pairs in reach.items() if c in elems[j - 1] for pair in pairs)
-            out.append((si, kept))
-        return out
-
-    def count_aug(self, entries, candidates):
-        out = {c: [] for c in candidates}
-        for ent in entries:
-            elems = self.elements[ent[0]]
-            present = set()
-            for last, _ in ent[1]:
-                present.update(elems[last - 1])
-            for c in candidates:
-                if c in present:
-                    out[c].append(ent)
-        return out
-
-    def child_aug(self, supporters, c):
-        out = []
-        for si, pairs in supporters:
-            elems = self.elements[si]
-            out.append((si, tuple(p for p in pairs if c in elems[p[0] - 1])))
-        return out
+    def after(self, entries):
+        return self.firsts if entries is None else super().after(entries) & self.late
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +338,7 @@ def _search(
     """Depth-first pattern growth over an explicit stack of frames
     (elements, entries, support, candidates, dfa_state, running_sum),
     starting from the empty pattern.  Every gate is applied here; ``state``
-    only counts supporters and builds child entries."""
+    only counts supporters, which are the extended pattern's entries."""
     dfa = cs.regex
     agg = cs.aggregate
     agg_prunes = agg is not None and agg.prunes_as_sum()
@@ -388,7 +346,7 @@ def _search(
     support_of = state.support
     sink: list[ResultEntry] = []
     # The root is never emitted (minlen >= 1), so its support is not needed.
-    stack = [((), state.root_entries(), None, root_cands, dfa.start if dfa is not None else None, 0)]
+    stack = [((), None, None, root_cands, dfa.start if dfa is not None else None, 0)]
     while stack:
         elements, entries, support, candidates, dfa_state, running_sum = stack.pop()
         stats.nodes_expanded += 1
@@ -397,11 +355,8 @@ def _search(
         if depth >= params.minlen and (dfa is None or dfa_state in dfa.accepting) and accepts(elements):
             sink.append(ResultEntry(Pattern(elements), support, state.sids(entries)))
 
-        # (child elements, added item, supporters, support, child builder, child candidates)
+        # (child elements, added item, entries, support, child candidates)
         extensions = []
-        # A leaf is only emitted, which reads no more of its entries than the
-        # supporting sequences: give it the supporters and skip building states.
-        leaf = depth + 1 == params.maxlen and not params.itemset_mode
         local: list[int] = []
         if depth < params.maxlen:
             out = state.count(entries, candidates)
@@ -409,7 +364,7 @@ def _search(
             local = [c for c in candidates if supports[c] >= fmin]
             inherited = local if narrow else candidates
             for c in local:
-                extensions.append((elements + ((c,),), c, out[c], supports[c], state.child, inherited))
+                extensions.append((elements + ((c,),), c, out[c], supports[c], inherited))
         if params.itemset_mode and depth:
             last = elements[-1]
             aug_cands = [c for c in candidates if c > last[-1]]
@@ -421,11 +376,9 @@ def _search(
             # last one, so augment-children get the union of both lists.
             inherited = sorted(set(local).union(aug_local)) if narrow else candidates
             for c in aug_local:
-                extensions.append(
-                    (elements[:-1] + (last + (c,),), c, out[c], supports[c], state.child_aug, inherited)
-                )
+                extensions.append((elements[:-1] + (last + (c,),), c, out[c], supports[c], inherited))
 
-        for child_elements, c, supporters, child_support, build, child_cands in extensions:
+        for child_elements, c, child_entries, child_support, child_cands in extensions:
             # mine() rejects a regex in itemset mode, so the DFA only sees appends.
             nxt_state = dfa_state
             if dfa is not None:
@@ -437,7 +390,6 @@ def _search(
                 new_sum = running_sum + agg.cost_of(c)
                 if not agg.sum_viable(new_sum):
                     continue
-            child_entries = supporters if leaf else build(supporters, c)
             stack.append((child_elements, child_entries, child_support, child_cands, nxt_state, new_sum))
     return sink
 
@@ -475,8 +427,13 @@ def mine(
 
     index = _Index(db)
     root_cands = sorted(frequent_items(db, fmin) - cs.cannot_have)
-    if cs.minspan is not None or cs.maxspan is not None:
-        state = _Chain(index, cs)
+    lowest, highest = cs.span_window()
+    longest = max(map(len, index.elements), default=0)
+    # Every S-step lands at offset 1 or more from a chain's first position and
+    # none at longest or more, so a lowest offset up to 1 and a highest offset
+    # of longest - 1 or more bound nothing.
+    if lowest > 1 or (highest is not None and highest < longest - 1):
+        state = _SpanBitmap(index, root_cands, cs.gap_window(), (lowest, highest))
     elif cs.mingap is not None or cs.maxgap is not None:
         state = _GapBitmap(index, root_cands, cs.gap_window())
     else:

@@ -460,6 +460,9 @@ def write_results(result: MiningResult, db: SequenceDatabase) -> str:
 
 
 def read_results(source: str | bytes | TextIO, db: SequenceDatabase) -> MiningResult:
+    """Parse JSON-lines result records against the database they were mined
+    from.  Support ids must be distinct, ascending sids of ``db`` and as
+    many as the support; any other record raises ``FormatError``."""
     entries = []
     for lineno, line in enumerate(_as_text(source).splitlines(), start=1):
         if not line.strip():
@@ -470,13 +473,14 @@ def read_results(source: str | bytes | TextIO, db: SequenceDatabase) -> MiningRe
                 tuple(sorted(db.alphabet.id_of(lab) for lab in elem))
                 for elem in record["pattern"]
             )
-            entries.append(
-                ResultEntry(
-                    Pattern(elements),
-                    int(record["support"]),
-                    tuple(int(s) for s in record["support_ids"]),
-                )
-            )
+            sids = tuple(int(s) for s in record["support_ids"])
+            # 0 < first < ... < last < len(db) + 1
+            if not all(a < b for a, b in zip((0,) + sids, sids + (len(db) + 1,))):
+                raise ValueError(f"support_ids must be distinct, ascending ids in 1..{len(db)}")
+            support = int(record["support"])
+            if support != len(sids):
+                raise ValueError(f"support {support} but {len(sids)} support_ids")
+            entries.append(ResultEntry(Pattern(elements), support, sids))
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad result record on line {lineno}: {exc}") from None
     return MiningResult.build(entries)

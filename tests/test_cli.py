@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from seqmine import cli
 from seqmine.cli import build_parser, main
 
 D7 = None  # path fixture supplies the file
@@ -225,13 +226,12 @@ def test_mine_timeout_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "bounds",
-    # A span bound runs on chains.  Alone, maxspan admits every (last, first)
-    # pair of the 1,200 positions, so the gap bound keeps the span case small.
-    [[], ["--max-gap", "0"], ["--max-gap", "0", "--max-span", "1200"]],
+    "bounds, deepest",
+    # A chain over all 1,200 positions spans 1,200.
+    [([], 1200), (["--max-gap", "0"], 1200), (["--max-span", "1199"], 1199)],
     ids=["none", "gap", "span"],
 )
-def test_mine_deep_pattern(bounds, tmp_path, capsys):
+def test_mine_deep_pattern(bounds, deepest, tmp_path, capsys):
     deep = tmp_path / "deep.spmf"
     deep.write_text("1 -1 " * 1200 + "-2\n")
     out = tmp_path / "out.jsonl"
@@ -240,7 +240,7 @@ def test_mine_deep_pattern(bounds, tmp_path, capsys):
         "--maxlen", "1200", "--output", str(out), *bounds,
     )
     assert code == 0, err
-    assert len(out_lines(out.read_text())) == 1200
+    assert len(out_lines(out.read_text())) == deepest
 
 
 @pytest.mark.parametrize(
@@ -260,6 +260,20 @@ def test_unwritable_output_is_data_error(argv, d7_path, tmp_path, capsys):
     code, _, err = run(capsys, *(arg.format(d7=d7_path, out=out) for arg in argv))
     assert code == 3, err
     assert err.splitlines()[-1].startswith("seqmine: data error: ") and str(out) in err
+
+
+def test_unwritable_output_fails_before_the_search(d7_path, tmp_path, capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("mined before checking the output")
+
+    monkeypatch.setattr(cli, "mine", no_search)
+    for out in (tmp_path / "no-such-dir" / "out.jsonl", tmp_path):
+        code, _, err = run(
+            capsys, "mine", "--input", str(d7_path), "--min-support", "3", "--maxlen", "4", "--output", str(out),
+        )
+        assert code == 3, err
+        assert err.splitlines()[-1].startswith("seqmine: data error: ") and str(out) in err
+    assert not (tmp_path / "no-such-dir").exists()
 
 
 def test_no_subcommand_is_usage_error(capsys):

@@ -239,6 +239,10 @@ def test_reach_is_the_chain_step():
         2: [(2, 1)], 3: [(3, 1), (3, 2)], 4: [(4, 2)],
     }
     assert ConstraintSet(maxspan=2).reach(4, [(2, 1)]) == {}
+    # The span bounds as offsets j - first, which the span state's segments
+    # read too.
+    assert cs.span_window() == (2, 4)
+    assert ConstraintSet(maxgap=1).span_window() == (0, None)
 
 
 def test_gap_window_is_the_gap_rule():

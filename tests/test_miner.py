@@ -30,7 +30,8 @@ from seqmine import (
 )
 from seqmine import miner
 from seqmine.datagen import GenParams
-from seqmine.miner import _Chain, _GapBitmap, _Index, _search
+from seqmine.constraints import constrained_embeddings
+from seqmine.miner import _Bitmap, _GapBitmap, _Index, _SpanBitmap, _search
 
 from helpers import entry_labels, pat, result_key
 
@@ -151,25 +152,24 @@ def test_stats_counts_nodes(d7):
 
 
 @pytest.mark.parametrize(
-    "itemset_mode, constraints",
+    "itemset_mode, constraints, deepest",
     [
-        (False, None),
-        (True, None),
-        (False, ConstraintSet(maxgap=0)),
-        # Alone, maxspan admits every (last, first) pair of the 1,200
-        # positions; the gap bound keeps the chains small.
-        (False, ConstraintSet(maxgap=0, maxspan=1200)),
+        (False, None, 1200),
+        (True, None, 1200),
+        (False, ConstraintSet(maxgap=0), 1200),
+        # A chain over all 1,200 positions spans 1,200.
+        (False, ConstraintSet(maxspan=1199), 1199),
     ],
     ids=["simple", "itemset", "gap", "span"],
 )
-def test_deep_pattern_search(itemset_mode, constraints):
+def test_deep_pattern_search(itemset_mode, constraints, deepest):
     # Deeper than the interpreter's default recursion limit.  The gap case
-    # runs on the gap bitmaps, the span case on the chains.
+    # runs on the gap bitmaps, the span case on the span state.
     db = SequenceDatabase.from_label_sequences([["a"] * 1200])
     params = MiningParams(fmin=1, maxlen=1200, itemset_mode=itemset_mode)
     result = mine(db, params, constraints)
-    assert len(result) == 1200
-    assert result.entries[-1].pattern.elements == ((0,),) * 1200
+    assert len(result) == deepest
+    assert result.entries[-1].pattern.elements == ((0,),) * deepest
 
 
 def test_timeout_raises():
@@ -376,8 +376,8 @@ def test_constrained_simple_search_matches_oracle(data):
 def chain_constraints(draw):
     """Gap and span bounds, each set or not and at least one set: mingap
     0-2, maxgap at least mingap, minspan 1-4, maxspan at least minspan.  A
-    draw with a span bound runs on chains, one with gap bounds alone on the
-    gap bitmaps."""
+    draw with a span bound that bounds something runs on the span state, one
+    with gap bounds alone on the gap bitmaps."""
     optional = st.booleans()
     mingap = draw(st.integers(0, 2)) if draw(optional) else None
     maxgap = draw(st.integers(mingap or 0, (mingap or 0) + 3)) if draw(optional) else None
@@ -406,11 +406,11 @@ def test_chain_search_matches_oracle(data):
 
 
 # ---------------------------------------------------------------------------
-# Gap bounds: the gap bitmaps against the chains and the oracle
+# Gap and span bounds: the gap and span states against the oracle
 #
-# A gap bound with no span bound runs on _GapBitmap; _Chain answers the same
-# runs, so both states are driven directly through _search, as mine() sets
-# them up, and both must match the oracle.
+# A gap bound with no span bound runs on _GapBitmap, a span bound on
+# _SpanBitmap.  Each state is driven directly through _search, as mine() sets
+# it up, and must match the oracle.
 
 
 def _search_on(state_cls, db, params, cs, deadline=None):
@@ -423,7 +423,7 @@ def _search_on(state_cls, db, params, cs, deadline=None):
     if state_cls is _GapBitmap:
         state = _GapBitmap(index, root, cs.gap_window())
     else:
-        state = _Chain(index, cs)
+        state = _SpanBitmap(index, root, cs.gap_window(), cs.span_window())
     entries = _search(state, root, fmin, params, cs, MineStats(), deadline, state.narrows)
     return MiningResult.build(entries, params)
 
@@ -446,7 +446,7 @@ def gap_bounds(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_gap_bitmap_search_matches_chains_and_oracle(data):
+def test_gap_bitmap_search_matches_oracle(data):
     itemset_mode = data.draw(st.booleans())
     db = data.draw(bitmap_dbs(itemset_mode))
     params = data.draw(bitmap_params(db, itemset_mode))
@@ -458,7 +458,6 @@ def test_gap_bitmap_search_matches_chains_and_oracle(data):
         itemset_mode=itemset_mode, config=WIDE,
     )
     assert result_key(_search_on(_GapBitmap, db, params, cs)) == result_key(want)
-    assert result_key(_search_on(_Chain, db, params, cs)) == result_key(want)
     narrow = data.draw(st.booleans())
     assert result_key(mine(db, params, cs, use_local_pruning=narrow)) == result_key(want)
 
@@ -479,15 +478,82 @@ def test_gap_window_at_the_sequence_length(length):
         assert result_key(_search_on(_GapBitmap, db, params, cs)) == result_key(want), gaps
 
 
-def test_gap_only_runs_skip_the_chains(d7, monkeypatch):
-    # The state follows the bounds: a span bound means chains, a gap bound
-    # alone the gap bitmaps.
-    monkeypatch.setattr(miner, "_Chain", None)
+@st.composite
+def span_bounds(draw):
+    """maxspan, minspan or both, with or without gap bounds.  Windows of 7,
+    8, 9, 15, 16 and 17 positions sit on the byte boundaries; bounds run past
+    the longest sequence (17 elements), so vacuous ones are drawn too, and a
+    minspan can be longer than some sequences."""
+    span = st.sampled_from([1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 18])
+    kind = draw(st.sampled_from(["maxspan", "minspan", "both"]))
+    bounds = dict(maxspan=draw(span)) if kind == "maxspan" else dict(minspan=draw(span))
+    if kind == "both":
+        bounds["maxspan"] = draw(st.integers(bounds["minspan"], 18))
+    if draw(st.booleans()):
+        bounds.update(draw(gap_bounds()))
+    return bounds
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_span_bitmap_search_matches_oracle_and_embeddings(data):
+    itemset_mode = data.draw(st.booleans())
+    db = data.draw(bitmap_dbs(itemset_mode))
+    params = data.draw(bitmap_params(db, itemset_mode))
+    rules = data.draw(bitmap_constraints(db, itemset_mode)) or ConstraintSet()
+    bounds = data.draw(span_bounds())
+    cs = replace(rules, **bounds)
+    _assume_oracle_sized(db, params)
+    want = oracle_constrained(
+        db, params.fmin, params.maxlen, cs, minlen=params.minlen,
+        itemset_mode=itemset_mode, config=WIDE,
+    )
+    got = _search_on(_SpanBitmap, db, params, cs)
+    assert result_key(got) == result_key(want)
+    # Each pattern's supporters are the sequences the chain reference admits.
+    for e in got:
+        chained = [s.sid for s in db.sequences if constrained_embeddings(s, e.pattern, **bounds).supports]
+        assert e.support_ids == tuple(chained), e.pattern
+    # mine() routes bounds that bound nothing to the other states.
+    narrow = data.draw(st.booleans())
+    assert result_key(mine(db, params, cs, use_local_pruning=narrow)) == result_key(want)
+
+
+def test_state_follows_the_bounds(d7, monkeypatch):
+    # A span bound that bounds something means the span state, a gap bound
+    # alone the gap bitmaps, and no bound the plain bitmaps.  The longest d7
+    # sequence has 4 elements, so maxspan >= 4 and minspan <= 2 bound nothing.
+    states = []
+    search = miner._search
+
+    def spy(state, *args):
+        states.append(type(state))
+        return search(state, *args)
+
+    monkeypatch.setattr(miner, "_search", spy)
     params = MiningParams(fmin=2, maxlen=4)
-    for gaps in (dict(maxgap=0), dict(mingap=1), dict(mingap=0, maxgap=2)):
-        mine(d7, params, ConstraintSet(**gaps))
-    with pytest.raises(TypeError):
-        mine(d7, params, ConstraintSet(maxgap=1, maxspan=3))
+    for bounds, state in (
+        (dict(), _Bitmap),
+        (dict(maxgap=0), _GapBitmap),
+        (dict(mingap=1), _GapBitmap),
+        (dict(mingap=0, maxgap=2), _GapBitmap),
+        (dict(maxspan=3), _SpanBitmap),
+        (dict(minspan=3), _SpanBitmap),
+        (dict(maxgap=1, maxspan=3), _SpanBitmap),
+        (dict(maxspan=4), _Bitmap),
+        (dict(minspan=2, maxspan=9), _Bitmap),
+        (dict(mingap=1, minspan=1, maxspan=4), _GapBitmap),
+    ):
+        mine(d7, params, ConstraintSet(**bounds))
+        assert states.pop() is state, bounds
+
+
+def test_span_search_on_a_long_sequence():
+    # One 1,200-element sequence: one window of up to 600 positions per
+    # start, so every chain of up to 600 elements is admitted.
+    db = SequenceDatabase.from_label_sequences([["a"] * 1200])
+    result = mine(db, MiningParams(fmin=1, maxlen=1200), ConstraintSet(maxspan=600), timeout=10)
+    assert len(result) == 600
 
 
 @pytest.mark.parametrize("gaps", [dict(maxgap=3), dict(mingap=1)], ids=["maxgap", "mingap"])
@@ -499,6 +565,17 @@ def test_gap_timeout_raises(gaps):
     # Past the deadline, the gap state stops at the root.
     with pytest.raises(MiningTimeout):
         _search_on(_GapBitmap, db, MiningParams(fmin=2, maxlen=8), cs, deadline=time.monotonic() - 1)
+
+
+@pytest.mark.parametrize("spans", [dict(maxspan=8), dict(minspan=5)], ids=["maxspan", "minspan"])
+def test_span_timeout_raises(spans):
+    db, _ = generate(GenParams(num_sequences=150, seed=5))
+    cs = ConstraintSet(**spans)
+    with pytest.raises(MiningTimeout):
+        mine(db, MiningParams(fmin=2, maxlen=8), cs, timeout=1e-5)
+    # Past the deadline, the span state stops at the root.
+    with pytest.raises(MiningTimeout):
+        _search_on(_SpanBitmap, db, MiningParams(fmin=2, maxlen=8), cs, deadline=time.monotonic() - 1)
 
 
 def test_simple_search_long_sequence_among_short_ones():

@@ -313,21 +313,25 @@ def results_over_labels(draw):
     pattern = st.lists(itemset, min_size=1, max_size=4).map(
         lambda elements: Pattern(tuple(tuple(sorted(e)) for e in elements))
     )
-    # Support ids are not checked against the database, so most drawn here
-    # exceed len(db); some are negative or past 64 bits.
-    entries = draw(
-        st.lists(
-            st.builds(
-                ResultEntry,
-                pattern,
-                st.integers(min_value=0, max_value=10**6),
-                st.lists(st.integers(), max_size=6).map(tuple),
-            ),
-            max_size=8,
-            unique_by=lambda e: e.pattern,
-        )
+    # The writer does not check support ids against the database, so most
+    # drawn here exceed len(db), some are negative or past 64 bits, and the
+    # support need not count them; the rest are a result the database can
+    # have.
+    sids = st.sets(st.integers(min_value=1, max_value=max(1, n_seqs)), max_size=n_seqs).map(sorted)
+    valid = st.builds(lambda p, ids: ResultEntry(p, len(ids), tuple(ids)), pattern, sids)
+    arbitrary = st.builds(
+        ResultEntry,
+        pattern,
+        st.integers(min_value=0, max_value=10**6),
+        st.lists(st.integers(), max_size=6).map(tuple),
     )
+    entries = draw(st.lists(valid | arbitrary, max_size=8, unique_by=lambda e: e.pattern))
     return MiningResult.build(entries), db
+
+
+def _fits(entry, db):
+    ids = entry.support_ids
+    return entry.support == len(ids) and list(ids) == sorted(set(ids)) and set(ids) <= set(range(1, len(db) + 1))
 
 
 @settings(max_examples=300, deadline=None)
@@ -337,7 +341,11 @@ def test_write_results_matches_per_record_json_dumps(case):
     text = write_results(result, db)
     assert text == reference_write_results(result, db)
     assert text.isascii()
-    assert read_results(text, db) == result
+    if all(_fits(e, db) for e in result):
+        assert read_results(text, db) == result
+    else:
+        with pytest.raises(FormatError):
+            read_results(text, db)
 
 
 def test_write_results_empty_result_is_empty_text(d7):
@@ -349,6 +357,13 @@ def test_read_results_rejects_bad_records(d7):
         read_results('{"support":1}\n', d7)
     with pytest.raises(FormatError):
         read_results('{"pattern":[["a"]],"support":"x","support_ids":[]}\n', d7)
+    # Support ids must be distinct, ascending sids of the database, as many
+    # as the support.
+    for ids, support in (([0, 1], 2), ([-1], 1), ([1, 8], 2), ([2, 1], 2), ([1, 1], 2), ([1, 2], 3)):
+        record = json.dumps({"pattern": [["a"]], "support": support, "support_ids": ids})
+        with pytest.raises(FormatError, match="line 2"):
+            read_results("\n" + record + "\n", d7)
+    assert read_results('{"pattern":[["a"]],"support":2,"support_ids":[1,7]}\n', d7).entries[0].support_ids == (1, 7)
 
 
 def test_mining_result_build_sorts_and_deduplicates(d7):
