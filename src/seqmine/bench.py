@@ -1,8 +1,9 @@
 """Benchmark harness: run a grid of mining cells and record what happened.
 
 A cell is one (dataset, threshold, mode) combination.  Each cell records
-wall time, peak RSS, a search-size proxy (nodes expanded), and the pattern
-count; cells that hit their timeout are marked incomplete and the sweep
+wall time, peak RSS, the search's counters (nodes expanded, support counts
+made, candidates the regex or a summed aggregate bound gated), and the
+pattern count; cells that hit their timeout are marked incomplete and the sweep
 moves on.  Every cell's parameters are checked, and every threshold
 resolved on its dataset, before the first cell runs.
 """
@@ -29,6 +30,8 @@ class BenchRecord:
     wall_seconds: float
     peak_rss_kb: int
     nodes_expanded: int
+    candidate_tests: int
+    gated: int
     completed: bool
     pattern_count: int | None = None
 
@@ -42,6 +45,8 @@ class BenchRecord:
             "wall_seconds": round(self.wall_seconds, 6),
             "peak_rss_kb": self.peak_rss_kb,
             "nodes_expanded": self.nodes_expanded,
+            "candidate_tests": self.candidate_tests,
+            "gated": self.gated,
             "completed": self.completed,
         }
         if self.completed:
@@ -118,6 +123,8 @@ def _run_cells(cells, constraints, timeout) -> Iterator[BenchRecord]:
             wall_seconds=wall,
             peak_rss_kb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
             nodes_expanded=stats.nodes_expanded,
+            candidate_tests=stats.candidate_tests,
+            gated=stats.gated,
             completed=completed,
             pattern_count=count,
         )

@@ -31,11 +31,11 @@ holds) and for constrained runs (whose output is not the frequent set).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 from .seqdb import Elements, MiningResult, Pattern, ResultEntry, Sequence, SequenceDatabase
 from .relations import as_elements, fill_gaps_frontier, is_prefix, is_subitemset, is_subsequence
+from .miner import _check_deadline
 
 
 @dataclass(frozen=True)
@@ -205,12 +205,13 @@ def backward_filter(
 # Result-level filtering
 
 
-def _pairwise_keep(result: MiningResult, kind: str) -> list[ResultEntry]:
+def _pairwise_keep(result: MiningResult, kind: str, deadline: float | None) -> list[ResultEntry]:
     """Strict in-language filtering: compare patterns only against the result set."""
     relation = is_prefix if kind.startswith("backward") else is_subsequence
     need_equal_support = kind.endswith("closed")
     kept = []
     for e in result.entries:
+        _check_deadline(deadline)
         dominated = False
         for other in result.entries:
             if other.pattern == e.pattern or len(other.pattern) < len(e.pattern):
@@ -279,7 +280,7 @@ def filter_result(
     if kind not in ("closed", "maximal", "backward-closed", "backward-maximal"):
         raise ValueError(f"unknown condensed kind: {kind!r}")
     if within_constraints:
-        return MiningResult.build(_pairwise_keep(result, kind), result.params)
+        return MiningResult.build(_pairwise_keep(result, kind, deadline), result.params)
     params = result.params
     maxlen = getattr(params, "maxlen", None)
     complete = (
@@ -292,10 +293,7 @@ def filter_result(
     best = _best_extension_support(result.entries, itemset_mode, append_only) if complete else {}
     kept = []
     for e in result.entries:
-        if deadline is not None and time.monotonic() > deadline:
-            from .miner import MiningTimeout
-
-            raise MiningTimeout()
+        _check_deadline(deadline)
         if complete and len(e.pattern) < maxlen:
             if kind.endswith("closed"):
                 ok = best.get(e.pattern.elements) != e.support

@@ -2,9 +2,10 @@
 
 One search grows patterns one extension at a time, from the empty pattern,
 over an explicit stack of frames, and counts an extension's support among
-the current pattern's supporters.  The gates live in that one loop: the
-regex steps its DFA and stops at dead states, a summed aggregate bound
-stops early, ``MiningParams`` bounds the length, ``ConstraintSet.accepts``
+the current pattern's supporters.  The gates live in that one loop and run
+before the count: a candidate is counted only if the regex's DFA steps on
+it into a live state and a summed aggregate upper bound still holds with
+its cost added.  ``MiningParams`` bounds the length, ``ConstraintSet.accepts``
 judges each pattern before it is emitted, and the deadline is checked at
 every node.  Candidate extensions at a node are inherited from the
 parent's locally frequent items (anti-monotone, so nothing is lost; a
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -91,10 +93,14 @@ class MiningParams:
 
 @dataclass
 class MineStats:
-    """Search counters; ``nodes_expanded`` counts the frames popped from the
-    search stack, the empty-pattern root included."""
+    """Search counters.  ``nodes_expanded`` counts the frames popped from the
+    search stack, the empty-pattern root included; ``candidate_tests`` the
+    support counts made; ``gated`` the candidates a node skipped without a
+    count because the regex or a summed aggregate bound rules them out."""
 
     nodes_expanded: int = 0
+    candidate_tests: int = 0
+    gated: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -128,12 +134,12 @@ def _check_deadline(deadline: float | None) -> None:
 # ---------------------------------------------------------------------------
 # Search states
 #
-# One layout per kind of bound; the three states answer the same calls, so
-# the search never asks which one it has.  ``None`` is the empty pattern's
-# entries.  ``count(entries, candidates)`` maps each candidate to the
-# entries of the pattern extended by it as a new last element, and
-# ``count_aug`` does the same for adding it to the last element (itemset
-# mode); ``support`` and ``sids`` read such entries.  No state judges a
+# One layout per kind of bound; the three states differ only in ``after``,
+# the S-step, so the search never asks which one it has.  ``None`` is the
+# empty pattern's entries.  The search ANDs ``after(entries)`` (a new last
+# element) or the entries themselves (an item added to the last element,
+# itemset mode) with an item's bitmap, and reads support and sids from the
+# head bits ``(entries + carry) & heads``.  No state judges a
 # constraint: the plain bitmaps run without gap and span bounds, the gap
 # bitmaps take their window from ``ConstraintSet.gap_window``, and the span
 # state takes its segments from ``ConstraintSet.span_window`` as well.
@@ -202,11 +208,10 @@ class _Bitmap:
         self.fill = int.from_bytes(fill, "little")
         self.items = {c: int.from_bytes(row, "little") for c, row in rows.items()}
 
-    def support(self, entries: int) -> int:
-        return ((entries + self.carry) & self.heads).bit_count()
-
-    def sids(self, entries: int) -> tuple[int, ...]:
-        hits = (((entries + self.carry) & self.heads) | self.fill).to_bytes(self.nbytes, "little")
+    def sids(self, found: int) -> tuple[int, ...]:
+        """The supporting sids, from a pattern's head bits ``(entries +
+        carry) & heads``."""
+        hits = (found | self.fill).to_bytes(self.nbytes, "little")
         return tuple(compress(self.sid_of, hits.translate(None, b"\x01")))
 
     def after(self, entries):
@@ -215,15 +220,6 @@ class _Bitmap:
             return self.mask
         v = entries | self.guards
         return ~(v ^ (v - self.starts)) & self.mask
-
-    def count(self, entries, candidates):
-        after = self.after(entries)
-        items = self.items
-        return {c: after & items[c] for c in candidates}
-
-    def count_aug(self, entries, candidates):
-        items = self.items
-        return {c: entries & items[c] for c in candidates}
 
 
 def _smear(x: int, width: int, shift) -> int:
@@ -255,7 +251,7 @@ class _GapBitmap(_Bitmap):
     builds that OR in O(log(farthest - nearest)) shifts.  With no farthest
     bound, or one no segment is long enough to reach, one shift by
     nearest - 1 and ``_Bitmap``'s borrow admit every later position.  The
-    root, the I-step, ``support`` and ``sids`` are ``_Bitmap``'s.
+    root, the head bits and ``sids`` are ``_Bitmap``'s.
 
     Candidates are not narrowed: admission windows move as the pattern
     grows, so an item that is an infrequent extension here can be a
@@ -296,7 +292,7 @@ class _SpanBitmap(_GapBitmap):
     start f holds positions f..f+highest (or to the sequence's end), so a
     chain that starts at f cannot pass the span's upper bound; after a
     sequence's segments comes one empty segment, the head whose guard stands
-    for the sequence in ``support`` and ``sids``.  The root admits only each
+    for the sequence in the head bits.  The root admits only each
     segment's first position (``firsts``), so every chain starts at its
     segment's start.  Every later S-step keeps only the positions at offset
     lowest or more in their segment (``late``); the span's lower bound binds
@@ -325,6 +321,21 @@ class _SpanBitmap(_GapBitmap):
 # The search
 
 
+def _count(base: int, tests: list[int], items: dict[int, int], carry: int, heads: int, fmin: int) -> list:
+    """The frequent extensions among ``tests``: (item, entries, head bits,
+    support) for each item whose bits ANDed with ``base`` (the S-step's
+    ``after`` or, for the I-step, the entries themselves) leave at least
+    ``fmin`` supporters, in the order of ``tests``."""
+    hits = []
+    for c in tests:
+        x = base & items[c]
+        h = (x + carry) & heads
+        n = h.bit_count()
+        if n >= fmin:
+            hits.append((c, x, h, n))
+    return hits
+
+
 def _search(
     state,
     root_cands: list[int],
@@ -336,61 +347,83 @@ def _search(
     narrow: bool,
 ) -> list[ResultEntry]:
     """Depth-first pattern growth over an explicit stack of frames
-    (elements, entries, support, candidates, dfa_state, running_sum),
-    starting from the empty pattern.  Every gate is applied here; ``state``
-    only counts supporters, which are the extended pattern's entries."""
+    (elements, entries, head bits, support, candidates, dfa_state,
+    running_sum), starting from the empty pattern.  Every gate is applied
+    here; ``state`` only supplies the bitmaps and the S-step.
+
+    At each node the gates run before any count.  The sum gate drops the
+    candidates whose cost would lift a summed upper bound past it; costs are
+    non-negative, so no descendant could take them either and they leave the
+    candidate list.  The DFA gate leaves uncounted the candidates with no
+    transition from the node's state into a live state; they stay in the
+    inherited list, since a deeper state may admit them.  An item with no
+    cost entry passes the sum gate and raises in ``AggregateSpec.cost_of``
+    once it is a frequent extension the DFA admits."""
     dfa = cs.regex
     agg = cs.aggregate
-    agg_prunes = agg is not None and agg.prunes_as_sum()
+    costs = agg.costs if agg is not None and agg.prunes_as_sum() else None
+    viable = None if costs is None else agg.sum_viable
+    # Per DFA state, the items that step into a live state.
+    admits = None
+    if dfa is not None:
+        admits = [frozenset(c for c, t in table.items() if t in dfa.live) for table in dfa.transitions]
     accepts = cs.accepts
-    support_of = state.support
+    after_of, sids_of, items, carry, heads = state.after, state.sids, state.items, state.carry, state.heads
+    maxlen, minlen, itemset_mode = params.maxlen, params.minlen, params.itemset_mode
+    trusted = Pattern._trusted
     sink: list[ResultEntry] = []
-    # The root is never emitted (minlen >= 1), so its support is not needed.
-    stack = [((), None, None, root_cands, dfa.start if dfa is not None else None, 0)]
+    # The root is never emitted (minlen >= 1), so its head bits and support
+    # are not needed.
+    stack = [((), None, 0, 0, root_cands, dfa.start if dfa is not None else None, 0)]
     while stack:
-        elements, entries, support, candidates, dfa_state, running_sum = stack.pop()
+        elements, entries, found, support, candidates, dfa_state, running_sum = stack.pop()
         stats.nodes_expanded += 1
         _check_deadline(deadline)
         depth = len(elements)
-        if depth >= params.minlen and (dfa is None or dfa_state in dfa.accepting) and accepts(elements):
-            sink.append(ResultEntry(Pattern(elements), support, state.sids(entries)))
+        if depth >= minlen and (dfa is None or dfa_state in dfa.accepting) and accepts(elements):
+            sink.append(ResultEntry(trusted(elements), support, sids_of(found)))
+        grows = depth < maxlen
+        augments = itemset_mode and depth > 0
+        if not (grows or augments):
+            continue
 
-        # (child elements, added item, entries, support, child candidates)
-        extensions = []
-        local: list[int] = []
-        if depth < params.maxlen:
-            out = state.count(entries, candidates)
-            supports = {c: support_of(out[c]) for c in candidates}
-            local = [c for c in candidates if supports[c] >= fmin]
-            inherited = local if narrow else candidates
-            for c in local:
-                extensions.append((elements + ((c,),), c, out[c], supports[c], inherited))
-        if params.itemset_mode and depth:
-            last = elements[-1]
-            aug_cands = [c for c in candidates if c > last[-1]]
-            out = state.count_aug(entries, aug_cands)
-            supports = {c: support_of(out[c]) for c in aug_cands}
-            aug_local = [c for c in aug_cands if supports[c] >= fmin]
+        offered = len(candidates)
+        if costs is not None:
+            candidates = [c for c in candidates if (k := costs.get(c)) is None or viable(running_sum + k)]
+        tests = candidates
+        # mine() rejects a regex in itemset mode, so a regex run only appends.
+        if admits is not None:
+            allowed = admits[dfa_state]
+            tests = [c for c in candidates if c in allowed]
+        # Candidates are ascending, so the ones above the last item are a tail.
+        aug_tests = candidates[bisect_right(candidates, elements[-1][-1]) :] if augments else []
+        s_hits = _count(after_of(entries), tests, items, carry, heads, fmin) if grows else []
+        a_hits = _count(entries, aug_tests, items, carry, heads, fmin) if augments else []
+        stats.candidate_tests += (len(tests) if grows else 0) + len(aug_tests)
+        stats.gated += offered - len(tests)
+
+        local = [hit[0] for hit in s_hits]
+        inherited = candidates
+        if narrow:
+            if tests is candidates:
+                inherited = local
+            else:
+                frequent = set(local)
+                inherited = [c for c in candidates if c in frequent or c not in allowed]
+        for c, x, h, n in s_hits:
+            nxt_state = dfa_state if dfa is None else dfa.step(dfa_state, c)
+            new_sum = 0 if costs is None else running_sum + agg.cost_of(c)
+            stack.append((elements + ((c,),), x, h, n, inherited, nxt_state, new_sum))
+        if a_hits:
             # An item that never occurs after the last element's leftmost match
             # cannot appear in a later element, but it can still augment the
             # last one, so augment-children get the union of both lists.
-            inherited = sorted(set(local).union(aug_local)) if narrow else candidates
-            for c in aug_local:
-                extensions.append((elements[:-1] + (last + (c,),), c, out[c], supports[c], inherited))
-
-        for child_elements, c, child_entries, child_support, child_cands in extensions:
-            # mine() rejects a regex in itemset mode, so the DFA only sees appends.
-            nxt_state = dfa_state
-            if dfa is not None:
-                nxt_state = dfa.step(dfa_state, c)
-                if nxt_state is None or nxt_state not in dfa.live:
-                    continue
-            new_sum = 0
-            if agg_prunes:
-                new_sum = running_sum + agg.cost_of(c)
-                if not agg.sum_viable(new_sum):
-                    continue
-            stack.append((child_elements, child_entries, child_support, child_cands, nxt_state, new_sum))
+            if narrow:
+                inherited = sorted(set(local).union(hit[0] for hit in a_hits))
+            head, last = elements[:-1], elements[-1]
+            for c, x, h, n in a_hits:
+                new_sum = 0 if costs is None else running_sum + agg.cost_of(c)
+                stack.append((head + (last + (c,),), x, h, n, inherited, dfa_state, new_sum))
     return sink
 
 

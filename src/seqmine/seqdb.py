@@ -133,6 +133,16 @@ class Pattern:
         _check_elements(self.elements, "pattern")
 
     @classmethod
+    def _trusted(cls, elements: Elements) -> "Pattern":
+        """A pattern over elements already in canonical form (a tuple of
+        tuples of strictly increasing, non-negative item ids), without the
+        copy and the check.  The miner builds its patterns that way, from
+        the item ids of a validated database."""
+        pattern = object.__new__(cls)
+        object.__setattr__(pattern, "elements", elements)
+        return pattern
+
+    @classmethod
     def of_items(cls, items: Iterable[int]) -> "Pattern":
         """Build a simple pattern: one singleton element per item."""
         return cls(tuple((i,) for i in items))
@@ -473,11 +483,14 @@ def read_results(source: str | bytes | TextIO, db: SequenceDatabase) -> MiningRe
                 tuple(sorted(db.alphabet.id_of(lab) for lab in elem))
                 for elem in record["pattern"]
             )
-            sids = tuple(int(s) for s in record["support_ids"])
+            sids = tuple(record["support_ids"])
+            support = record["support"]
+            # JSON true and 1.0 are not counts; type() rules out bool too.
+            if not all(type(v) is int for v in (support,) + sids):
+                raise ValueError("support and support_ids must be integers")
             # 0 < first < ... < last < len(db) + 1
             if not all(a < b for a, b in zip((0,) + sids, sids + (len(db) + 1,))):
                 raise ValueError(f"support_ids must be distinct, ascending ids in 1..{len(db)}")
-            support = int(record["support"])
             if support != len(sids):
                 raise ValueError(f"support {support} but {len(sids)} support_ids")
             entries.append(ResultEntry(Pattern(elements), support, sids))

@@ -30,11 +30,14 @@ def test_record_fields_and_json(d7):
     assert record.wall_seconds >= 0.0
     assert record.peak_rss_kb > 0
     assert record.nodes_expanded > 0
+    assert record.candidate_tests > 0
+    assert record.gated == 0
     payload = json.loads(record.to_json())
     assert set(payload) == {
         "dataset", "fmin", "resolved_fmin", "mode", "constraints", "wall_seconds",
-        "peak_rss_kb", "nodes_expanded", "completed", "pattern_count",
+        "peak_rss_kb", "nodes_expanded", "candidate_tests", "gated", "completed", "pattern_count",
     }
+    assert (payload["candidate_tests"], payload["gated"]) == (record.candidate_tests, 0)
     assert payload["dataset"] == "d7"
     assert payload["constraints"] == "none"
     assert payload["pattern_count"] == 1

@@ -225,6 +225,19 @@ def test_mine_timeout_exit_code(tmp_path, capsys):
     assert code == 2 and "timed out" in err
 
 
+def test_mine_within_constraints_timeout_exit_code(tmp_path, capsys):
+    # The search ends well before the deadline; the pairwise filter of
+    # --condensed-within-constraints would run for seconds past it.
+    db = tmp_path / "db.spmf"
+    code, _, _ = run(capsys, "gen", "--num-sequences", "40", "--seed", "5", "--output", str(db))
+    assert code == 0
+    code, out, err = run(
+        capsys, "mine", "--input", str(db), "--min-support", "20%", "--maxlen", "8",
+        "--mode", "maximal", "--condensed-within-constraints", "--timeout", "0.5",
+    )
+    assert code == 2 and "timed out" in err and not out
+
+
 @pytest.mark.parametrize(
     "bounds, deepest",
     # A chain over all 1,200 positions spans 1,200.

@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 
 from seqmine import (
     ConstraintSet,
+    GenParams,
     MiningParams,
     MiningResult,
     MiningTimeout,
     OracleConfig,
     SequenceDatabase,
     backward_filter,
+    generate,
     insertable_regions,
     is_closed,
     is_maximal,
@@ -232,6 +234,22 @@ def test_within_constraints_changes_the_answer(d7):
     assert len(default) == 0
     within = mine(d7, params, cs, condensed_within_constraints=True)
     assert {l for l, _ in entry_labels(d7, within)} == {"ab"}
+
+
+def test_within_constraints_honours_the_deadline():
+    # 40 sequences at 20% give about 3,000 frequent patterns in well under a
+    # second; comparing every pair of them takes several seconds more, so the
+    # deadline falls inside the pairwise filter.
+    db, _ = generate(GenParams(num_sequences=40, seed=5))
+    params = MiningParams(fmin=0.2, maxlen=8, mode="maximal")
+    start = time.monotonic()
+    with pytest.raises(MiningTimeout):
+        mine(db, params, condensed_within_constraints=True, timeout=0.5)
+    assert time.monotonic() - start < 3.0
+    # The filter alone stops at its first entry past the deadline.
+    frequent = mine(db, replace(params, mode="frequent"))
+    with pytest.raises(MiningTimeout):
+        filter_result(db, frequent, 8, kind="maximal", within_constraints=True, deadline=time.monotonic() - 1)
 
 
 def test_itemset_closed_absorbs_same_support_subsets():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from seqmine import (
     AggregateSpec,
+    ConstraintError,
     ConstraintSet,
     DataError,
     MineStats,
@@ -149,6 +150,54 @@ def test_stats_counts_nodes(d7):
     stats = MineStats()
     mine(d7, MiningParams(fmin=3, maxlen=4), stats=stats)
     assert stats.nodes_expanded >= 7
+    assert stats.candidate_tests > 0 and stats.gated == 0
+
+
+def test_stats_count_tests_and_gates(d7):
+    # Under a*, only a is counted at each node; b, c and d are gated.
+    stats = MineStats()
+    params = MiningParams(fmin=1, maxlen=4)
+    mine(d7, params, ConstraintSet(regex=regex_compile("a*", d7.alphabet)), stats=stats)
+    assert 0 < stats.candidate_tests <= stats.nodes_expanded
+    assert stats.gated >= 3
+    # A summed bound of 2 gates c (cost 5) at every node, so it is never counted.
+    stats = MineStats()
+    agg = AggregateSpec({A: 1, B: 1, C: 5, D: 1}, "sum", "le", 2)
+    result = mine(d7, params, ConstraintSet(aggregate=agg), stats=stats)
+    assert stats.gated >= 1
+    assert all(C not in e.pattern.items() for e in result)
+
+
+@pytest.mark.parametrize(
+    "costs, regex, fmin, raises",
+    [
+        # c is a frequent root extension.
+        ({A: 1, B: 1}, None, 3, True),
+        # The regex admits c only after a, and <a c> is frequent.
+        ({A: 1, B: 1}, "a c", 3, True),
+        # The regex never admits c.
+        ({A: 1, B: 1}, "(a|b)*", 3, False),
+        # a is frequent, but the regex admits it only after b, and <b a>
+        # occurs nowhere.
+        ({B: 1, C: 1}, "b a", 3, False),
+        # d occurs in one sequence: frequent at fmin=1 only.
+        ({A: 1, B: 1, C: 1}, None, 3, False),
+        ({A: 1, B: 1, C: 1}, None, 1, True),
+    ],
+)
+def test_missing_cost_raises_only_for_an_admitted_frequent_extension(d7, costs, regex, fmin, raises):
+    # An item without a cost entry is never gated: the search raises exactly
+    # when it would grow a pattern by it, and otherwise runs as if the item
+    # had any cost.
+    params = MiningParams(fmin=fmin, maxlen=4)
+    dfa = None if regex is None else regex_compile(regex, d7.alphabet)
+    cs = ConstraintSet(regex=dfa, aggregate=AggregateSpec(costs, "sum", "le", 10))
+    if raises:
+        with pytest.raises(ConstraintError, match="no cost entry"):
+            mine(d7, params, cs)
+    else:
+        full = AggregateSpec({A: 1, B: 1, C: 1, D: 1, **costs}, "sum", "le", 10)
+        assert result_key(mine(d7, params, cs)) == result_key(mine(d7, params, replace(cs, aggregate=full)))
 
 
 @pytest.mark.parametrize(
@@ -299,13 +348,15 @@ def bitmap_params(draw, db, itemset_mode):
 @st.composite
 def bitmap_constraints(draw, db, itemset_mode):
     """None, must-have, cannot-have, super-patterns (any or all of them), a
-    regex over the database's labels (simple mode only), or an aggregate
-    (the summed upper bound prunes during the search, the others do not).
+    regex over the database's labels (simple mode only), an aggregate (the
+    summed upper bound prunes during the search, the others do not), or a
+    regex with a summed upper bound, whose gates both run before the count.
     Together these cover every rule ``ConstraintSet.accepts`` checks."""
     labels = [db.alphabet.label(i) for i in range(len(db.alphabet))]
-    kinds = ["none", "must_have", "cannot_have", "super_patterns", "regex", "aggregate"]
+    kinds = ["none", "must_have", "cannot_have", "super_patterns", "regex", "aggregate", "regex_sum"]
     if itemset_mode:
         kinds.remove("regex")
+        kinds.remove("regex_sum")
     kind = draw(st.sampled_from(kinds))
     if kind == "none" or not labels:
         return None
@@ -323,14 +374,27 @@ def bitmap_constraints(draw, db, itemset_mode):
             super_patterns=draw(st.lists(pattern, min_size=1, max_size=3)),
             super_pattern_all=draw(st.booleans()),
         )
-    if kind == "regex":
+    regex = None
+    if kind in ("regex", "regex_sum"):
         x, y, z = (draw(st.sampled_from(labels)) for _ in range(3))
         template = draw(st.sampled_from(["{x}*", "({x}|{y})* {z}", "{x} ({y}|{z})*", "({x} {y})+ {z}?"]))
-        return ConstraintSet(regex=regex_compile(template.format(x=x, y=y, z=z), db.alphabet))
+        regex = regex_compile(template.format(x=x, y=y, z=z), db.alphabet)
+        if kind == "regex":
+            return ConstraintSet(regex=regex)
     costs = {i: draw(st.integers(0, 3)) for i in range(len(db.alphabet))}
+    if kind == "regex_sum":
+        cmp = draw(st.sampled_from(["le", "lt"]))
+        return ConstraintSet(regex=regex, aggregate=AggregateSpec(costs, "sum", cmp, draw(st.integers(0, 8))))
     op = draw(st.sampled_from(["sum", "sum", "min", "max", "avg"]))
     cmp = draw(st.sampled_from(["le", "lt", "ge"]))
     return ConstraintSet(aggregate=AggregateSpec(costs, op, cmp, draw(st.integers(0, 8))))
+
+
+def _assert_canonical(result):
+    """The search builds its patterns without validation; each must equal
+    the pattern validation builds from its elements."""
+    for e in result:
+        assert e.pattern == Pattern(e.pattern.elements), e.pattern
 
 
 def _assume_oracle_sized(db, params):
@@ -353,6 +417,7 @@ def test_simple_search_matches_oracle(data):
     want = oracle_frequent(db, params.fmin, params.maxlen, itemset_mode=itemset_mode, config=WIDE)
     want = [e for e in want if len(e.pattern) >= params.minlen]
     assert result_key(got) == result_key(want)
+    _assert_canonical(got)
 
 
 @settings(max_examples=300, deadline=None)
@@ -369,6 +434,7 @@ def test_constrained_simple_search_matches_oracle(data):
         itemset_mode=itemset_mode, config=WIDE,
     )
     assert result_key(got) == result_key(want)
+    _assert_canonical(got)
 
 
 
@@ -402,6 +468,7 @@ def test_chain_search_matches_oracle(data):
         itemset_mode=itemset_mode, config=WIDE,
     )
     assert result_key(got) == result_key(want)
+    _assert_canonical(got)
 
 
 
@@ -457,7 +524,9 @@ def test_gap_bitmap_search_matches_oracle(data):
         db, params.fmin, params.maxlen, cs, minlen=params.minlen,
         itemset_mode=itemset_mode, config=WIDE,
     )
-    assert result_key(_search_on(_GapBitmap, db, params, cs)) == result_key(want)
+    got = _search_on(_GapBitmap, db, params, cs)
+    assert result_key(got) == result_key(want)
+    _assert_canonical(got)
     narrow = data.draw(st.booleans())
     assert result_key(mine(db, params, cs, use_local_pruning=narrow)) == result_key(want)
 
@@ -510,6 +579,7 @@ def test_span_bitmap_search_matches_oracle_and_embeddings(data):
     )
     got = _search_on(_SpanBitmap, db, params, cs)
     assert result_key(got) == result_key(want)
+    _assert_canonical(got)
     # Each pattern's supporters are the sequences the chain reference admits.
     for e in got:
         chained = [s.sid for s in db.sequences if constrained_embeddings(s, e.pattern, **bounds).supports]

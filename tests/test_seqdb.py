@@ -363,6 +363,15 @@ def test_read_results_rejects_bad_records(d7):
         record = json.dumps({"pattern": [["a"]], "support": support, "support_ids": ids})
         with pytest.raises(FormatError, match="line 2"):
             read_results("\n" + record + "\n", d7)
+    # Counts are JSON integers: no float, boolean or string stands in for one.
+    for support, ids in (
+        (1.9, [1]), (True, [1]), ("1", [1]), (1.0, [1]), (1, [1.5]), (1, [True]), (1, ["1"]), (1, [1.0]),
+    ):
+        record = json.dumps({"pattern": [["a"]], "support": support, "support_ids": ids})
+        with pytest.raises(FormatError, match="integers"):
+            read_results(record + "\n", d7)
+    with pytest.raises(FormatError):
+        read_results('{"pattern":[["a"]],"support":1,"support_ids":1}\n', d7)
     assert read_results('{"pattern":[["a"]],"support":2,"support_ids":[1,7]}\n', d7).entries[0].support_ids == (1, 7)
 
 
