@@ -8,26 +8,28 @@ it into a live state and a summed aggregate upper bound still holds with
 its cost added.  ``MiningParams`` bounds the length, ``ConstraintSet.accepts``
 judges each pattern before it is emitted, and the deadline is checked at
 every node.  Candidate extensions at a node are inherited from the
-parent's locally frequent items (anti-monotone, so nothing is lost; a
-differential flag can switch this narrowing off for testing).
+parent's locally frequent items wherever no maxgap bounds anything (then
+an extension's admitted positions only shrink as the pattern grows, so
+nothing is lost; a differential flag can switch this narrowing off for
+testing).
 
-What the search keeps for a pattern is one big int; its layout depends on
-the kind of bound, and nothing else:
+What the search keeps for a pattern is one big int over vertical bitmaps,
+one int per item over the whole database (SPAM-style), in one layout
+chosen from the constraint set's gap and span windows:
 
-* no gap or span bound (simple and itemset mode): one big int over the whole
-  database with a bit at every position where the pattern's last element
-  matches after the leftmost embedding of the rest (SPAM-style vertical
-  bitmaps: the fill-gaps frontier of every sequence at once).  Appending a
-  new element is the S-step, a few whole-int operations per candidate;
-  adding an item to the last element (itemset mode) is the I-step, an AND
-  with the item's bitmap;
-* gap bounds and no span bound: the same bitmaps, with a bit at every
-  position where a gap-admissible embedding ends; the S-step shifts those
-  bits across the gap window (cSPADE's gap join on SPAM bitmaps);
-* span bounds, with or without gap bounds: the gap bitmaps on one segment
-  per start position, as long as the span allows, so every chain is cut at
-  its start's upper bound; the root admits only each segment's start.
-  A bound that bounds nothing runs on one of the layouts above.
+* the int marks every position where the pattern's last element ends an
+  embedding that keeps the gap bounds; with no gap bound, where it matches
+  after the leftmost embedding of the rest (the fill-gaps frontier of every
+  sequence at once);
+* appending a new element is the S-step, a few whole-int operations per
+  candidate: a borrow that admits every later position, after a shift by
+  the mingap, or, when a maxgap bounds something, shifts across the gap
+  window (cSPADE's gap join on SPAM bitmaps); adding an item to the last
+  element (itemset mode) is the I-step, an AND with the item's bitmap;
+* a sequence is one segment of the bitmaps, or, when a span bound bounds
+  something, one segment per start position, as long as the span allows,
+  so every chain is cut at its start's upper bound; the root then admits
+  only each segment's start, and a fixed mask keeps a minspan.
 
 The paper's two embedding representations, skip-gaps and fill-gaps, give
 the same supports; the bitmaps keep the fill-gaps one, and ``relations``
@@ -134,92 +136,13 @@ def _check_deadline(deadline: float | None) -> None:
 # ---------------------------------------------------------------------------
 # Search states
 #
-# One layout per kind of bound; the three states differ only in ``after``,
-# the S-step, so the search never asks which one it has.  ``None`` is the
-# empty pattern's entries.  The search ANDs ``after(entries)`` (a new last
-# element) or the entries themselves (an item added to the last element,
-# itemset mode) with an item's bitmap, and reads support and sids from the
-# head bits ``(entries + carry) & heads``.  No state judges a
-# constraint: the plain bitmaps run without gap and span bounds, the gap
-# bitmaps take their window from ``ConstraintSet.gap_window``, and the span
-# state takes its segments from ``ConstraintSet.span_window`` as well.
-
-
-class _Bitmap:
-    """No gap or span bound: vertical bitmaps, one big int per item over the
-    whole database (SPAM, Ayres et al. 2002).
-
-    Each segment of length L owns ceil((L+1)/8) bytes.  Its L position bits,
-    position 1 lowest, sit directly below a guard bit, the segment's top bit;
-    the bits below position 1 stay clear.  A position's bit is set in the
-    bitmap of every item of its element.  ``groups`` holds each sequence's
-    segments, laid out one after another; by default a sequence is one
-    segment.  A pattern's entries are one int: the bits where its last
-    element matches after the leftmost embedding of the rest, i.e. the
-    fill-gaps frontier of every sequence at once.  ``None`` stands for the
-    empty pattern.  Only ``items``, the root's candidates, get a bitmap: the
-    search extends by no other item.
-
-    The S-step sets every position bit above each segment's lowest entry bit
-    (``starts`` holds each segment's lowest bit, and the guard stops the
-    borrow of ``v - starts`` at the segment's top); the I-step keeps the
-    entry bits whose element holds the new item.  ``carry`` sets every bit of
-    a sequence's group below the guard of its last segment, its head, so
-    adding it carries into the head exactly when the group holds an entry
-    bit: support and supporting sids come from the head bits with no loop
-    over sequences.  To read the sids, every byte other than a head byte is
-    set to 0x01 and deleted, which leaves one byte per sequence, 0x80 where
-    it supports the pattern.
-    """
-
-    narrows = True
-
-    def __init__(self, index: _Index, items: list[int], groups=None):
-        if groups is None:
-            groups = [(elements,) for elements in index.elements]
-        nbytes = sum(len(elements) // 8 + 1 for group in groups for elements in group)
-        mask, guards, starts, bottoms, heads = (bytearray(nbytes) for _ in range(5))
-        fill = bytearray(b"\x01") * nbytes
-        rows = {c: bytearray(nbytes) for c in items}
-        base = longest = 0
-        for group in groups:
-            bottoms[base] = 1
-            for elements in group:
-                top = base + len(elements) // 8
-                starts[base], guards[top] = 1, 0x80
-                longest = max(longest, len(elements))
-                for bit, elem in enumerate(elements, start=8 * top + 7 - len(elements)):
-                    byte, m = bit >> 3, 1 << (bit & 7)
-                    mask[byte] |= m
-                    for item in elem:
-                        row = rows.get(item)
-                        if row is not None:
-                            row[byte] |= m
-                base = top + 1
-            heads[top], fill[top] = 0x80, 0
-        self.nbytes = nbytes
-        self.longest = longest
-        self.sid_of = index.sids
-        self.mask = int.from_bytes(mask, "little")
-        self.guards = int.from_bytes(guards, "little")
-        self.starts = int.from_bytes(starts, "little")
-        self.heads = int.from_bytes(heads, "little")
-        self.carry = self.heads - int.from_bytes(bottoms, "little")
-        self.fill = int.from_bytes(fill, "little")
-        self.items = {c: int.from_bytes(row, "little") for c, row in rows.items()}
-
-    def sids(self, found: int) -> tuple[int, ...]:
-        """The supporting sids, from a pattern's head bits ``(entries +
-        carry) & heads``."""
-        hits = (found | self.fill).to_bytes(self.nbytes, "little")
-        return tuple(compress(self.sid_of, hits.translate(None, b"\x01")))
-
-    def after(self, entries):
-        """The positions an S-step admits after ``entries``."""
-        if entries is None:
-            return self.mask
-        v = entries | self.guards
-        return ~(v ^ (v - self.starts)) & self.mask
+# One bitmap layout, chosen from the constraint set's gap and span windows.
+# ``None`` is the empty pattern's entries.  The search ANDs
+# ``after(entries)`` (a new last element) or the entries themselves (an item
+# added to the last element, itemset mode) with an item's bitmap, and reads
+# support and sids from the head bits ``(entries + carry) & heads``.  The
+# state judges no constraint beyond the gap and span windows it is laid out
+# from.
 
 
 def _smear(x: int, width: int, shift) -> int:
@@ -238,35 +161,106 @@ def _smear(x: int, width: int, shift) -> int:
     return acc
 
 
-class _GapBitmap(_Bitmap):
-    """Gap bounds and no span bound that bounds something: ``_Bitmap``'s
-    layout, but a pattern's entries hold every position where a
-    gap-admissible embedding ends, not only the ends after the leftmost one
-    (the gap join of cSPADE, Zaki 2000, done on SPAM bitmaps).
+class _Bitmap:
+    """Vertical bitmaps, one big int per item over the whole database (SPAM,
+    Ayres et al. 2002), laid out from ``ConstraintSet.gap_window`` (nearest,
+    farthest) and ``ConstraintSet.span_window`` (lowest, highest).
 
-    With ``ConstraintSet.gap_window`` (nearest, farthest), the S-step admits
-    the positions nearest..farthest after each entry bit: the OR over d in
-    nearest..farthest of ``(E & keep[d]) << d``, where ``keep[d]`` holds the
-    positions p with p + d <= L, so no bit leaves its segment.  ``_smear``
-    builds that OR in O(log(farthest - nearest)) shifts.  With no farthest
-    bound, or one no segment is long enough to reach, one shift by
-    nearest - 1 and ``_Bitmap``'s borrow admit every later position.  The
-    root, the head bits and ``sids`` are ``_Bitmap``'s.
+    Each segment of length L owns ceil((L+1)/8) bytes: its L position bits,
+    position 1 lowest, sit directly below a guard bit, the segment's top
+    bit.  A position's bit is set in the bitmap of every item of its
+    element; only ``items``, the root's candidates, get a bitmap.  A
+    sequence is one segment, or, when the span bounds something, one
+    segment per start f holding positions f..f+highest (or to the end),
+    then one empty segment, its head.  ``root`` is every position, or each
+    segment's first.
 
-    Candidates are not narrowed: admission windows move as the pattern
-    grows, so an item that is an infrequent extension here can be a
-    frequent extension one level deeper.
+    The S-step admits the positions nearest..farthest after each entry bit
+    (the gap join of cSPADE, Zaki 2000): the OR over d of ``(E & keep[d])
+    << d``, where ``keep[d]`` holds the positions p with p + d <= L, built
+    by ``_smear`` in O(log(farthest - nearest)) shifts.  With no farthest a
+    segment is long enough to reach (``width`` is ``None``), one shift by
+    nearest - 1 and a borrow set every position bit above each segment's
+    lowest entry bit (``starts`` holds each segment's lowest bit, and the
+    guard stops the borrow of ``v - starts`` at its top).  A minspan of 3
+    or more then keeps the positions at offset lowest or more (``late``);
+    it binds the first S-step alone, after which offsets only grow, so the
+    AND is exact at every step.  The I-step keeps the entry bits whose
+    element holds the new item.
+
+    With ``width`` ``None``, a child's entries lie at or above its parent's
+    lowest entry in each segment, so ``after(child)`` lies inside
+    ``after(parent)`` (``late`` is a fixed mask) and the search may narrow
+    candidates (``narrows``); a finite gap window moves as the pattern
+    grows, so an item can become a frequent extension one level deeper.
+
+    ``carry`` sets every bit of a sequence's group below the guard of its
+    last segment, its head, so adding it carries into the head exactly when
+    the group holds an entry bit: support and sids come from the head bits
+    with no loop over sequences.  To read the sids, every byte other than a
+    head byte is set to 0x01 and deleted, which leaves one byte per
+    sequence, 0x80 where it supports the pattern.
     """
 
-    narrows = False
-
-    def __init__(self, index: _Index, items: list[int], window: tuple[int, int | None], groups=None):
-        super().__init__(index, items, groups)
-        self.nearest, farthest = window
-        # No two positions of one segment lie more than longest - 1 apart, so
-        # a farthest distance of longest - 1 or more bounds nothing.
-        self.width = None if farthest is None or farthest >= self.longest - 1 else farthest - self.nearest + 1
+    def __init__(self, index: _Index, items: list[int], cs: ConstraintSet):
+        nearest, farthest = cs.gap_window()
+        lowest, highest = cs.span_window()
+        longest = max(map(len, index.elements), default=0)
+        # No two positions of one segment lie more than ``reach`` apart, and
+        # every S-step lands at offset 1 or more from a chain's first
+        # position, so a lowest offset up to 1 and a highest offset or
+        # farthest distance of ``reach`` or more bound nothing.
+        reach = longest - 1
+        per_start = lowest > 1 or (highest is not None and highest < reach)
+        if per_start:
+            reach = reach if highest is None else min(reach, highest)
+            groups = [
+                [elements[f : f + reach + 1] for f in range(len(elements))] + [()] for elements in index.elements
+            ]
+        else:
+            groups = [(elements,) for elements in index.elements]
+        nbytes = sum(len(elements) // 8 + 1 for group in groups for elements in group)
+        mask, guards, starts, bottoms, heads = (bytearray(nbytes) for _ in range(5))
+        fill = bytearray(b"\x01") * nbytes
+        rows = {c: bytearray(nbytes) for c in items}
+        base = 0
+        for group in groups:
+            bottoms[base] = 1
+            for elements in group:
+                top = base + len(elements) // 8
+                starts[base], guards[top] = 1, 0x80
+                for bit, elem in enumerate(elements, start=8 * top + 7 - len(elements)):
+                    byte, m = bit >> 3, 1 << (bit & 7)
+                    mask[byte] |= m
+                    for item in elem:
+                        row = rows.get(item)
+                        if row is not None:
+                            row[byte] |= m
+                base = top + 1
+            heads[top], fill[top] = 0x80, 0
+        self.nbytes = nbytes
+        self.sid_of = index.sids
+        self.mask = int.from_bytes(mask, "little")
+        self.guards = int.from_bytes(guards, "little")
+        self.starts = int.from_bytes(starts, "little")
+        self.heads = int.from_bytes(heads, "little")
+        self.carry = self.heads - int.from_bytes(bottoms, "little")
+        self.fill = int.from_bytes(fill, "little")
+        self.items = {c: int.from_bytes(row, "little") for c, row in rows.items()}
         self.keeps = {0: self.mask}
+        self.nearest = nearest
+        self.width = None if farthest is None or farthest >= reach else farthest - nearest + 1
+        self.narrows = self.width is None
+        # Position bits run unbroken within a segment, with a clear guard bit
+        # between segments.
+        self.root = self.mask & ~(self.mask << 1) if per_start else self.mask
+        self.late = self.mask & ~_smear(self.root, lowest, self._shift) if lowest > 1 else None
+
+    def sids(self, found: int) -> tuple[int, ...]:
+        """The supporting sids, from a pattern's head bits ``(entries +
+        carry) & heads``."""
+        hits = (found | self.fill).to_bytes(self.nbytes, "little")
+        return tuple(compress(self.sid_of, hits.translate(None, b"\x01")))
 
     def _shift(self, x: int, d: int) -> int:
         keep = self.keeps.get(d)
@@ -276,47 +270,17 @@ class _GapBitmap(_Bitmap):
         return (x & keep) << d
 
     def after(self, entries):
+        """The positions an S-step admits after ``entries``."""
         if entries is None:
-            return self.mask
+            return self.root
         if self.width is None:
-            v = self._shift(entries, self.nearest - 1) | self.guards
-            return ~(v ^ (v - self.starts)) & self.mask
-        return self._shift(_smear(entries, self.width, self._shift), self.nearest)
-
-
-class _SpanBitmap(_GapBitmap):
-    """Span bounds, with or without gap bounds: ``_GapBitmap``'s entries and
-    S-step, on one segment per start position instead of one per sequence.
-
-    With ``ConstraintSet.span_window`` (lowest, highest), the segment of
-    start f holds positions f..f+highest (or to the sequence's end), so a
-    chain that starts at f cannot pass the span's upper bound; after a
-    sequence's segments comes one empty segment, the head whose guard stands
-    for the sequence in the head bits.  The root admits only each
-    segment's first position (``firsts``), so every chain starts at its
-    segment's start.  Every later S-step keeps only the positions at offset
-    lowest or more in their segment (``late``); the span's lower bound binds
-    the first S-step alone, after which offsets only grow, so the AND is
-    exact at every step.
-    """
-
-    def __init__(self, index: _Index, items: list[int], gaps: tuple[int, int | None], span: tuple[int, int | None]):
-        lowest, highest = span
-        groups = []
-        for elements in index.elements:
-            n = len(elements)
-            stop = n if highest is None else highest + 1
-            groups.append([elements[f : f + stop] for f in range(n)] + [()])
-        super().__init__(index, items, gaps, groups)
-        # Position bits run unbroken within a segment, with a clear guard bit
-        # between segments.
-        self.firsts = self.mask & ~(self.mask << 1)
-        self.late = self.mask & ~_smear(self.firsts, max(lowest, 1), self._shift)
-
-    def after(self, entries):
-        return self.firsts if entries is None else super().after(entries) & self.late
-
-
+            if self.nearest > 1:
+                entries = self._shift(entries, self.nearest - 1)
+            v = entries | self.guards
+            after = ~(v ^ (v - self.starts)) & self.mask
+        else:
+            after = self._shift(_smear(entries, self.width, self._shift), self.nearest)
+        return after if self.late is None else after & self.late
 # ---------------------------------------------------------------------------
 # The search
 
@@ -458,19 +422,8 @@ def mine(
     stats = stats if stats is not None else MineStats()
     deadline = None if timeout is None else time.monotonic() + timeout
 
-    index = _Index(db)
     root_cands = sorted(frequent_items(db, fmin) - cs.cannot_have)
-    lowest, highest = cs.span_window()
-    longest = max(map(len, index.elements), default=0)
-    # Every S-step lands at offset 1 or more from a chain's first position and
-    # none at longest or more, so a lowest offset up to 1 and a highest offset
-    # of longest - 1 or more bound nothing.
-    if lowest > 1 or (highest is not None and highest < longest - 1):
-        state = _SpanBitmap(index, root_cands, cs.gap_window(), (lowest, highest))
-    elif cs.mingap is not None or cs.maxgap is not None:
-        state = _GapBitmap(index, root_cands, cs.gap_window())
-    else:
-        state = _Bitmap(index, root_cands)
+    state = _Bitmap(_Index(db), root_cands, cs)
     narrow = use_local_pruning and state.narrows
     entries = _search(state, root_cands, fmin, params, cs, stats, deadline, narrow)
 

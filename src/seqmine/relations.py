@@ -96,9 +96,6 @@ class SkipGapsEmbedding:
     seq_len: int
     pairs: frozenset[tuple[int, int]]
 
-    def level(self, i: int) -> tuple[int, ...]:
-        return tuple(sorted(j for (k, j) in self.pairs if k == i))
-
     @property
     def supports(self) -> bool:
         if self.pattern_len == 0:

@@ -142,23 +142,12 @@ class Pattern:
         object.__setattr__(pattern, "elements", elements)
         return pattern
 
-    @classmethod
-    def of_items(cls, items: Iterable[int]) -> "Pattern":
-        """Build a simple pattern: one singleton element per item."""
-        return cls(tuple((i,) for i in items))
-
     def __len__(self) -> int:
         return len(self.elements)
 
     def items(self) -> Iterator[int]:
         for itemset in self.elements:
             yield from itemset
-
-    def item_count(self) -> int:
-        return sum(len(e) for e in self.elements)
-
-    def is_simple(self) -> bool:
-        return all(len(e) == 1 for e in self.elements)
 
     def labels(self, alphabet: Alphabet) -> list[list[str]]:
         return [[alphabet.label(i) for i in e] for e in self.elements]
@@ -258,15 +247,6 @@ class MiningResult:
 
     def __iter__(self) -> Iterator[ResultEntry]:
         return iter(self.entries)
-
-    def patterns(self) -> list[Pattern]:
-        return [e.pattern for e in self.entries]
-
-    def support_of(self, pattern: Pattern) -> int | None:
-        for e in self.entries:
-            if e.pattern == pattern:
-                return e.support
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -471,18 +451,24 @@ def write_results(result: MiningResult, db: SequenceDatabase) -> str:
 
 def read_results(source: str | bytes | TextIO, db: SequenceDatabase) -> MiningResult:
     """Parse JSON-lines result records against the database they were mined
-    from.  Support ids must be distinct, ascending sids of ``db`` and as
-    many as the support; any other record raises ``FormatError``."""
+    from.  A pattern must be a non-empty list of non-empty lists of labels
+    of ``db``, and appear once; support ids must be distinct, ascending sids
+    of ``db`` and as many as the support.  Any other record raises
+    ``FormatError`` naming its line."""
     entries = []
+    first_line: dict[Pattern, int] = {}
     for lineno, line in enumerate(_as_text(source).splitlines(), start=1):
         if not line.strip():
             continue
         try:
             record = json.loads(line)
-            elements = tuple(
-                tuple(sorted(db.alphabet.id_of(lab) for lab in elem))
-                for elem in record["pattern"]
-            )
+            labels = record["pattern"]
+            # A string iterates as labels too: "12" would read as <1 2>.
+            if not (type(labels) is list and labels and all(
+                type(elem) is list and elem and all(type(lab) is str for lab in elem) for elem in labels
+            )):
+                raise ValueError("pattern must be a non-empty list of non-empty lists of labels")
+            elements = tuple(tuple(sorted(db.alphabet.id_of(lab) for lab in elem)) for elem in labels)
             sids = tuple(record["support_ids"])
             support = record["support"]
             # JSON true and 1.0 are not counts; type() rules out bool too.
@@ -493,7 +479,11 @@ def read_results(source: str | bytes | TextIO, db: SequenceDatabase) -> MiningRe
                 raise ValueError(f"support_ids must be distinct, ascending ids in 1..{len(db)}")
             if support != len(sids):
                 raise ValueError(f"support {support} but {len(sids)} support_ids")
-            entries.append(ResultEntry(Pattern(elements), support, sids))
+            pattern = Pattern(elements)
+            if pattern in first_line:
+                raise ValueError(f"duplicate of the pattern on line {first_line[pattern]}")
+            first_line[pattern] = lineno
+            entries.append(ResultEntry(pattern, support, sids))
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad result record on line {lineno}: {exc}") from None
     return MiningResult.build(entries)

@@ -29,10 +29,9 @@ from seqmine import (
     oracle_frequent,
     regex_compile,
 )
-from seqmine import miner
 from seqmine.datagen import GenParams
 from seqmine.constraints import constrained_embeddings
-from seqmine.miner import _Bitmap, _GapBitmap, _Index, _SpanBitmap, _search
+from seqmine.miner import _Bitmap, _Index, _search
 
 from helpers import entry_labels, pat, result_key
 
@@ -100,7 +99,7 @@ D7_AT_3 = {
 def test_mine_d7_fmin3(d7):
     result = mine(d7, MiningParams(fmin=3, maxlen=4))
     assert set(entry_labels(d7, result)) == D7_AT_3
-    assert result.support_of(pat(d7, "a", "b", "c")) == 4
+    assert {e.pattern: e.support for e in result}[pat(d7, "a", "b", "c")] == 4
 
 
 def test_mine_d7_fmin5(d7):
@@ -473,25 +472,20 @@ def test_chain_search_matches_oracle(data):
 
 
 # ---------------------------------------------------------------------------
-# Gap and span bounds: the gap and span states against the oracle
+# Gap and span bounds: the bitmap layouts against the oracle
 #
-# A gap bound with no span bound runs on _GapBitmap, a span bound on
-# _SpanBitmap.  Each state is driven directly through _search, as mine() sets
-# it up, and must match the oracle.
+# The layout is built from the constraint set's gap and span windows.  Each
+# run drives _search directly on a fresh _Bitmap, as mine() sets it up, and
+# must match the oracle with narrowing on or off.
 
 
-def _search_on(state_cls, db, params, cs, deadline=None):
-    """One frequent run of _search on a fresh state of the given class.
-    Neither state narrows candidates, so ``use_local_pruning`` reaches them
-    only through mine()."""
+def _search_on(db, params, cs, narrow=True, deadline=None):
+    """One frequent run of _search on a fresh _Bitmap for ``cs``; ``narrow``
+    narrows candidates wherever the layout allows it."""
     fmin = params.resolved_fmin(len(db))
-    index = _Index(db)
     root = sorted(frequent_items(db, fmin) - cs.cannot_have)
-    if state_cls is _GapBitmap:
-        state = _GapBitmap(index, root, cs.gap_window())
-    else:
-        state = _SpanBitmap(index, root, cs.gap_window(), cs.span_window())
-    entries = _search(state, root, fmin, params, cs, MineStats(), deadline, state.narrows)
+    state = _Bitmap(_Index(db), root, cs)
+    entries = _search(state, root, fmin, params, cs, MineStats(), deadline, narrow and state.narrows)
     return MiningResult.build(entries, params)
 
 
@@ -524,11 +518,9 @@ def test_gap_bitmap_search_matches_oracle(data):
         db, params.fmin, params.maxlen, cs, minlen=params.minlen,
         itemset_mode=itemset_mode, config=WIDE,
     )
-    got = _search_on(_GapBitmap, db, params, cs)
+    got = _search_on(db, params, cs, narrow=data.draw(st.booleans()))
     assert result_key(got) == result_key(want)
     _assert_canonical(got)
-    narrow = data.draw(st.booleans())
-    assert result_key(mine(db, params, cs, use_local_pruning=narrow)) == result_key(want)
 
 
 @pytest.mark.parametrize("length", [7, 8, 9, 15, 16, 17])
@@ -544,7 +536,8 @@ def test_gap_window_at_the_sequence_length(length):
     ):
         cs = ConstraintSet(**gaps)
         want = oracle_constrained(db, 1, 2, cs, config=WIDE)
-        assert result_key(_search_on(_GapBitmap, db, params, cs)) == result_key(want), gaps
+        for narrow in (True, False):
+            assert result_key(_search_on(db, params, cs, narrow)) == result_key(want), (gaps, narrow)
 
 
 @st.composite
@@ -577,45 +570,53 @@ def test_span_bitmap_search_matches_oracle_and_embeddings(data):
         db, params.fmin, params.maxlen, cs, minlen=params.minlen,
         itemset_mode=itemset_mode, config=WIDE,
     )
-    got = _search_on(_SpanBitmap, db, params, cs)
+    got = _search_on(db, params, cs, narrow=data.draw(st.booleans()))
     assert result_key(got) == result_key(want)
     _assert_canonical(got)
     # Each pattern's supporters are the sequences the chain reference admits.
     for e in got:
         chained = [s.sid for s in db.sequences if constrained_embeddings(s, e.pattern, **bounds).supports]
         assert e.support_ids == tuple(chained), e.pattern
-    # mine() routes bounds that bound nothing to the other states.
-    narrow = data.draw(st.booleans())
-    assert result_key(mine(db, params, cs, use_local_pruning=narrow)) == result_key(want)
 
 
-def test_state_follows_the_bounds(d7, monkeypatch):
-    # A span bound that bounds something means the span state, a gap bound
-    # alone the gap bitmaps, and no bound the plain bitmaps.  The longest d7
-    # sequence has 4 elements, so maxspan >= 4 and minspan <= 2 bound nothing.
-    states = []
-    search = miner._search
-
-    def spy(state, *args):
-        states.append(type(state))
-        return search(state, *args)
-
-    monkeypatch.setattr(miner, "_search", spy)
-    params = MiningParams(fmin=2, maxlen=4)
-    for bounds, state in (
-        (dict(), _Bitmap),
-        (dict(maxgap=0), _GapBitmap),
-        (dict(mingap=1), _GapBitmap),
-        (dict(mingap=0, maxgap=2), _GapBitmap),
-        (dict(maxspan=3), _SpanBitmap),
-        (dict(minspan=3), _SpanBitmap),
-        (dict(maxgap=1, maxspan=3), _SpanBitmap),
-        (dict(maxspan=4), _Bitmap),
-        (dict(minspan=2, maxspan=9), _Bitmap),
-        (dict(mingap=1, minspan=1, maxspan=4), _GapBitmap),
+def test_state_follows_the_bounds(d7):
+    # A span bound that bounds something lays out one segment per start
+    # position; a maxgap that bounds something gives a finite window width,
+    # and then no narrowing; minspan >= 3 gives the late mask.  The longest
+    # d7 sequence has 4 elements, so maxspan >= 4, minspan <= 2 and
+    # maxgap >= 2 bound nothing.
+    root = sorted(frequent_items(d7, 2))
+    index = _Index(d7)
+    for bounds, per_start, width, late in (
+        (dict(), False, None, False),
+        (dict(maxgap=0), False, 1, False),
+        (dict(mingap=1), False, None, False),
+        (dict(mingap=0, maxgap=2), False, None, False),
+        (dict(maxspan=3), True, None, False),
+        (dict(minspan=3), True, None, True),
+        # Segments of 3 positions: no two lie more than maxgap + 1 apart.
+        (dict(maxgap=1, maxspan=3), True, None, False),
+        (dict(maxspan=4), False, None, False),
+        (dict(minspan=2, maxspan=9), False, None, False),
+        (dict(mingap=1, minspan=1, maxspan=4), False, None, False),
     ):
-        mine(d7, params, ConstraintSet(**bounds))
-        assert states.pop() is state, bounds
+        state = _Bitmap(index, root, ConstraintSet(**bounds))
+        assert (state.root != state.mask) is per_start, bounds
+        assert state.width == width, bounds
+        assert (state.late is not None) is late, bounds
+        assert state.narrows is (width is None), bounds
+
+
+@pytest.mark.parametrize("bounds", [dict(mingap=1), dict(maxspan=3)], ids=["mingap", "maxspan"])
+def test_bounded_runs_narrow(d7, bounds):
+    # Without a maxgap, narrowing leaves the results as they are and counts
+    # fewer candidates.
+    params, cs = MiningParams(fmin=1, maxlen=4), ConstraintSet(**bounds)
+    on, off = MineStats(), MineStats()
+    narrowed = mine(d7, params, cs, stats=on)
+    assert result_key(narrowed) == result_key(mine(d7, params, cs, stats=off, use_local_pruning=False))
+    assert on.nodes_expanded == off.nodes_expanded
+    assert on.candidate_tests < off.candidate_tests
 
 
 def test_span_search_on_a_long_sequence():
@@ -632,9 +633,9 @@ def test_gap_timeout_raises(gaps):
     cs = ConstraintSet(**gaps)
     with pytest.raises(MiningTimeout):
         mine(db, MiningParams(fmin=2, maxlen=8), cs, timeout=1e-5)
-    # Past the deadline, the gap state stops at the root.
+    # Past the deadline, the search stops at the root.
     with pytest.raises(MiningTimeout):
-        _search_on(_GapBitmap, db, MiningParams(fmin=2, maxlen=8), cs, deadline=time.monotonic() - 1)
+        _search_on(db, MiningParams(fmin=2, maxlen=8), cs, deadline=time.monotonic() - 1)
 
 
 @pytest.mark.parametrize("spans", [dict(maxspan=8), dict(minspan=5)], ids=["maxspan", "minspan"])
@@ -643,9 +644,9 @@ def test_span_timeout_raises(spans):
     cs = ConstraintSet(**spans)
     with pytest.raises(MiningTimeout):
         mine(db, MiningParams(fmin=2, maxlen=8), cs, timeout=1e-5)
-    # Past the deadline, the span state stops at the root.
+    # Past the deadline, the search stops at the root.
     with pytest.raises(MiningTimeout):
-        _search_on(_SpanBitmap, db, MiningParams(fmin=2, maxlen=8), cs, deadline=time.monotonic() - 1)
+        _search_on(db, MiningParams(fmin=2, maxlen=8), cs, deadline=time.monotonic() - 1)
 
 
 def test_simple_search_long_sequence_among_short_ones():

@@ -78,8 +78,6 @@ def test_skip_gaps_pairs_worked_example():
     # pattern <(a)(c)> in acbc: level 1 matches {1}, level 2 matches {2, 4}.
     emb = skip_gaps_embedding(elems((0,), (2,), (1,), (2,)), elems((0,), (2,)))
     assert emb.pairs == frozenset({(1, 1), (2, 2), (2, 4)})
-    assert emb.level(1) == (1,)
-    assert emb.level(2) == (2, 4)
     assert emb.supports
 
 

@@ -92,10 +92,8 @@ def test_pattern_helpers():
     p = Pattern(((0,), (1, 2)))
     assert len(p) == 2
     assert list(p.items()) == [0, 1, 2]
-    assert p.item_count() == 3
-    assert not p.is_simple()
-    assert Pattern.of_items([2, 0, 1]).elements == ((2,), (0,), (1,))
-    assert Pattern.of_items([2, 0]).is_simple()
+    assert [len(e) for e in p.elements] == [1, 2]
+    assert Pattern([[2], [0], [1]]).elements == ((2,), (0,), (1,))
     al = Alphabet(["a", "b", "c"])
     assert p.labels(al) == [["a"], ["b", "c"]]
 
@@ -372,6 +370,16 @@ def test_read_results_rejects_bad_records(d7):
             read_results(record + "\n", d7)
     with pytest.raises(FormatError):
         read_results('{"pattern":[["a"]],"support":1,"support_ids":1}\n', d7)
+    # A pattern is a non-empty list of non-empty lists of labels: no string
+    # stands in for a list, and the miner never emits the empty pattern.
+    for pattern in ("ab", ["ab"], [], [[]], [["a"], []], [["a", 1]], [[0]], {"a": 1}, None):
+        record = json.dumps({"pattern": pattern, "support": 1, "support_ids": [1]})
+        with pytest.raises(FormatError, match="line 1"):
+            read_results(record + "\n", d7)
+    # A pattern appears once; the duplicate is reported on its own line.
+    record = '{"pattern":[["a"]],"support":2,"support_ids":[1,7]}\n'
+    with pytest.raises(FormatError, match="line 3: duplicate of the pattern on line 1"):
+        read_results(record + "\n" + record, d7)
     assert read_results('{"pattern":[["a"]],"support":2,"support_ids":[1,7]}\n', d7).entries[0].support_ids == (1, 7)
 
 
