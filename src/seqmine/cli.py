@@ -5,10 +5,12 @@ Subcommands: ``mine`` (pattern mining), ``gen`` (synthetic data),
 brute-force reference miner on small inputs.
 
 Exit codes: 0 success, 1 usage error (bad flags or parameter values,
-including constraint parameters that do not fit the dataset's alphabet),
-2 timeout, 3 data error (unreadable or malformed input files, an output
-file that cannot be written, a database/mode mismatch, or a percentage
-``--min-support`` on a database with no sequences).
+including constraint parameters that do not fit the dataset's alphabet,
+``--regex`` with ``--itemset-mode`` and a ``--timeout`` that is not a
+positive, finite number), 2 timeout, 3 data error (unreadable or
+malformed input files, an output file that cannot be written, a
+database/mode mismatch, or a percentage ``--min-support`` on a database
+with no sequences).
 
 ``mine`` imports only the modules a mining run needs; ``gen``, ``bench``
 and ``oracle`` import theirs when they run.
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import errno
 import io
+import math
 import os
 import sys
 
@@ -87,6 +90,18 @@ def _parse_support(text: str) -> int | float:
     return value
 
 
+def _parse_timeout(text: str) -> float:
+    """A positive, finite number of seconds: NaN would disable the deadline,
+    and zero or less would pass it before the search starts."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive, finite number of seconds, got {text!r}")
+    return value
+
+
 def _parse_labels(text: str) -> list[str]:
     return [tok for tok in (t.strip() for t in text.split(",")) if tok]
 
@@ -151,7 +166,7 @@ def build_parser() -> _Parser:
     p_mine.add_argument("--itemset-mode", action="store_true")
     p_mine.add_argument("--condensed-within-constraints", action="store_true",
                         help="judge condensed modes pairwise inside the constrained output")
-    p_mine.add_argument("--timeout", type=float, default=None, metavar="SECONDS")
+    p_mine.add_argument("--timeout", type=_parse_timeout, default=None, metavar="SECONDS")
     p_mine.add_argument("--output", default=None, help="result records file (default stdout)")
     p_mine.add_argument("--emit-asp-facts", default=None, metavar="PATH",
                         help="also write the loaded database as ASP facts")
@@ -180,7 +195,7 @@ def build_parser() -> _Parser:
     p_bench.add_argument("--maxlen", required=True, type=int)
     p_bench.add_argument("--minlen", type=int, default=1)
     p_bench.add_argument("--itemset-mode", action="store_true")
-    p_bench.add_argument("--timeout", type=float, default=None,
+    p_bench.add_argument("--timeout", type=_parse_timeout, default=None,
                          help="per-cell timeout in seconds")
     p_bench.add_argument("--output", default=None, help="write JSONL records here")
 
@@ -263,6 +278,8 @@ def _cmd_mine(args) -> int:
         )
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+    if args.regex is not None and args.itemset_mode:
+        raise _UsageError("--regex requires simple mode, not --itemset-mode")
     # An unwritable output would otherwise surface only after the search.
     _check_writable(args.output)
 

@@ -153,12 +153,6 @@ class ConstraintSet:
         judges = bool(self.must_have or self.cannot_have or self.super_patterns) or self.aggregate is not None
         object.__setattr__(self, "_judges", judges)
 
-    def has_embedding_constraints(self) -> bool:
-        """True when any gap/span bound is set, even a neutral one."""
-        return any(
-            v is not None for v in (self.mingap, self.maxgap, self.minspan, self.maxspan)
-        )
-
     def is_neutral(self) -> bool:
         return self == ConstraintSet()
 
@@ -190,8 +184,9 @@ class ConstraintSet:
         """The span rule: the offsets ``j - first`` at which a chain that
         started at ``first`` may take a next position j, so that minspan <=
         j-first+1 <= maxspan.  Returns (lowest, highest), highest ``None``
-        with no maxspan.  ``reach`` and the bitmap search's span state both
-        read it.  The first position itself takes no check: a one-element
+        with no maxspan.  ``reach`` reads it, and so does the bitmap search:
+        highest for its segments, lowest for its first S-step's window.  The
+        first position itself takes no check: a one-element
         chain is admitted wherever it matches."""
         return (self.minspan or 1) - 1, None if self.maxspan is None else self.maxspan - 1
 

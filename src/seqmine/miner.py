@@ -10,8 +10,8 @@ judges each pattern before it is emitted, and the deadline is checked at
 every node.  Candidate extensions at a node are inherited from the
 parent's locally frequent items wherever no maxgap bounds anything (then
 an extension's admitted positions only shrink as the pattern grows, so
-nothing is lost; a differential flag can switch this narrowing off for
-testing).
+nothing is lost; ``_search``'s ``narrow`` argument switches this narrowing
+off for differential tests).
 
 What the search keeps for a pattern is one big int over vertical bitmaps,
 one int per item over the whole database (SPAM-style), in one layout
@@ -26,10 +26,10 @@ chosen from the constraint set's gap and span windows:
   the mingap, or, when a maxgap bounds something, shifts across the gap
   window (cSPADE's gap join on SPAM bitmaps); adding an item to the last
   element (itemset mode) is the I-step, an AND with the item's bitmap;
-* a sequence is one segment of the bitmaps, or, when a span bound bounds
-  something, one segment per start position, as long as the span allows,
-  so every chain is cut at its start's upper bound; the root then admits
-  only each segment's start, and a fixed mask keeps a minspan.
+* a minspan raises the first S-step's window alone, since positions
+  increase along a chain; a sequence is one segment of the bitmaps, or,
+  when a maxspan bounds something, one segment per start position, as long
+  as the span allows, so every chain is cut at its start's upper bound.
 
 The paper's two embedding representations, skip-gaps and fill-gaps, give
 the same supports; the bitmaps keep the fill-gaps one, and ``relations``
@@ -136,7 +136,6 @@ def _check_deadline(deadline: float | None) -> None:
 # ---------------------------------------------------------------------------
 # Search states
 #
-# One bitmap layout, chosen from the constraint set's gap and span windows.
 # ``None`` is the empty pattern's entries.  The search ANDs
 # ``after(entries)`` (a new last element) or the entries themselves (an item
 # added to the last element, itemset mode) with an item's bitmap, and reads
@@ -170,29 +169,30 @@ class _Bitmap:
     position 1 lowest, sit directly below a guard bit, the segment's top
     bit.  A position's bit is set in the bitmap of every item of its
     element; only ``items``, the root's candidates, get a bitmap.  A
-    sequence is one segment, or, when the span bounds something, one
+    sequence is one segment, or, when a maxspan bounds something, one
     segment per start f holding positions f..f+highest (or to the end),
-    then one empty segment, its head.  ``root`` is every position, or each
-    segment's first.
+    then one empty segment, its head.  Every position is a root: a chain
+    starting at g in segment f <= g ends by f + highest, so segment g finds
+    it too.
 
     The S-step admits the positions nearest..farthest after each entry bit
     (the gap join of cSPADE, Zaki 2000): the OR over d of ``(E & keep[d])
     << d``, where ``keep[d]`` holds the positions p with p + d <= L, built
     by ``_smear`` in O(log(farthest - nearest)) shifts.  With no farthest a
-    segment is long enough to reach (``width`` is ``None``), one shift by
+    segment is long enough to reach (the width is ``None``), one shift by
     nearest - 1 and a borrow set every position bit above each segment's
     lowest entry bit (``starts`` holds each segment's lowest bit, and the
-    guard stops the borrow of ``v - starts`` at its top).  A minspan of 3
-    or more then keeps the positions at offset lowest or more (``late``);
-    it binds the first S-step alone, after which offsets only grow, so the
-    AND is exact at every step.  The I-step keeps the entry bits whose
-    element holds the new item.
+    guard stops the borrow of ``v - starts`` at its top).  The I-step keeps
+    the entry bits whose element holds the new item.
 
-    With ``width`` ``None``, a child's entries lie at or above its parent's
-    lowest entry in each segment, so ``after(child)`` lies inside
-    ``after(parent)`` (``late`` is a fixed mask) and the search may narrow
-    candidates (``narrows``); a finite gap window moves as the pattern
-    grows, so an item can become a frequent extension one level deeper.
+    A minspan binds only the first S-step, from a one-element pattern:
+    its window starts at max(nearest, lowest), and has width 0 when lowest
+    > farthest.  After it last >= first + lowest, so every later position
+    passes.  ``windows`` holds (nearest, width) for later steps and for the
+    first.  With no width, a child's entries in each segment lie at or
+    above its parent's lowest entry plus the parent's nearest, so
+    ``after(child)`` lies in the parent's ``after`` and the search may
+    narrow (``narrows``); a finite gap window moves as the pattern grows.
 
     ``carry`` sets every bit of a sequence's group below the guard of its
     last segment, its head, so adding it carries into the head exactly when
@@ -206,14 +206,12 @@ class _Bitmap:
         nearest, farthest = cs.gap_window()
         lowest, highest = cs.span_window()
         longest = max(map(len, index.elements), default=0)
-        # No two positions of one segment lie more than ``reach`` apart, and
-        # every S-step lands at offset 1 or more from a chain's first
-        # position, so a lowest offset up to 1 and a highest offset or
-        # farthest distance of ``reach`` or more bound nothing.
+        # No two positions of one segment lie more than ``reach`` apart, so
+        # a highest offset or farthest distance of ``reach`` or more bounds
+        # nothing.
         reach = longest - 1
-        per_start = lowest > 1 or (highest is not None and highest < reach)
-        if per_start:
-            reach = reach if highest is None else min(reach, highest)
+        if highest is not None and highest < reach:
+            reach = highest
             groups = [
                 [elements[f : f + reach + 1] for f in range(len(elements))] + [()] for elements in index.elements
             ]
@@ -248,13 +246,12 @@ class _Bitmap:
         self.fill = int.from_bytes(fill, "little")
         self.items = {c: int.from_bytes(row, "little") for c, row in rows.items()}
         self.keeps = {0: self.mask}
-        self.nearest = nearest
-        self.width = None if farthest is None or farthest >= reach else farthest - nearest + 1
-        self.narrows = self.width is None
-        # Position bits run unbroken within a segment, with a clear guard bit
-        # between segments.
-        self.root = self.mask & ~(self.mask << 1) if per_start else self.mask
-        self.late = self.mask & ~_smear(self.root, lowest, self._shift) if lowest > 1 else None
+        first = max(nearest, lowest)
+        if farthest is None or farthest >= reach:
+            self.windows = ((nearest, None), (first, None))
+        else:
+            self.windows = ((nearest, farthest - nearest + 1), (first, max(0, farthest - first + 1)))
+        self.narrows = self.windows[0][1] is None
 
     def sids(self, found: int) -> tuple[int, ...]:
         """The supporting sids, from a pattern's head bits ``(entries +
@@ -269,18 +266,22 @@ class _Bitmap:
             keep = self.keeps[d] = self.mask & ~_smear(self.guards >> 1, d, int.__rshift__)
         return (x & keep) << d
 
-    def after(self, entries):
-        """The positions an S-step admits after ``entries``."""
+    def after(self, entries, first: bool) -> int:
+        """The positions an S-step admits after ``entries``; ``first`` for
+        the step from a one-element pattern, the one a minspan binds."""
         if entries is None:
-            return self.root
-        if self.width is None:
-            if self.nearest > 1:
-                entries = self._shift(entries, self.nearest - 1)
+            return self.mask
+        nearest, width = self.windows[first]
+        if width is None:
+            if nearest > 1:
+                entries = self._shift(entries, nearest - 1)
             v = entries | self.guards
-            after = ~(v ^ (v - self.starts)) & self.mask
-        else:
-            after = self._shift(_smear(entries, self.width, self._shift), self.nearest)
-        return after if self.late is None else after & self.late
+            return ~(v ^ (v - self.starts)) & self.mask
+        if not width:
+            return 0
+        return self._shift(_smear(entries, width, self._shift), nearest)
+
+
 # ---------------------------------------------------------------------------
 # The search
 
@@ -361,7 +362,7 @@ def _search(
             tests = [c for c in candidates if c in allowed]
         # Candidates are ascending, so the ones above the last item are a tail.
         aug_tests = candidates[bisect_right(candidates, elements[-1][-1]) :] if augments else []
-        s_hits = _count(after_of(entries), tests, items, carry, heads, fmin) if grows else []
+        s_hits = _count(after_of(entries, depth == 1), tests, items, carry, heads, fmin) if grows else []
         a_hits = _count(entries, aug_tests, items, carry, heads, fmin) if augments else []
         stats.candidate_tests += (len(tests) if grows else 0) + len(aug_tests)
         stats.gated += offered - len(tests)
@@ -402,7 +403,6 @@ def mine(
     *,
     timeout: float | None = None,
     stats: MineStats | None = None,
-    use_local_pruning: bool = True,
     condensed_within_constraints: bool = False,
 ) -> MiningResult:
     """Mine the database under the given parameters and optional constraints
@@ -424,8 +424,7 @@ def mine(
 
     root_cands = sorted(frequent_items(db, fmin) - cs.cannot_have)
     state = _Bitmap(_Index(db), root_cands, cs)
-    narrow = use_local_pruning and state.narrows
-    entries = _search(state, root_cands, fmin, params, cs, stats, deadline, narrow)
+    entries = _search(state, root_cands, fmin, params, cs, stats, deadline, state.narrows)
 
     result = MiningResult.build(entries, params)
     if params.mode != "frequent":

@@ -240,7 +240,8 @@ def oracle_constrained(
     _check_guards(db, maxlen, config)
     cs = constraints
     base = oracle_frequent(db, fmin, maxlen, itemset_mode, config)
-    want_embedding = cs.has_embedding_constraints()
+    # Any gap or span bound, even a neutral one, recounts the support.
+    want_embedding = any(v is not None for v in (cs.mingap, cs.maxgap, cs.minspan, cs.maxspan))
     out = []
     for e in base.entries:
         support, ids = e.support, e.support_ids

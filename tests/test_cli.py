@@ -174,6 +174,29 @@ def test_mine_usage_errors(d7_path, tmp_path, capsys):
         assert err.splitlines()[-1].startswith(f"seqmine {argv[0]}: error: "), (argv, err)
 
 
+def test_mine_regex_in_itemset_mode_is_usage_error(d7_path, tmp_path, capsys):
+    # A flag conflict, reported before the input is read: a missing input
+    # gives the same usage error.
+    for path in (d7_path, tmp_path / "missing.spmf"):
+        code, out, err = run(
+            capsys, "mine", "--input", str(path), "--min-support", "3", "--maxlen", "4",
+            "--regex", "1 3", "--itemset-mode",
+        )
+        assert code == 1 and not out, path
+        assert err.splitlines()[-1] == "seqmine mine: error: --regex requires simple mode, not --itemset-mode"
+
+
+@pytest.mark.parametrize("command", ["mine", "bench"])
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf", "soon"])
+def test_timeout_must_be_positive_and_finite(command, value, d7_path, capsys):
+    code, out, err = run(
+        capsys, command, "--input", str(d7_path), "--min-support", "3", "--maxlen", "4",
+        "--timeout", value,
+    )
+    assert code == 1 and not out
+    assert err.splitlines()[-1].startswith(f"seqmine {command}: error: argument --timeout: "), err
+
+
 def test_mine_data_errors(d7_path, tmp_path, capsys):
     code, _, err = run(
         capsys, "mine", "--input", str(tmp_path / "missing.spmf"),

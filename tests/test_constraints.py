@@ -51,10 +51,6 @@ def test_constraint_set_validation():
 
 def test_constraint_set_flags():
     assert ConstraintSet().is_neutral()
-    assert not ConstraintSet().has_embedding_constraints()
-    assert ConstraintSet(maxgap=0).has_embedding_constraints()
-    assert ConstraintSet(mingap=0).has_embedding_constraints()
-    assert not ConstraintSet(must_have={1}).has_embedding_constraints()
 
 
 # ---------------------------------------------------------------------------

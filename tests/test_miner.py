@@ -140,9 +140,16 @@ def test_mine_canonical_order(d7):
 
 
 def test_local_pruning_toggle_is_pure_optimization(d7):
-    on = mine(d7, MiningParams(fmin=2, maxlen=4))
-    off = mine(d7, MiningParams(fmin=2, maxlen=4), use_local_pruning=False)
+    params = MiningParams(fmin=2, maxlen=4)
+    on = mine(d7, params)
+    off = _search_on(d7, params, ConstraintSet(), narrow=False)
     assert result_key(on) == result_key(off)
+
+
+def test_regex_requires_simple_mode(d7):
+    cs = ConstraintSet(regex=regex_compile("a", d7.alphabet))
+    with pytest.raises(ConstraintError, match="simple mode"):
+        mine(d7, MiningParams(fmin=1, maxlen=2, itemset_mode=True), cs)
 
 
 def test_stats_counts_nodes(d7):
@@ -412,7 +419,7 @@ def test_simple_search_matches_oracle(data):
     db = data.draw(bitmap_dbs(itemset_mode))
     params = data.draw(bitmap_params(db, itemset_mode))
     _assume_oracle_sized(db, params)
-    got = mine(db, params, use_local_pruning=data.draw(st.booleans()))
+    got = _search_on(db, params, ConstraintSet(), narrow=data.draw(st.booleans()))
     want = oracle_frequent(db, params.fmin, params.maxlen, itemset_mode=itemset_mode, config=WIDE)
     want = [e for e in want if len(e.pattern) >= params.minlen]
     assert result_key(got) == result_key(want)
@@ -427,9 +434,10 @@ def test_constrained_simple_search_matches_oracle(data):
     params = data.draw(bitmap_params(db, itemset_mode))
     cs = data.draw(bitmap_constraints(db, itemset_mode))
     _assume_oracle_sized(db, params)
-    got = mine(db, params, cs, use_local_pruning=data.draw(st.booleans()))
+    cs = cs or ConstraintSet()
+    got = _search_on(db, params, cs, narrow=data.draw(st.booleans()))
     want = oracle_constrained(
-        db, params.fmin, params.maxlen, cs or ConstraintSet(), minlen=params.minlen,
+        db, params.fmin, params.maxlen, cs, minlen=params.minlen,
         itemset_mode=itemset_mode, config=WIDE,
     )
     assert result_key(got) == result_key(want)
@@ -441,8 +449,8 @@ def test_constrained_simple_search_matches_oracle(data):
 def chain_constraints(draw):
     """Gap and span bounds, each set or not and at least one set: mingap
     0-2, maxgap at least mingap, minspan 1-4, maxspan at least minspan.  A
-    draw with a span bound that bounds something runs on the span state, one
-    with gap bounds alone on the gap bitmaps."""
+    draw with a maxspan that bounds something runs on per-start segments, a
+    minspan on the first S-step's window."""
     optional = st.booleans()
     mingap = draw(st.integers(0, 2)) if draw(optional) else None
     maxgap = draw(st.integers(mingap or 0, (mingap or 0) + 3)) if draw(optional) else None
@@ -461,7 +469,7 @@ def test_chain_search_matches_oracle(data):
     params = data.draw(bitmap_params(db, itemset_mode))
     cs = data.draw(chain_constraints())
     _assume_oracle_sized(db, params)
-    got = mine(db, params, cs, use_local_pruning=data.draw(st.booleans()))
+    got = _search_on(db, params, cs, narrow=data.draw(st.booleans()))
     want = oracle_constrained(
         db, params.fmin, params.maxlen, cs, minlen=params.minlen,
         itemset_mode=itemset_mode, config=WIDE,
@@ -479,13 +487,15 @@ def test_chain_search_matches_oracle(data):
 # must match the oracle with narrowing on or off.
 
 
-def _search_on(db, params, cs, narrow=True, deadline=None):
-    """One frequent run of _search on a fresh _Bitmap for ``cs``; ``narrow``
-    narrows candidates wherever the layout allows it."""
+def _search_on(db, params, cs, narrow=True, deadline=None, stats=None):
+    """One frequent run of _search on a fresh _Bitmap for ``cs``, as mine()
+    sets it up; ``narrow`` narrows candidates wherever the layout allows
+    it, and ``narrow=False`` is the differential without narrowing."""
     fmin = params.resolved_fmin(len(db))
     root = sorted(frequent_items(db, fmin) - cs.cannot_have)
     state = _Bitmap(_Index(db), root, cs)
-    entries = _search(state, root, fmin, params, cs, MineStats(), deadline, narrow and state.narrows)
+    stats = MineStats() if stats is None else stats
+    entries = _search(state, root, fmin, params, cs, stats, deadline, narrow and state.narrows)
     return MiningResult.build(entries, params)
 
 
@@ -580,31 +590,47 @@ def test_span_bitmap_search_matches_oracle_and_embeddings(data):
 
 
 def test_state_follows_the_bounds(d7):
-    # A span bound that bounds something lays out one segment per start
-    # position; a maxgap that bounds something gives a finite window width,
-    # and then no narrowing; minspan >= 3 gives the late mask.  The longest
-    # d7 sequence has 4 elements, so maxspan >= 4, minspan <= 2 and
-    # maxgap >= 2 bound nothing.
+    # A maxspan that bounds something lays out one segment per start
+    # position, so more position bits than the database holds; a minspan
+    # never does.  A maxgap that bounds something gives a finite window
+    # width, and then no narrowing.  A minspan raises the first S-step's
+    # nearest distance alone.  The longest d7 sequence has 4 elements, so
+    # maxspan >= 4 and maxgap >= 2 bound nothing.
     root = sorted(frequent_items(d7, 2))
     index = _Index(d7)
-    for bounds, per_start, width, late in (
-        (dict(), False, None, False),
-        (dict(maxgap=0), False, 1, False),
-        (dict(mingap=1), False, None, False),
-        (dict(mingap=0, maxgap=2), False, None, False),
-        (dict(maxspan=3), True, None, False),
-        (dict(minspan=3), True, None, True),
+    positions = sum(len(s) for s in d7.sequences)
+    for bounds, per_start, later, first in (
+        (dict(), False, (1, None), (1, None)),
+        (dict(maxgap=0), False, (1, 1), (1, 1)),
+        (dict(mingap=1), False, (2, None), (2, None)),
+        (dict(mingap=0, maxgap=2), False, (1, None), (1, None)),
+        (dict(maxspan=3), True, (1, None), (1, None)),
+        (dict(minspan=3), False, (1, None), (2, None)),
         # Segments of 3 positions: no two lie more than maxgap + 1 apart.
-        (dict(maxgap=1, maxspan=3), True, None, False),
-        (dict(maxspan=4), False, None, False),
-        (dict(minspan=2, maxspan=9), False, None, False),
-        (dict(mingap=1, minspan=1, maxspan=4), False, None, False),
+        (dict(maxgap=1, maxspan=3), True, (1, None), (1, None)),
+        (dict(maxspan=4), False, (1, None), (1, None)),
+        (dict(minspan=2, maxspan=9), False, (1, None), (1, None)),
+        (dict(mingap=1, minspan=1, maxspan=4), False, (2, None), (2, None)),
     ):
         state = _Bitmap(index, root, ConstraintSet(**bounds))
-        assert (state.root != state.mask) is per_start, bounds
-        assert state.width == width, bounds
-        assert (state.late is not None) is late, bounds
-        assert state.narrows is (width is None), bounds
+        assert (state.mask.bit_count() > positions) is per_start, bounds
+        assert state.windows == (later, first), bounds
+        assert state.narrows is (later[1] is None), bounds
+    # A minspan past the maxgap empties the first window: width 0.
+    state = _Bitmap(index, root, ConstraintSet(minspan=10, maxgap=0))
+    assert state.windows == ((1, 1), (9, 0))
+    assert state.after(state.mask, True) == 0 != state.after(state.mask, False)
+
+
+def test_minspan_past_the_maxgap_leaves_one_element_patterns(d7):
+    # Under maxgap=0 a second element matches 1 position after the first,
+    # never the 9 a minspan of 10 needs, so no pattern grows past one element.
+    cs = ConstraintSet(minspan=10, maxgap=0)
+    for itemset_mode in (False, True):
+        params = MiningParams(fmin=1, maxlen=4, itemset_mode=itemset_mode)
+        got = mine(d7, params, cs)
+        assert result_key(got) == result_key(oracle_constrained(d7, 1, 4, cs, itemset_mode=itemset_mode))
+        assert got.entries and all(len(e.pattern) == 1 for e in got)
 
 
 @pytest.mark.parametrize("bounds", [dict(mingap=1), dict(maxspan=3)], ids=["mingap", "maxspan"])
@@ -614,7 +640,7 @@ def test_bounded_runs_narrow(d7, bounds):
     params, cs = MiningParams(fmin=1, maxlen=4), ConstraintSet(**bounds)
     on, off = MineStats(), MineStats()
     narrowed = mine(d7, params, cs, stats=on)
-    assert result_key(narrowed) == result_key(mine(d7, params, cs, stats=off, use_local_pruning=False))
+    assert result_key(narrowed) == result_key(_search_on(d7, params, cs, narrow=False, stats=off))
     assert on.nodes_expanded == off.nodes_expanded
     assert on.candidate_tests < off.candidate_tests
 
@@ -625,6 +651,19 @@ def test_span_search_on_a_long_sequence():
     db = SequenceDatabase.from_label_sequences([["a"] * 1200])
     result = mine(db, MiningParams(fmin=1, maxlen=1200), ConstraintSet(maxspan=600), timeout=10)
     assert len(result) == 600
+
+
+def test_minspan_search_on_long_sequences():
+    # 40 sequences of about 200 elements.  A minspan keeps one segment per
+    # sequence, so the run ends well inside the timeout; one segment per
+    # start position took over 20 s on this database.
+    db, _ = generate(GenParams(num_sequences=40, mean_seq_len=200, num_patterns=5, alphabet_size=200, seed=0))
+    result = mine(db, MiningParams(fmin=0.5, maxlen=3), ConstraintSet(minspan=5), timeout=10)
+    assert len(result) == 52812
+    # A sample of patterns, against the chain reference.
+    for e in result.entries[::5000]:
+        chained = [s.sid for s in db.sequences if constrained_embeddings(s, e.pattern, minspan=5).supports]
+        assert e.support_ids == tuple(chained), e.pattern
 
 
 @pytest.mark.parametrize("gaps", [dict(maxgap=3), dict(mingap=1)], ids=["maxgap", "mingap"])

@@ -24,7 +24,7 @@ from seqmine import (
 )
 from seqmine.oracle import naive_contains, naive_is_prefix, naive_support, reference_regex_match
 
-from helpers import entry_labels, pat, random_simple_db
+from helpers import entry_labels, pat, random_simple_db, result_key
 
 A, B, C, D = 0, 1, 2, 3
 
@@ -149,6 +149,11 @@ def test_oracle_constrained_contiguity(d7):
     assert by_labels["abc"] == 3
     entry = next(e for e in result if e.pattern == pat(d7, "a", "b", "c"))
     assert entry.support_ids == (2, 4, 7)
+    # A neutral gap bound recounts every support over the embeddings and
+    # changes none.
+    assert result_key(oracle_constrained(d7, 3, 4, ConstraintSet(mingap=0))) == result_key(
+        oracle_constrained(d7, 3, 4, ConstraintSet())
+    )
 
 
 def test_oracle_constrained_minlen(d7):
