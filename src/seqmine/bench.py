@@ -89,7 +89,9 @@ def run_suite(
     """Yield one record per cell of the (dataset x threshold x mode) grid.
 
     Raises ``ValueError`` for bad parameters and ``DataError`` for a
-    threshold that does not resolve on a dataset, before any cell runs.
+    threshold that does not resolve on a dataset, before any cell runs; a
+    ``timeout`` that is not > 0 raises ``ValueError`` from ``mine`` when the
+    first cell starts.
     """
     cells = []
     for name, db in datasets:

@@ -29,7 +29,14 @@ chosen from the constraint set's gap and span windows:
 * a minspan raises the first S-step's window alone, since positions
   increase along a chain; a sequence is one segment of the bitmaps, or,
   when a maxspan bounds something, one segment per start position, as long
-  as the span allows, so every chain is cut at its start's upper bound.
+  as the span allows, so every chain is cut at its start's upper bound;
+* where a sequence is one segment, each item also keeps its last
+  occurrence per sequence, and a window-free S-step, which admits a suffix
+  of every sequence, counts a candidate with one AND against those bits;
+  every other step reads support from head bits, one per sequence, that a
+  carry sets wherever the sequence holds an entry;
+* a pattern's supporting sids are decoded from its parent's, so decoding
+  walks the parent's support rather than the whole database.
 
 The paper's two embedding representations, skip-gaps and fill-gaps, give
 the same supports; the bitmaps keep the fill-gaps one, and ``relations``
@@ -75,6 +82,10 @@ class MiningParams:
                 raise ValueError("absolute fmin must be >= 1")
         elif not 0.0 < self.fmin <= 1.0:
             raise ValueError("fractional fmin must be in (0, 1]")
+        for name in ("maxlen", "minlen"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.maxlen < 1:
             raise ValueError("maxlen must be >= 1")
         if not 1 <= self.minlen <= self.maxlen:
@@ -139,9 +150,9 @@ def _check_deadline(deadline: float | None) -> None:
 # ``None`` is the empty pattern's entries.  The search ANDs
 # ``after(entries)`` (a new last element) or the entries themselves (an item
 # added to the last element, itemset mode) with an item's bitmap, and reads
-# support and sids from the head bits ``(entries + carry) & heads``.  The
-# state judges no constraint beyond the gap and span windows it is laid out
-# from.
+# support and sids from the head bits ``(entries + carry) & heads`` (support
+# after a window-free S-step from ``lasts`` instead).  The state judges no
+# constraint beyond the gap and span windows it is laid out from.
 
 
 def _smear(x: int, width: int, shift) -> int:
@@ -197,9 +208,20 @@ class _Bitmap:
     ``carry`` sets every bit of a sequence's group below the guard of its
     last segment, its head, so adding it carries into the head exactly when
     the group holds an entry bit: support and sids come from the head bits
-    with no loop over sequences.  To read the sids, every byte other than a
-    head byte is set to 0x01 and deleted, which leaves one byte per
-    sequence, 0x80 where it supports the pattern.
+    with no loop over sequences.  When a sequence is one segment, ``lasts``
+    holds, per item, the bit of its last occurrence in each sequence (else
+    it is ``None``): after a window-free S-step the admitted positions are a
+    suffix of each sequence, which holds the item exactly when it holds the
+    last occurrence, so ``_count`` needs no carry there.
+
+    The sids are read against a set of sequences already known, at the
+    root all of them (``sid_of``, ``fill``): ``fill`` sets every byte but
+    the head bytes to 0x01.  A node with frequent extensions passes its
+    children its sids and ``fill | ((heads ^ found) >> 7)``, which also sets
+    the head bytes of its non-supporters to 0x01.  A child ORs that into
+    its own head bits and deletes every 0x01 byte, which leaves one byte per
+    parent supporter, 0x80 where the child keeps it, to select from the
+    parent's sids.
     """
 
     def __init__(self, index: _Index, items: list[int], cs: ConstraintSet):
@@ -210,7 +232,8 @@ class _Bitmap:
         # a highest offset or farthest distance of ``reach`` or more bounds
         # nothing.
         reach = longest - 1
-        if highest is not None and highest < reach:
+        per_start = highest is not None and highest < reach
+        if per_start:
             reach = highest
             groups = [
                 [elements[f : f + reach + 1] for f in range(len(elements))] + [()] for elements in index.elements
@@ -221,12 +244,14 @@ class _Bitmap:
         mask, guards, starts, bottoms, heads = (bytearray(nbytes) for _ in range(5))
         fill = bytearray(b"\x01") * nbytes
         rows = {c: bytearray(nbytes) for c in items}
+        lasts = None if per_start else {c: bytearray(nbytes) for c in items}
         base = 0
         for group in groups:
             bottoms[base] = 1
             for elements in group:
                 top = base + len(elements) // 8
                 starts[base], guards[top] = 1, 0x80
+                ends = {}
                 for bit, elem in enumerate(elements, start=8 * top + 7 - len(elements)):
                     byte, m = bit >> 3, 1 << (bit & 7)
                     mask[byte] |= m
@@ -234,6 +259,10 @@ class _Bitmap:
                         row = rows.get(item)
                         if row is not None:
                             row[byte] |= m
+                            ends[item] = byte, m
+                if lasts is not None:
+                    for item, (byte, m) in ends.items():
+                        lasts[item][byte] |= m
                 base = top + 1
             heads[top], fill[top] = 0x80, 0
         self.nbytes = nbytes
@@ -245,6 +274,7 @@ class _Bitmap:
         self.carry = self.heads - int.from_bytes(bottoms, "little")
         self.fill = int.from_bytes(fill, "little")
         self.items = {c: int.from_bytes(row, "little") for c, row in rows.items()}
+        self.lasts = None if lasts is None else {c: int.from_bytes(row, "little") for c, row in lasts.items()}
         self.keeps = {0: self.mask}
         first = max(nearest, lowest)
         if farthest is None or farthest >= reach:
@@ -252,12 +282,6 @@ class _Bitmap:
         else:
             self.windows = ((nearest, farthest - nearest + 1), (first, max(0, farthest - first + 1)))
         self.narrows = self.windows[0][1] is None
-
-    def sids(self, found: int) -> tuple[int, ...]:
-        """The supporting sids, from a pattern's head bits ``(entries +
-        carry) & heads``."""
-        hits = (found | self.fill).to_bytes(self.nbytes, "little")
-        return tuple(compress(self.sid_of, hits.translate(None, b"\x01")))
 
     def _shift(self, x: int, d: int) -> int:
         keep = self.keeps.get(d)
@@ -286,12 +310,26 @@ class _Bitmap:
 # The search
 
 
-def _count(base: int, tests: list[int], items: dict[int, int], carry: int, heads: int, fmin: int) -> list:
+def _count(base: int, tests: list[int], items: dict[int, int], carry: int, heads: int, fmin: int, lasts=None) -> list:
     """The frequent extensions among ``tests``: (item, entries, head bits,
     support) for each item whose bits ANDed with ``base`` (the S-step's
     ``after`` or, for the I-step, the entries themselves) leave at least
-    ``fmin`` supporters, in the order of ``tests``."""
+    ``fmin`` supporters, in the order of ``tests``.
+
+    The general count adds ``carry`` and reads the head bits of every
+    candidate.  ``lasts``, each item's last-occurrence bits, may be given
+    when a segment is a sequence and ``base`` is a suffix of each segment
+    (a window-free S-step): an item lies in the suffix exactly when its last
+    occurrence does, so the support is one AND and a ``bit_count``, and
+    only a hit computes its entries and head bits."""
     hits = []
+    if lasts is not None:
+        for c in tests:
+            n = (base & lasts[c]).bit_count()
+            if n >= fmin:
+                x = base & items[c]
+                hits.append((c, x, (x + carry) & heads, n))
+        return hits
     for c in tests:
         x = base & items[c]
         h = (x + carry) & heads
@@ -313,8 +351,8 @@ def _search(
 ) -> list[ResultEntry]:
     """Depth-first pattern growth over an explicit stack of frames
     (elements, entries, head bits, support, candidates, dfa_state,
-    running_sum), starting from the empty pattern.  Every gate is applied
-    here; ``state`` only supplies the bitmaps and the S-step.
+    running_sum, up), starting from the empty pattern.  Every gate is
+    applied here; ``state`` only supplies the bitmaps and the S-step.
 
     At each node the gates run before any count.  The sum gate drops the
     candidates whose cost would lift a summed upper bound past it; costs are
@@ -323,7 +361,14 @@ def _search(
     transition from the node's state into a live state; they stay in the
     inherited list, since a deeper state may admit them.  An item with no
     cost entry passes the sum gate and raises in ``AggregateSpec.cost_of``
-    once it is a frequent extension the DFA admits."""
+    once it is a frequent extension the DFA admits.
+
+    A node's supporters are among its parent's, so ``up`` is the parent's
+    (sids, fill): ``state.fill`` with the head bytes of the parent's
+    non-supporters also set to 0x01.  ORed into the node's head bits and
+    with every 0x01 byte deleted, it leaves one byte per parent supporter,
+    0x80 where the node keeps it.  A node decodes its sids only when it is
+    emitted or has frequent extensions."""
     dfa = cs.regex
     agg = cs.aggregate
     costs = agg.costs if agg is not None and agg.prunes_as_sum() else None
@@ -333,39 +378,54 @@ def _search(
     if dfa is not None:
         admits = [frozenset(c for c, t in table.items() if t in dfa.live) for table in dfa.transitions]
     accepts = cs.accepts
-    after_of, sids_of, items, carry, heads = state.after, state.sids, state.items, state.carry, state.heads
+    after_of, items, carry, heads, fill, nbytes = (
+        state.after, state.items, state.carry, state.heads, state.fill, state.nbytes
+    )
+    # Per S-step kind (later, first): the last-occurrence bits where that
+    # step admits a suffix of each sequence, else None.
+    lasts = tuple(None if width is not None else state.lasts for _, width in state.windows)
     maxlen, minlen, itemset_mode = params.maxlen, params.minlen, params.itemset_mode
     trusted = Pattern._trusted
     sink: list[ResultEntry] = []
-    # The root is never emitted (minlen >= 1), so its head bits and support
-    # are not needed.
-    stack = [((), None, 0, 0, root_cands, dfa.start if dfa is not None else None, 0)]
+    # Every sequence supports the empty pattern, the root, which is never
+    # emitted (minlen >= 1); its children decode from (sid_of, fill).
+    stack = [((), None, heads, 0, root_cands, dfa.start if dfa is not None else None, 0, (state.sid_of, fill))]
     while stack:
-        elements, entries, found, support, candidates, dfa_state, running_sum = stack.pop()
+        elements, entries, found, support, candidates, dfa_state, running_sum, up = stack.pop()
         stats.nodes_expanded += 1
         _check_deadline(deadline)
         depth = len(elements)
-        if depth >= minlen and (dfa is None or dfa_state in dfa.accepting) and accepts(elements):
-            sink.append(ResultEntry(trusted(elements), support, sids_of(found)))
+        emits = depth >= minlen and (dfa is None or dfa_state in dfa.accepting) and accepts(elements)
         grows = depth < maxlen
         augments = itemset_mode and depth > 0
-        if not (grows or augments):
+        s_hits = a_hits = ()
+        if grows or augments:
+            offered = len(candidates)
+            if costs is not None:
+                candidates = [c for c in candidates if (k := costs.get(c)) is None or viable(running_sum + k)]
+            tests = candidates
+            # mine() rejects a regex in itemset mode, so a regex run only appends.
+            if admits is not None:
+                allowed = admits[dfa_state]
+                tests = [c for c in candidates if c in allowed]
+            # Candidates are ascending, so the ones above the last item are a tail.
+            aug_tests = candidates[bisect_right(candidates, elements[-1][-1]) :] if augments else []
+            if grows:
+                first = depth == 1
+                s_hits = _count(after_of(entries, first), tests, items, carry, heads, fmin, lasts[first])
+            if augments:
+                a_hits = _count(entries, aug_tests, items, carry, heads, fmin)
+            stats.candidate_tests += (len(tests) if grows else 0) + len(aug_tests)
+            stats.gated += offered - len(tests)
+        if not (emits or s_hits or a_hits):
             continue
-
-        offered = len(candidates)
-        if costs is not None:
-            candidates = [c for c in candidates if (k := costs.get(c)) is None or viable(running_sum + k)]
-        tests = candidates
-        # mine() rejects a regex in itemset mode, so a regex run only appends.
-        if admits is not None:
-            allowed = admits[dfa_state]
-            tests = [c for c in candidates if c in allowed]
-        # Candidates are ascending, so the ones above the last item are a tail.
-        aug_tests = candidates[bisect_right(candidates, elements[-1][-1]) :] if augments else []
-        s_hits = _count(after_of(entries, depth == 1), tests, items, carry, heads, fmin) if grows else []
-        a_hits = _count(entries, aug_tests, items, carry, heads, fmin) if augments else []
-        stats.candidate_tests += (len(tests) if grows else 0) + len(aug_tests)
-        stats.gated += offered - len(tests)
+        up_sids, up_fill = up
+        sids = tuple(compress(up_sids, (found | up_fill).to_bytes(nbytes, "little").translate(None, b"\x01")))
+        if emits:
+            sink.append(ResultEntry(trusted(elements), support, sids))
+        if not (s_hits or a_hits):
+            continue
+        up = (sids, fill | ((heads ^ found) >> 7))
 
         local = [hit[0] for hit in s_hits]
         inherited = candidates
@@ -378,7 +438,7 @@ def _search(
         for c, x, h, n in s_hits:
             nxt_state = dfa_state if dfa is None else dfa.step(dfa_state, c)
             new_sum = 0 if costs is None else running_sum + agg.cost_of(c)
-            stack.append((elements + ((c,),), x, h, n, inherited, nxt_state, new_sum))
+            stack.append((elements + ((c,),), x, h, n, inherited, nxt_state, new_sum, up))
         if a_hits:
             # An item that never occurs after the last element's leftmost match
             # cannot appear in a later element, but it can still augment the
@@ -388,7 +448,7 @@ def _search(
             head, last = elements[:-1], elements[-1]
             for c, x, h, n in a_hits:
                 new_sum = 0 if costs is None else running_sum + agg.cost_of(c)
-                stack.append((head + (last + (c,),), x, h, n, inherited, dfa_state, new_sum))
+                stack.append((head + (last + (c,),), x, h, n, inherited, dfa_state, new_sum, up))
     return sink
 
 
@@ -409,10 +469,13 @@ def mine(
     (``None`` is ``ConstraintSet()``).
 
     Condensed modes run the frequent search first, then filter.  Returns a
-    canonically ordered result; raises MiningTimeout past the deadline.
+    canonically ordered result; raises MiningTimeout past the deadline, and
+    ValueError for a ``timeout`` that is not > 0 (NaN would never pass).
     """
     from . import condensed as _condensed
 
+    if timeout is not None and not timeout > 0:
+        raise ValueError(f"timeout must be > 0 seconds, got {timeout!r}")
     cs = ConstraintSet() if constraints is None else constraints
     if cs.regex is not None and params.itemset_mode:
         raise ConstraintError("regex constraints require simple mode")

@@ -66,6 +66,13 @@ def test_timeout_cell_is_marked_incomplete():
     assert "pattern_count" not in json.loads(record.to_json())
 
 
+def test_run_suite_rejects_a_timeout_that_is_not_positive(d7):
+    # mine() checks the timeout, so the first cell raises before it runs.
+    for bad in (float("nan"), 0, -1.0):
+        with pytest.raises(ValueError, match="timeout"):
+            list(run_suite([("d7", d7)], [3], ["frequent"], maxlen=4, timeout=bad))
+
+
 def test_constraint_summary_string(d7):
     cs = ConstraintSet(must_have={2}, maxgap=0)
     (record,) = run_suite(

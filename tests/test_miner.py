@@ -54,6 +54,15 @@ def test_mining_params_validation():
         dict(fmin=3, maxlen=2, minlen=3),
         dict(fmin=3, maxlen=2, minlen=0),
         dict(fmin=3, maxlen=3, mode="open"),
+        # Lengths are ints: the search compares depths with them, so
+        # maxlen=2.5 grew length-3 patterns and minlen=1.5 dropped length 1.
+        dict(fmin=3, maxlen=2.5),
+        dict(fmin=3, maxlen=3.0),
+        dict(fmin=3, maxlen=True),
+        dict(fmin=3, maxlen="3"),
+        dict(fmin=3, maxlen=4, minlen=1.5),
+        dict(fmin=3, maxlen=4, minlen=True),
+        dict(fmin=3, maxlen=4, minlen=None),
     ]:
         with pytest.raises(ValueError):
             MiningParams(**bad)
@@ -231,6 +240,16 @@ def test_timeout_raises():
     db, _ = generate(GenParams(num_sequences=150, seed=5))
     with pytest.raises(MiningTimeout):
         mine(db, MiningParams(fmin=2, maxlen=8), timeout=1e-5)
+
+
+def test_timeout_must_be_positive(d7):
+    # time.monotonic() > deadline is never true for a NaN deadline, so a NaN
+    # timeout would run with none; zero or less is past before the search.
+    params = MiningParams(fmin=3, maxlen=4)
+    for bad in (float("nan"), 0, 0.0, -1.0, float("-inf")):
+        with pytest.raises(ValueError, match="timeout"):
+            mine(d7, params, timeout=bad)
+    assert mine(d7, params, timeout=float("inf")) == mine(d7, params)
 
 
 # ---------------------------------------------------------------------------
@@ -490,12 +509,21 @@ def test_chain_search_matches_oracle(data):
 def _search_on(db, params, cs, narrow=True, deadline=None, stats=None):
     """One frequent run of _search on a fresh _Bitmap for ``cs``, as mine()
     sets it up; ``narrow`` narrows candidates wherever the layout allows
-    it, and ``narrow=False`` is the differential without narrowing."""
+    it, and ``narrow=False`` is the differential without narrowing.
+
+    The run is repeated on the same state with its last-occurrence bits
+    removed, so every step takes the general count; it must give the same
+    entries, sids included, and the same counters."""
     fmin = params.resolved_fmin(len(db))
     root = sorted(frequent_items(db, fmin) - cs.cannot_have)
     state = _Bitmap(_Index(db), root, cs)
     stats = MineStats() if stats is None else stats
+    general_stats = replace(stats)
     entries = _search(state, root, fmin, params, cs, stats, deadline, narrow and state.narrows)
+    state.lasts = None
+    general = _search(state, root, fmin, params, cs, general_stats, deadline, narrow and state.narrows)
+    assert general == entries
+    assert general_stats == stats
     return MiningResult.build(entries, params)
 
 
@@ -616,6 +644,8 @@ def test_state_follows_the_bounds(d7):
         assert (state.mask.bit_count() > positions) is per_start, bounds
         assert state.windows == (later, first), bounds
         assert state.narrows is (later[1] is None), bounds
+        # Last-occurrence bits count sequences only where a segment is one.
+        assert (state.lasts is None) is per_start, bounds
     # A minspan past the maxgap empties the first window: width 0.
     state = _Bitmap(index, root, ConstraintSet(minspan=10, maxgap=0))
     assert state.windows == ((1, 1), (9, 0))
@@ -643,6 +673,30 @@ def test_bounded_runs_narrow(d7, bounds):
     assert result_key(narrowed) == result_key(_search_on(d7, params, cs, narrow=False, stats=off))
     assert on.nodes_expanded == off.nodes_expanded
     assert on.candidate_tests < off.candidate_tests
+
+
+def test_maxspan_support_counts_sequences_not_segments():
+    # Under maxspan=2 the first sequence is laid out as four start segments
+    # of up to two positions; a lies in three of them and b in all four, and
+    # <a b> and <b a> embed in several.  Support still counts sequences.
+    db = SequenceDatabase.from_label_sequences([list("abab"), list("ac")])
+    cs = ConstraintSet(maxspan=2)
+    assert _Bitmap(_Index(db), sorted(frequent_items(db, 1)), cs).lasts is None
+
+    def supports(fmin):
+        result = _search_on(db, MiningParams(fmin=fmin, maxlen=3), cs)
+        return {labels: (n, e.support_ids) for (labels, n), e in zip(entry_labels(db, result), result)}
+
+    sids = [s.sid for s in db.sequences]
+    assert supports(2) == {"a": (2, tuple(sids))}
+    assert supports(1) == {
+        "a": (2, tuple(sids)),
+        "b": (1, (sids[0],)),
+        "c": (1, (sids[1],)),
+        "ab": (1, (sids[0],)),
+        "ac": (1, (sids[1],)),
+        "ba": (1, (sids[0],)),
+    }
 
 
 def test_span_search_on_a_long_sequence():
