@@ -6,11 +6,11 @@ brute-force reference miner on small inputs.
 
 Exit codes: 0 success, 1 usage error (bad flags or parameter values,
 including constraint parameters that do not fit the dataset's alphabet,
-``--regex`` with ``--itemset-mode`` and a ``--timeout`` that is not a
-positive, finite number), 2 timeout, 3 data error (unreadable or
-malformed input files, an output file that cannot be written, a
-database/mode mismatch, or a percentage ``--min-support`` on a database
-with no sequences).
+``--regex`` with ``--itemset-mode``, a NaN ``--agg-threshold`` and a
+``--timeout`` that is not a positive, finite number), 2 timeout, 3 data
+error (unreadable or malformed input files, an output file that cannot be
+written, a database/mode mismatch, or a percentage ``--min-support`` on a
+database with no sequences).
 
 ``mine`` imports only the modules a mining run needs; ``gen``, ``bench``
 and ``oracle`` import theirs when they run.

@@ -30,6 +30,7 @@ acceptance.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -71,6 +72,9 @@ class AggregateSpec:
             raise ConstraintError(f"unknown aggregate op: {self.op!r}")
         if self.cmp not in _CMP:
             raise ConstraintError(f"unknown comparator: {self.cmp!r}")
+        # Every comparison with NaN is false, so it would reject every pattern.
+        if math.isnan(self.threshold):
+            raise ConstraintError("aggregate threshold must not be NaN")
         object.__setattr__(self, "costs", dict(self.costs))
 
     def cost_of(self, item: int) -> int:

@@ -45,8 +45,12 @@ class GenParams:
             raise ValueError("min_coverage must be in [0, 1]")
         if self.alphabet_size < 1:
             raise ValueError("alphabet_size must be >= 1")
-        if self.item_sigma < 0:
-            raise ValueError("item_sigma must be >= 0")
+        # Inside these bounds a Normal(mu, sigma) draw lands in (0, 1) with
+        # probability above 1/3, so the popularity law's resampling ends.
+        if not 0.0 < self.item_mu < 1.0:
+            raise ValueError("item_mu must be in (0, 1)")
+        if not 0.0 <= self.item_sigma <= 1.0:
+            raise ValueError("item_sigma must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -89,19 +93,6 @@ def item_popularity_law(k: int, mu: float, sigma: float, rng: random.Random) -> 
             return min(k - 1, int(x * k))
 
 
-class ItemSampler:
-    """Bound popularity-law sampler over item indices 0..k-1."""
-
-    def __init__(self, k: int, mu: float, sigma: float, rng: random.Random):
-        self.k = k
-        self.mu = mu
-        self.sigma = sigma
-        self.rng = rng
-
-    def draw(self) -> int:
-        return item_popularity_law(self.k, self.mu, self.sigma, self.rng)
-
-
 def _length(rng: random.Random, mean: int, lo: int) -> int:
     return max(lo, round(rng.gauss(mean, mean / 5)))
 
@@ -113,13 +104,13 @@ def _label(index: int, width: int) -> str:
 def generate(gp: GenParams) -> tuple[SequenceDatabase, GenManifest]:
     """Deterministic for a given GenParams (single seeded RNG stream)."""
     rng = random.Random(gp.seed)
-    sampler = ItemSampler(gp.alphabet_size, gp.item_mu, gp.item_sigma, rng)
+    k, mu, sigma = gp.alphabet_size, gp.item_mu, gp.item_sigma
     width = len(str(gp.alphabet_size - 1))
 
     patterns: list[list[int]] = []
     for _ in range(gp.num_patterns):
         plen = min(_length(rng, gp.mean_pattern_len, 1), gp.mean_seq_len)
-        patterns.append([sampler.draw() for _ in range(plen)])
+        patterns.append([item_popularity_law(k, mu, sigma, rng) for _ in range(plen)])
 
     assigned: list[list[int]] = [[] for _ in range(gp.num_sequences)]
     planted_sids: list[tuple[int, ...]] = []
@@ -145,7 +136,7 @@ def generate(gp: GenParams) -> tuple[SequenceDatabase, GenManifest]:
                 slots[pos] = item
             free = [f for f in free if slots[f] is None]
         for pos in free:
-            slots[pos] = sampler.draw()
+            slots[pos] = item_popularity_law(k, mu, sigma, rng)
         label_seqs.append([_label(i, width) for i in slots])  # type: ignore[arg-type]
 
     db = SequenceDatabase.from_label_sequences(label_seqs)

@@ -10,7 +10,7 @@ judges each pattern before it is emitted, and the deadline is checked at
 every node.  Candidate extensions at a node are inherited from the
 parent's locally frequent items wherever no maxgap bounds anything (then
 an extension's admitted positions only shrink as the pattern grows, so
-nothing is lost; ``_search``'s ``narrow`` argument switches this narrowing
+nothing is lost; clearing the index's ``narrows`` switches this narrowing
 off for differential tests).
 
 What the search keeps for a pattern is one big int over vertical bitmaps,
@@ -120,25 +120,6 @@ class MineStats:
 # Search plumbing
 
 
-def frequent_items(db: SequenceDatabase, fmin: int) -> frozenset[int]:
-    """Items occurring in at least fmin distinct sequences."""
-    counts: dict[int, int] = {}
-    for seq in db.sequences:
-        for item in set(seq.items()):
-            counts[item] = counts.get(item, 0) + 1
-    return frozenset(i for i, c in counts.items() if c >= fmin)
-
-
-class _Index:
-    """The database's sequences in order: their elements and sids."""
-
-    __slots__ = ("elements", "sids")
-
-    def __init__(self, db: SequenceDatabase):
-        self.elements = [s.elements for s in db.sequences]
-        self.sids = [s.sid for s in db.sequences]
-
-
 def _check_deadline(deadline: float | None) -> None:
     if deadline is not None and time.monotonic() > deadline:
         raise MiningTimeout()
@@ -151,7 +132,7 @@ def _check_deadline(deadline: float | None) -> None:
 # ``after(entries)`` (a new last element) or the entries themselves (an item
 # added to the last element, itemset mode) with an item's bitmap, and reads
 # support and sids from the head bits ``(entries + carry) & heads`` (support
-# after a window-free S-step from ``lasts`` instead).  The state judges no
+# after a window-free S-step from ``lasts`` instead).  The index judges no
 # constraint beyond the gap and span windows it is laid out from.
 
 
@@ -171,20 +152,20 @@ def _smear(x: int, width: int, shift) -> int:
     return acc
 
 
-class _Bitmap:
-    """Vertical bitmaps, one big int per item over the whole database (SPAM,
-    Ayres et al. 2002), laid out from ``ConstraintSet.gap_window`` (nearest,
-    farthest) and ``ConstraintSet.span_window`` (lowest, highest).
+class _Index:
+    """The database's vertical bitmaps, one big int per item over every
+    sequence (SPAM, Ayres et al. 2002), laid out from
+    ``ConstraintSet.gap_window`` (nearest, farthest) and
+    ``ConstraintSet.span_window`` (lowest, highest).
 
     Each segment of length L owns ceil((L+1)/8) bytes: its L position bits,
     position 1 lowest, sit directly below a guard bit, the segment's top
     bit.  A position's bit is set in the bitmap of every item of its
-    element; only ``items``, the root's candidates, get a bitmap.  A
-    sequence is one segment, or, when a maxspan bounds something, one
-    segment per start f holding positions f..f+highest (or to the end),
-    then one empty segment, its head.  Every position is a root: a chain
-    starting at g in segment f <= g ends by f + highest, so segment g finds
-    it too.
+    element that ``cannot_have`` leaves.  A sequence is one segment, or,
+    when a maxspan bounds something, one segment per start f holding
+    positions f..f+highest (or to the end), then one empty segment, its
+    head.  Every position is a root: a chain starting at g in segment f <= g
+    ends by f + highest, so segment g finds it too.
 
     The S-step admits the positions nearest..farthest after each entry bit
     (the gap join of cSPADE, Zaki 2000): the OR over d of ``(E & keep[d])
@@ -208,26 +189,30 @@ class _Bitmap:
     ``carry`` sets every bit of a sequence's group below the guard of its
     last segment, its head, so adding it carries into the head exactly when
     the group holds an entry bit: support and sids come from the head bits
-    with no loop over sequences.  When a sequence is one segment, ``lasts``
-    holds, per item, the bit of its last occurrence in each sequence (else
-    it is ``None``): after a window-free S-step the admitted positions are a
-    suffix of each sequence, which holds the item exactly when it holds the
-    last occurrence, so ``_count`` needs no carry there.
+    with no loop over sequences.  ``items`` keeps, in ascending order, the
+    bitmaps whose head bits reach ``fmin``, the root's candidates; a
+    sequence counts once however many of its segments hold the item.  When
+    a sequence is one segment, ``lasts`` holds, per candidate, the bit of
+    its last occurrence in each sequence (else it is ``None``): after a
+    window-free S-step the admitted positions are a suffix of each
+    sequence, which holds the item exactly when it holds the last
+    occurrence, so ``_count`` needs no carry there.
 
     The sids are read against a set of sequences already known, at the
-    root all of them (``sid_of``, ``fill``): ``fill`` sets every byte but
-    the head bytes to 0x01.  A node with frequent extensions passes its
-    children its sids and ``fill | ((heads ^ found) >> 7)``, which also sets
-    the head bytes of its non-supporters to 0x01.  A child ORs that into
-    its own head bits and deletes every 0x01 byte, which leaves one byte per
-    parent supporter, 0x80 where the child keeps it, to select from the
-    parent's sids.
+    root all of them (``sid_of``, 1..N since sids are dense, and ``fill``):
+    ``fill`` sets every byte but the head bytes to 0x01.  A node with
+    frequent extensions passes its children its sids and ``fill | ((heads ^
+    found) >> 7)``, which also sets the head bytes of its non-supporters to
+    0x01.  A child ORs that into its own head bits and deletes every 0x01
+    byte, which leaves one byte per parent supporter, 0x80 where the child
+    keeps it, to select from the parent's sids.
     """
 
-    def __init__(self, index: _Index, items: list[int], cs: ConstraintSet):
+    def __init__(self, db: SequenceDatabase, fmin: int, cs: ConstraintSet):
         nearest, farthest = cs.gap_window()
         lowest, highest = cs.span_window()
-        longest = max(map(len, index.elements), default=0)
+        sequences = [s.elements for s in db.sequences]
+        longest = max(map(len, sequences), default=0)
         # No two positions of one segment lie more than ``reach`` apart, so
         # a highest offset or farthest distance of ``reach`` or more bounds
         # nothing.
@@ -236,15 +221,17 @@ class _Bitmap:
         if per_start:
             reach = highest
             groups = [
-                [elements[f : f + reach + 1] for f in range(len(elements))] + [()] for elements in index.elements
+                [elements[f : f + reach + 1] for f in range(len(elements))] + [()] for elements in sequences
             ]
         else:
-            groups = [(elements,) for elements in index.elements]
+            groups = [(elements,) for elements in sequences]
         nbytes = sum(len(elements) // 8 + 1 for group in groups for elements in group)
         mask, guards, starts, bottoms, heads = (bytearray(nbytes) for _ in range(5))
         fill = bytearray(b"\x01") * nbytes
-        rows = {c: bytearray(nbytes) for c in items}
-        lasts = None if per_start else {c: bytearray(nbytes) for c in items}
+        # Per item, the bits it sets, and where a sequence is one segment,
+        # the bit of its last occurrence in each sequence.
+        places = {c: [] for c in range(len(db.alphabet)) if c not in cs.cannot_have}
+        last_places = None if per_start else {c: [] for c in places}
         base = 0
         for group in groups:
             bottoms[base] = 1
@@ -253,28 +240,41 @@ class _Bitmap:
                 starts[base], guards[top] = 1, 0x80
                 ends = {}
                 for bit, elem in enumerate(elements, start=8 * top + 7 - len(elements)):
-                    byte, m = bit >> 3, 1 << (bit & 7)
-                    mask[byte] |= m
+                    mask[bit >> 3] |= 1 << (bit & 7)
                     for item in elem:
-                        row = rows.get(item)
-                        if row is not None:
-                            row[byte] |= m
-                            ends[item] = byte, m
-                if lasts is not None:
-                    for item, (byte, m) in ends.items():
-                        lasts[item][byte] |= m
+                        at = places.get(item)
+                        if at is not None:
+                            at.append(bit)
+                            ends[item] = bit
+                if last_places is not None:
+                    for item, bit in ends.items():
+                        last_places[item].append(bit)
                 base = top + 1
             heads[top], fill[top] = 0x80, 0
+
+        def bitmap(bits: list[int]) -> int:
+            row = bytearray(nbytes)
+            for bit in bits:
+                row[bit >> 3] |= 1 << (bit & 7)
+            return int.from_bytes(row, "little")
+
         self.nbytes = nbytes
-        self.sid_of = index.sids
+        self.sid_of = range(1, len(sequences) + 1)
         self.mask = int.from_bytes(mask, "little")
         self.guards = int.from_bytes(guards, "little")
         self.starts = int.from_bytes(starts, "little")
         self.heads = int.from_bytes(heads, "little")
         self.carry = self.heads - int.from_bytes(bottoms, "little")
         self.fill = int.from_bytes(fill, "little")
-        self.items = {c: int.from_bytes(row, "little") for c, row in rows.items()}
-        self.lasts = None if lasts is None else {c: int.from_bytes(row, "little") for c, row in lasts.items()}
+        # An item with fewer than fmin bits cannot reach fmin sequences, so
+        # only the others get a bitmap to count.
+        self.items = {}
+        for c, bits in places.items():
+            if len(bits) >= fmin:
+                x = bitmap(bits)
+                if ((x + self.carry) & self.heads).bit_count() >= fmin:
+                    self.items[c] = x
+        self.lasts = None if last_places is None else {c: bitmap(last_places[c]) for c in self.items}
         self.keeps = {0: self.mask}
         first = max(nearest, lowest)
         if farthest is None or farthest >= reach:
@@ -340,19 +340,19 @@ def _count(base: int, tests: list[int], items: dict[int, int], carry: int, heads
 
 
 def _search(
-    state,
-    root_cands: list[int],
+    index: _Index,
     fmin: int,
     params: MiningParams,
     cs: ConstraintSet,
     stats: MineStats,
     deadline: float | None,
-    narrow: bool,
 ) -> list[ResultEntry]:
     """Depth-first pattern growth over an explicit stack of frames
     (elements, entries, head bits, support, candidates, dfa_state,
-    running_sum, up), starting from the empty pattern.  Every gate is
-    applied here; ``state`` only supplies the bitmaps and the S-step.
+    running_sum, up), starting from the empty pattern with the index's
+    items as candidates, and narrowing them where ``index.narrows``.  Every
+    gate is applied here; ``index`` only supplies the bitmaps and the
+    S-step.
 
     At each node the gates run before any count.  The sum gate drops the
     candidates whose cost would lift a summed upper bound past it; costs are
@@ -364,7 +364,7 @@ def _search(
     once it is a frequent extension the DFA admits.
 
     A node's supporters are among its parent's, so ``up`` is the parent's
-    (sids, fill): ``state.fill`` with the head bytes of the parent's
+    (sids, fill): ``index.fill`` with the head bytes of the parent's
     non-supporters also set to 0x01.  ORed into the node's head bits and
     with every 0x01 byte deleted, it leaves one byte per parent supporter,
     0x80 where the node keeps it.  A node decodes its sids only when it is
@@ -378,18 +378,18 @@ def _search(
     if dfa is not None:
         admits = [frozenset(c for c, t in table.items() if t in dfa.live) for table in dfa.transitions]
     accepts = cs.accepts
-    after_of, items, carry, heads, fill, nbytes = (
-        state.after, state.items, state.carry, state.heads, state.fill, state.nbytes
+    after_of, items, carry, heads, fill, nbytes, narrow = (
+        index.after, index.items, index.carry, index.heads, index.fill, index.nbytes, index.narrows
     )
     # Per S-step kind (later, first): the last-occurrence bits where that
     # step admits a suffix of each sequence, else None.
-    lasts = tuple(None if width is not None else state.lasts for _, width in state.windows)
+    lasts = tuple(None if width is not None else index.lasts for _, width in index.windows)
     maxlen, minlen, itemset_mode = params.maxlen, params.minlen, params.itemset_mode
     trusted = Pattern._trusted
     sink: list[ResultEntry] = []
     # Every sequence supports the empty pattern, the root, which is never
     # emitted (minlen >= 1); its children decode from (sid_of, fill).
-    stack = [((), None, heads, 0, root_cands, dfa.start if dfa is not None else None, 0, (state.sid_of, fill))]
+    stack = [((), None, heads, 0, list(items), dfa.start if dfa is not None else None, 0, (index.sid_of, fill))]
     while stack:
         elements, entries, found, support, candidates, dfa_state, running_sum, up = stack.pop()
         stats.nodes_expanded += 1
@@ -485,9 +485,7 @@ def mine(
     stats = stats if stats is not None else MineStats()
     deadline = None if timeout is None else time.monotonic() + timeout
 
-    root_cands = sorted(frequent_items(db, fmin) - cs.cannot_have)
-    state = _Bitmap(_Index(db), root_cands, cs)
-    entries = _search(state, root_cands, fmin, params, cs, stats, deadline, state.narrows)
+    entries = _search(_Index(db, fmin, cs), fmin, params, cs, stats, deadline)
 
     result = MiningResult.build(entries, params)
     if params.mode != "frequent":

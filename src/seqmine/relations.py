@@ -16,7 +16,7 @@ Two redundant representations of "where P sits inside S" are provided:
 Both answer the support question identically; they differ in memory shape.
 They are the paper's two encodings of embeddings, kept here as reference
 models: the search keeps the fill-gaps frontier of every sequence at once
-(``miner._Bitmap``), and the condensed filter's rescans pair the frontier
+(``miner._Index``), and the condensed filter's rescans pair the frontier
 with a backward sweep (``condensed.occurrence_bounds``).
 """
 

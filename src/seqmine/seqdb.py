@@ -195,21 +195,9 @@ class SequenceDatabase:
         Each sequence is an iterable of elements; an element is either a
         string label (singleton itemset) or an iterable of labels.
         """
-        normal: list[list[tuple[str, ...]]] = []
-        for seq in label_seqs:
-            elems: list[tuple[str, ...]] = []
-            for elem in seq:
-                if isinstance(elem, str):
-                    elems.append((elem,))
-                else:
-                    elems.append(tuple(elem))
-            normal.append(elems)
-        alphabet = Alphabet.from_tokens(lab for s in normal for e in s for lab in e)
-        seqs = tuple(
-            Sequence(sid, tuple(tuple(sorted(alphabet.id_of(lab) for lab in e)) for e in s))
-            for sid, s in enumerate(normal, start=1)
+        return _build_from_raw(
+            [[(e,) if isinstance(e, str) else tuple(e) for e in seq] for seq in label_seqs]
         )
-        return cls(alphabet, seqs)
 
 
 # ---------------------------------------------------------------------------

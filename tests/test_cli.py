@@ -186,6 +186,20 @@ def test_mine_regex_in_itemset_mode_is_usage_error(d7_path, tmp_path, capsys):
         assert err.splitlines()[-1] == "seqmine mine: error: --regex requires simple mode, not --itemset-mode"
 
 
+def test_mine_nan_aggregate_threshold_is_usage_error(d7_path, tmp_path, capsys):
+    # Every comparison with NaN is false: the run used to print no pattern
+    # and exit 0.
+    cost = tmp_path / "costs.tsv"
+    cost.write_text("1\t1\n2\t2\n3\t3\n4\t10\n")
+    for agg in ("sum", "min", "max", "avg"):
+        code, out, err = run(
+            capsys, "mine", "--input", str(d7_path), "--min-support", "3", "--maxlen", "4",
+            "--cost-file", str(cost), "--agg", agg, "--agg-cmp", "ge", "--agg-threshold", "nan",
+        )
+        assert code == 1 and not out, agg
+        assert err.splitlines()[-1] == "seqmine mine: error: aggregate threshold must not be NaN", err
+
+
 @pytest.mark.parametrize("command", ["mine", "bench"])
 @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf", "soon"])
 def test_timeout_must_be_positive_and_finite(command, value, d7_path, capsys):
@@ -407,6 +421,12 @@ def test_gen_usage_errors(capsys, tmp_path):
             capsys, "gen", "--min-coverage", coverage, "--output", str(tmp_path / "x.spmf")
         )
         assert code == 1
+    # A popularity law whose draws never land in (0, 1) is refused, not run.
+    for flags in (["--item-mu", "5", "--item-sigma", "0"], ["--item-mu", "nan"], ["--item-sigma", "nan"]):
+        code, out, err = run(capsys, "gen", *flags, "--output", str(tmp_path / "x.spmf"))
+        assert code == 1 and not out, flags
+        assert err.splitlines()[-1].startswith("seqmine gen: error: item_"), (flags, err)
+    assert not (tmp_path / "x.spmf").exists()
 
 
 # ---------------------------------------------------------------------------

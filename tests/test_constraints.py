@@ -99,6 +99,13 @@ def test_aggregate_spec_validation():
         spec.cost_of(9)
     with pytest.raises(ConstraintError):
         spec.value([])
+    # Every comparison with NaN is false, so a NaN threshold would reject
+    # every pattern; an infinite one keeps its meaning.
+    for op in ("sum", "min", "max", "avg"):
+        with pytest.raises(ConstraintError, match="NaN"):
+            AggregateSpec({0: 1}, op, "ge", float("nan"))
+    assert AggregateSpec({0: 1}, "sum", "le", float("inf")).accepts([0])
+    assert not AggregateSpec({0: 1}, "sum", "ge", float("inf")).accepts([0])
 
 
 def test_aggregate_ops_and_comparators():

@@ -35,11 +35,23 @@ def test_gen_params_validation():
         dict(min_coverage=1.1),
         dict(alphabet_size=0),
         dict(item_sigma=-0.5),
+        # The popularity law resamples until a draw lands in (0, 1); these
+        # never or hardly ever do, and the generator looped forever.
+        dict(item_mu=5, item_sigma=0),
+        dict(item_mu=1.5, item_sigma=0.01),
+        dict(item_mu=0.0),
+        dict(item_mu=1.0),
+        dict(item_mu=float("nan")),
+        dict(item_sigma=float("nan")),
+        dict(item_sigma=float("inf")),
+        dict(item_sigma=1.5),
     ]:
         with pytest.raises(ValueError):
             GenParams(**bad)
     GenParams(min_coverage=0.0)
     GenParams(min_coverage=1.0)
+    GenParams(item_mu=0.01, item_sigma=1.0)
+    GenParams(item_sigma=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from seqmine import (
     MiningTimeout,
     Pattern,
     SequenceDatabase,
-    frequent_items,
     generate,
     mine,
     OracleConfig,
@@ -31,7 +30,7 @@ from seqmine import (
 )
 from seqmine.datagen import GenParams
 from seqmine.constraints import constrained_embeddings
-from seqmine.miner import _Bitmap, _Index, _search
+from seqmine.miner import _Index, _search
 
 from helpers import entry_labels, pat, result_key
 
@@ -85,10 +84,22 @@ def test_fractional_fmin_resolution():
 # Root candidates
 
 
-def test_frequent_items(d7):
-    assert frequent_items(d7, 3) == {A, B, C}
-    assert frequent_items(d7, 1) == {A, B, C, D}
-    assert frequent_items(d7, 7) == frozenset()
+def _roots(db, fmin, **bounds):
+    index = _Index(db, fmin, ConstraintSet(**bounds))
+    assert index.lasts is None or list(index.lasts) == list(index.items)
+    return list(index.items)
+
+
+def test_root_candidates(d7):
+    # The index keeps, ascending, the items in at least fmin sequences.
+    assert _roots(d7, 3) == [A, B, C]
+    assert _roots(d7, 1) == [A, B, C, D]
+    assert _roots(d7, 7) == []
+    assert _roots(d7, 1, cannot_have=frozenset({B, D})) == [A, C]
+    # Under maxspan=2 the first sequence is four start segments; b lies in
+    # all four, but in one sequence, so it is no candidate at fmin 2.
+    db = SequenceDatabase.from_label_sequences([list("abab"), list("ac")])
+    assert _roots(db, 2, maxspan=2) == [db.alphabet.id_of("a")]
 
 
 # ---------------------------------------------------------------------------
@@ -502,12 +513,12 @@ def test_chain_search_matches_oracle(data):
 # Gap and span bounds: the bitmap layouts against the oracle
 #
 # The layout is built from the constraint set's gap and span windows.  Each
-# run drives _search directly on a fresh _Bitmap, as mine() sets it up, and
+# run drives _search directly on a fresh _Index, as mine() sets it up, and
 # must match the oracle with narrowing on or off.
 
 
 def _search_on(db, params, cs, narrow=True, deadline=None, stats=None):
-    """One frequent run of _search on a fresh _Bitmap for ``cs``, as mine()
+    """One frequent run of _search on a fresh _Index for ``cs``, as mine()
     sets it up; ``narrow`` narrows candidates wherever the layout allows
     it, and ``narrow=False`` is the differential without narrowing.
 
@@ -515,13 +526,13 @@ def _search_on(db, params, cs, narrow=True, deadline=None, stats=None):
     removed, so every step takes the general count; it must give the same
     entries, sids included, and the same counters."""
     fmin = params.resolved_fmin(len(db))
-    root = sorted(frequent_items(db, fmin) - cs.cannot_have)
-    state = _Bitmap(_Index(db), root, cs)
+    index = _Index(db, fmin, cs)
+    index.narrows = narrow and index.narrows
     stats = MineStats() if stats is None else stats
     general_stats = replace(stats)
-    entries = _search(state, root, fmin, params, cs, stats, deadline, narrow and state.narrows)
-    state.lasts = None
-    general = _search(state, root, fmin, params, cs, general_stats, deadline, narrow and state.narrows)
+    entries = _search(index, fmin, params, cs, stats, deadline)
+    index.lasts = None
+    general = _search(index, fmin, params, cs, general_stats, deadline)
     assert general == entries
     assert general_stats == stats
     return MiningResult.build(entries, params)
@@ -624,8 +635,6 @@ def test_state_follows_the_bounds(d7):
     # width, and then no narrowing.  A minspan raises the first S-step's
     # nearest distance alone.  The longest d7 sequence has 4 elements, so
     # maxspan >= 4 and maxgap >= 2 bound nothing.
-    root = sorted(frequent_items(d7, 2))
-    index = _Index(d7)
     positions = sum(len(s) for s in d7.sequences)
     for bounds, per_start, later, first in (
         (dict(), False, (1, None), (1, None)),
@@ -640,16 +649,16 @@ def test_state_follows_the_bounds(d7):
         (dict(minspan=2, maxspan=9), False, (1, None), (1, None)),
         (dict(mingap=1, minspan=1, maxspan=4), False, (2, None), (2, None)),
     ):
-        state = _Bitmap(index, root, ConstraintSet(**bounds))
-        assert (state.mask.bit_count() > positions) is per_start, bounds
-        assert state.windows == (later, first), bounds
-        assert state.narrows is (later[1] is None), bounds
+        index = _Index(d7, 2, ConstraintSet(**bounds))
+        assert (index.mask.bit_count() > positions) is per_start, bounds
+        assert index.windows == (later, first), bounds
+        assert index.narrows is (later[1] is None), bounds
         # Last-occurrence bits count sequences only where a segment is one.
-        assert (state.lasts is None) is per_start, bounds
+        assert (index.lasts is None) is per_start, bounds
     # A minspan past the maxgap empties the first window: width 0.
-    state = _Bitmap(index, root, ConstraintSet(minspan=10, maxgap=0))
-    assert state.windows == ((1, 1), (9, 0))
-    assert state.after(state.mask, True) == 0 != state.after(state.mask, False)
+    index = _Index(d7, 2, ConstraintSet(minspan=10, maxgap=0))
+    assert index.windows == ((1, 1), (9, 0))
+    assert index.after(index.mask, True) == 0 != index.after(index.mask, False)
 
 
 def test_minspan_past_the_maxgap_leaves_one_element_patterns(d7):
@@ -681,7 +690,7 @@ def test_maxspan_support_counts_sequences_not_segments():
     # <a b> and <b a> embed in several.  Support still counts sequences.
     db = SequenceDatabase.from_label_sequences([list("abab"), list("ac")])
     cs = ConstraintSet(maxspan=2)
-    assert _Bitmap(_Index(db), sorted(frequent_items(db, 1)), cs).lasts is None
+    assert _Index(db, 1, cs).lasts is None
 
     def supports(fmin):
         result = _search_on(db, MiningParams(fmin=fmin, maxlen=3), cs)

@@ -25,7 +25,7 @@ PUBLIC_NAMES = {
         "FillGapsFrontier", "SkipGapsEmbedding", "fill_gaps_frontier", "is_prefix",
         "is_subitemset", "is_subsequence", "skip_gaps_embedding", "support",
     },
-    "miner": {"DataError", "MineStats", "MiningParams", "MiningTimeout", "frequent_items", "mine"},
+    "miner": {"DataError", "MineStats", "MiningParams", "MiningTimeout", "mine"},
     "constraints": {
         "AggregateSpec", "ChainEmbedding", "ConstraintError", "ConstraintSet", "RegexDfa",
         "RegexError", "constrained_embeddings", "load_cost_text", "regex_compile", "resolve_costs",
