@@ -12,8 +12,15 @@ error (unreadable or malformed input files, an output file that cannot be
 written, a database/mode mismatch, or a percentage ``--min-support`` on a
 database with no sequences).
 
-``mine`` imports only the modules a mining run needs; ``gen``, ``bench``
-and ``oracle`` import theirs when they run.
+A reader that closes standard output early (``seqmine mine ... | head``)
+stops the output, not the run: the rest goes to ``os.devnull`` and the
+exit code is what it would have been.  A failed write to an ``--output``
+file is still a data error.
+
+``mine`` and ``oracle`` write their result records ``BLOCK`` at a time, so
+the output text of a large result is never held whole.  ``mine`` imports
+only the modules a mining run needs; ``gen``, ``bench`` and ``oracle``
+import theirs when they run.
 """
 
 from __future__ import annotations
@@ -24,9 +31,11 @@ import io
 import math
 import os
 import sys
+from typing import Iterable
 
 from .seqdb import (
     FormatError,
+    MiningResult,
     Pattern,
     SequenceDatabase,
     load_database,
@@ -55,6 +64,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_TIMEOUT = 2
 EXIT_DATA = 3
+
+BLOCK = 2000  # result records formatted and written per chunk
 
 
 class _UsageError(Exception):
@@ -215,12 +226,31 @@ def _data_error(exc: Exception) -> int:
     return EXIT_DATA
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
+def _write_text(path: str | None, text: str | Iterable[str]) -> None:
+    """Write ``text``, one string or an iterable of string chunks, to the
+    file ``path`` or, for ``None``, to standard output.  A reader that closes
+    standard output ends the write quietly: standard output is pointed at
+    ``os.devnull``, so nothing fails when the interpreter flushes it at exit."""
+    chunks = (text,) if isinstance(text, str) else text
+    if path is not None:
         with io.open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
+        return
+    try:
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+def _write_records(path: str | None, result: MiningResult, db: SequenceDatabase) -> None:
+    """Write the result records ``BLOCK`` entries at a time."""
+    entries = result.entries
+    _write_text(path, (write_results(entries[i : i + BLOCK], db) for i in range(0, len(entries), BLOCK)))
 
 
 def _check_writable(path: str | None) -> None:
@@ -311,7 +341,7 @@ def _cmd_mine(args) -> int:
     except (DataError, ConstraintError) as exc:
         return _data_error(exc)
 
-    _write_text(args.output, write_results(result, db))
+    _write_records(args.output, result, db)
     print(
         f"seqmine: {len(result)} patterns, {stats.nodes_expanded} nodes expanded",
         file=sys.stderr,
@@ -397,7 +427,7 @@ def _cmd_bench(args) -> int:
     finally:
         if sink is not None:
             sink.close()
-    print(bench_mod.summarize(records))
+    _write_text(None, bench_mod.summarize(records) + "\n")
     return EXIT_OK
 
 
@@ -417,7 +447,7 @@ def _cmd_oracle(args) -> int:
         result = oracle_frequent(db, resolved, args.maxlen, itemset_mode=args.itemset_mode)
     except (DataError, GuardError) as exc:
         return _data_error(exc)
-    _write_text(args.output, write_results(result, db))
+    _write_records(args.output, result, db)
     return EXIT_OK
 
 

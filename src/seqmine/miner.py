@@ -386,6 +386,8 @@ def _search(
     lasts = tuple(None if width is not None else index.lasts for _, width in index.windows)
     maxlen, minlen, itemset_mode = params.maxlen, params.minlen, params.itemset_mode
     trusted = Pattern._trusted
+    # One one-item element per item, shared by every pattern that appends it.
+    singles = {c: (c,) for c in items}
     sink: list[ResultEntry] = []
     # Every sequence supports the empty pattern, the root, which is never
     # emitted (minlen >= 1); its children decode from (sid_of, fill).
@@ -438,7 +440,7 @@ def _search(
         for c, x, h, n in s_hits:
             nxt_state = dfa_state if dfa is None else dfa.step(dfa_state, c)
             new_sum = 0 if costs is None else running_sum + agg.cost_of(c)
-            stack.append((elements + ((c,),), x, h, n, inherited, nxt_state, new_sum, up))
+            stack.append((elements + (singles[c],), x, h, n, inherited, nxt_state, new_sum, up))
         if a_hits:
             # An item that never occurs after the last element's leftmost match
             # cannot appear in a later element, but it can still augment the

@@ -118,7 +118,7 @@ class Sequence:
             yield from itemset
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Pattern:
     """A candidate/mined pattern: a tuple of itemsets, same shape as a sequence.
 
@@ -204,7 +204,7 @@ class SequenceDatabase:
 # Mining results
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResultEntry:
     pattern: Pattern
     support: int
@@ -417,10 +417,13 @@ class _Memo(dict):
         return value
 
 
-def write_results(result: MiningResult, db: SequenceDatabase) -> str:
-    """One compact JSON object per entry, in the result's canonical order.
+def write_results(result: Iterable[ResultEntry], db: SequenceDatabase) -> str:
+    """One compact JSON object per entry, in the order ``result`` yields them.
 
-    Each line is ``json.dumps(record, separators=(",", ":"))`` of
+    ``result`` is any iterable of entries: a ``MiningResult`` (its canonical
+    order) or a slice of its ``entries``, so records can be written a block
+    at a time and the texts of consecutive slices join to the whole.  Each
+    line is ``json.dumps(record, separators=(",", ":"))`` of
     ``{"pattern": label lists, "support": n, "support_ids": [...]}``, joined
     from pieces encoded once: every label with ``json.dumps`` (so non-ASCII
     and control characters are escaped the same way), every element's
@@ -433,7 +436,7 @@ def write_results(result: MiningResult, db: SequenceDatabase) -> str:
     return "".join([
         f'{{"pattern":[{",".join(map(element, e.pattern.elements))}],"support":{e.support},'
         f'"support_ids":[{",".join(map(sid, e.support_ids))}]}}\n'
-        for e in result.entries
+        for e in result
     ])
 
 

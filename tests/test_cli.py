@@ -8,6 +8,7 @@ import importlib
 import json
 import os
 import re
+import select
 import shutil
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from seqmine import MiningParams, load_database, mine, write_results, write_spmf
 from seqmine import cli
 from seqmine.cli import build_parser, main
 
@@ -375,6 +377,161 @@ def test_readme_supporting_modules_exist():
                 pytest.fail(f"README documents {module_name}.{name}, which does not exist")
             checked += 1
     assert checked >= 10
+
+
+# ---------------------------------------------------------------------------
+# result records, written in blocks
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _one_sequence_db(path, n_items):
+    """One sequence of ``n_items`` distinct items: at support 1 and maxlen 1
+    exactly ``n_items`` patterns."""
+    path.write_text("".join(f"{i} -1 " for i in range(1, n_items + 1)) + "-2\n")
+    return path
+
+
+def _expected_records(path, fmin, maxlen):
+    db = load_database(str(path))
+    return write_results(mine(db, MiningParams(fmin=fmin, maxlen=maxlen)), db)
+
+
+@pytest.mark.parametrize(
+    "n_items, fmin",
+    [(2 * cli.BLOCK + 1, 1), (2 * cli.BLOCK, 1), (cli.BLOCK - 1, 1), (5, 2)],
+    ids=["several-blocks", "exact-multiple", "one-block", "empty"],
+)
+def test_mine_records_equal_write_results_across_blocks(n_items, fmin, tmp_path, capsys):
+    path = _one_sequence_db(tmp_path / "db.spmf", n_items)
+    expected = _expected_records(path, fmin, 1)
+    assert expected.count("\n") == (n_items if fmin == 1 else 0)
+    argv = ["mine", "--input", str(path), "--min-support", str(fmin), "--maxlen", "1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out == expected
+    out_path = tmp_path / "out.jsonl"
+    code, out, err = run(capsys, *argv, "--output", str(out_path))
+    assert code == 0 and out == "", err
+    # An empty result still creates an empty file.
+    assert out_path.read_text(encoding="utf-8") == expected
+
+
+@pytest.mark.parametrize("command", ["mine", "oracle"])
+@pytest.mark.parametrize("block", [1, 2, 7])
+def test_small_blocks_write_the_same_records(command, block, d7_path, tmp_path, capsys, monkeypatch):
+    # d7 has 7 patterns at support 3 and maxlen 3: blocks of 1 and 7 divide
+    # them, blocks of 2 leave a partial last one.
+    expected = _expected_records(d7_path, 3, 3)
+    assert expected.count("\n") == 7
+    monkeypatch.setattr(cli, "BLOCK", block)
+    argv = [command, "--input", str(d7_path), "--min-support", "3", "--maxlen", "3"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out == expected, err
+    out_path = tmp_path / "out.jsonl"
+    code, _, err = run(capsys, *argv, "--output", str(out_path))
+    assert code == 0 and out_path.read_text(encoding="utf-8") == expected, err
+
+
+def _record_block_sizes(monkeypatch):
+    """Replace ``cli.write_results`` with a recorder of its entry counts."""
+    sizes = []
+    real = cli.write_results
+
+    def recorder(entries, db):
+        entries = list(entries)
+        sizes.append(len(entries))
+        return real(entries, db)
+
+    monkeypatch.setattr(cli, "write_results", recorder)
+    return sizes
+
+
+def test_no_write_gets_more_than_a_block(tmp_path, capsys, monkeypatch):
+    total = 2 * cli.BLOCK + 1
+    path = _one_sequence_db(tmp_path / "db.spmf", total)
+    sizes = _record_block_sizes(monkeypatch)
+    code, out, err = run(capsys, "mine", "--input", str(path), "--min-support", "1", "--maxlen", "1")
+    assert code == 0, err
+    assert sizes == [cli.BLOCK, cli.BLOCK, 1] and out.count("\n") == total
+
+
+def test_oracle_writes_records_in_blocks(d7_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "BLOCK", 2)
+    sizes = _record_block_sizes(monkeypatch)
+    code, out, err = run(capsys, "oracle", "--input", str(d7_path), "--min-support", "3", "--maxlen", "3")
+    assert code == 0, err
+    assert sizes == [2, 2, 2, 1] and out.count("\n") == 7
+
+
+def _cli_process(*argv, **kwargs):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.Popen([sys.executable, "-m", "seqmine", *argv], env=env, **kwargs)
+
+
+def test_reader_closing_stdout_is_not_an_error(tmp_path):
+    from seqmine.datagen import GenParams, generate
+
+    path = tmp_path / "gen.spmf"
+    path.write_text(write_spmf(generate(GenParams())[0]))
+    err_path = tmp_path / "err.txt"
+    with open(err_path, "wb") as err_fh:
+        proc = _cli_process(
+            "mine", "--input", str(path), "--min-support", "10%", "--maxlen", "20",
+            stdout=subprocess.PIPE, stderr=err_fh,
+        )
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+    err = err_path.read_text()
+    assert head == b'{"pattern"'
+    assert code == 0, err
+    assert "Traceback" not in err and "Exception ignored" not in err
+    # Each record is longer than 40 bytes, so the output overran the pipe's
+    # 64 KiB buffer long after the reader left.
+    assert int(re.search(r"(\d+) patterns", err).group(1)) * 40 > 64 * 1024
+
+
+def test_reader_closing_stdout_before_the_bench_summary(d7_path):
+    proc = _cli_process(
+        "bench", "--input", str(d7_path), "--min-support", "3", "--maxlen", "3",
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    # Closed before the interpreter starts up, so the summary meets no reader.
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err
+    assert b"Traceback" not in err and b"Exception ignored" not in err
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_reader_closing_an_output_pipe_is_a_data_error(tmp_path):
+    # Over 4,000 records of more than 40 bytes: more than the pipe holds.
+    path = _one_sequence_db(tmp_path / "db.spmf", 2 * cli.BLOCK + 1)
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    # Opened without blocking, so a child that never writes fails the wait
+    # below instead of hanging the test.
+    fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    err_path = tmp_path / "err.txt"
+    try:
+        with open(err_path, "wb") as err_fh:
+            proc = _cli_process(
+                "mine", "--input", str(path), "--min-support", "1", "--maxlen", "1",
+                "--output", str(fifo), stdout=subprocess.DEVNULL, stderr=err_fh,
+            )
+            ready, _, _ = select.select([fd], [], [], 60)
+            assert ready, "the child never wrote"
+            assert os.read(fd, 10)
+            os.close(fd)
+            fd = None
+            code = proc.wait(timeout=120)
+    finally:
+        if fd is not None:
+            os.close(fd)
+    err = err_path.read_text()
+    assert code == 3, err
+    assert err.splitlines()[-1].startswith("seqmine: data error: ") and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings
@@ -112,6 +113,22 @@ def test_pattern_sort_key_orders_by_length_then_lex():
         ((0,), (1,)),
         ((1,), (0,)),
     ]
+
+
+def test_result_objects_keep_slots_not_dicts(d7):
+    p = pat(d7, "a", "bc")
+    e = ResultEntry(p, 1, (2,))
+    for obj in (p, e):
+        assert not hasattr(obj, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        p.elements = ()
+    with pytest.raises(FrozenInstanceError):
+        e.support = 2
+    trusted = Pattern._trusted(p.elements)
+    assert trusted == p and hash(trusted) == hash(p)
+    assert not hasattr(trusted, "__dict__")
+    assert replace(p, elements=[[0]]) == pat(d7, "a")
+    assert replace(e, support=2, support_ids=(1, 2)) == ResultEntry(p, 2, (1, 2))
 
 
 def test_empty_pattern_is_constructible():
@@ -344,6 +361,18 @@ def test_write_results_matches_per_record_json_dumps(case):
     else:
         with pytest.raises(FormatError):
             read_results(text, db)
+
+
+@settings(max_examples=200, deadline=None)
+@given(results_over_labels(), st.lists(st.integers(min_value=0, max_value=8), max_size=4))
+def test_write_results_joins_over_any_split(case, cuts):
+    result, db = case
+    entries = result.entries
+    bounds = [0, *sorted(cuts), len(entries)]
+    blocks = [entries[a:b] for a, b in zip(bounds, bounds[1:])]
+    whole = write_results(result, db)
+    assert "".join(write_results(block, db) for block in blocks) == whole
+    assert write_results(iter(entries), db) == whole == reference_write_results(result, db)
 
 
 def test_write_results_empty_result_is_empty_text(d7):
