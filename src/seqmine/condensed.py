@@ -8,15 +8,15 @@ answer is exactly the items found strictly between
 * the leftmost position where any embedding matches element i-1 (0 when
   i = 1), and
 * the rightmost position where any embedding matches element i (n+1 past
-  the last element).
+  the last element),
 
-A pattern is maximal when no insertion candidate is shared by fmin
-supporters, closed when none is shared by *all* supporters, and the
-backward variants restrict insertions to the append slot after the last
-element.  In itemset mode a second extension kind exists (adding an item to
-an existing element); it is checked at the matches of that element lying
-strictly between the leftmost match of element i-1 and the rightmost match
-of element i+1, the positions some embedding uses for it.
+both from the fill-gaps frontier, read forwards and over the reversed
+sequence.  One rule judges every kind: a pattern is dominated when some
+one-item extension is admitted by ``need`` of its supporters, fmin for
+maximal and all of them for closed; backward kinds extend only after the
+last element.  In itemset mode an item may also join an existing element,
+checked at the matches of element i strictly between the leftmost match of
+element i-1 and the rightmost match of element i+1.
 
 A supporter admits an extension exactly when it contains the one-item
 extension pattern, so an extension's supporter count is that pattern's
@@ -49,24 +49,16 @@ class OccurrenceBounds:
 def occurrence_bounds(seq: Sequence | Elements, pattern: Pattern | Elements) -> OccurrenceBounds | None:
     """Bounds of the pattern's embeddings in one sequence; None if unsupported.
 
-    The leftmost matches are the fill-gaps frontier; the rightmost come from
-    one greedy sweep backwards from the sequence's end.
+    The leftmost matches are the fill-gaps frontier; the rightmost are the
+    frontier of the reversed pattern in the reversed sequence, mirrored.
     """
     s = as_elements(seq)
     p = as_elements(pattern)
-    if not p:
-        return OccurrenceBounds((), ())
     frontier = fill_gaps_frontier(s, p)
     if not frontier.supports:
         return None
-    rightmost = [0] * len(p)
-    j = len(s)
-    for i in range(len(p) - 1, -1, -1):
-        while not is_subitemset(p[i], s[j - 1]):
-            j -= 1
-        rightmost[i] = j
-        j -= 1
-    return OccurrenceBounds(frontier.firsts, tuple(rightmost))
+    mirrored = fill_gaps_frontier(s[::-1], p[::-1]).firsts
+    return OccurrenceBounds(frontier.firsts, tuple([len(s) + 1 - j for j in reversed(mirrored)]))
 
 
 @dataclass(frozen=True)
@@ -88,18 +80,9 @@ def insertable_regions(seq: Sequence | Elements, pattern: Pattern | Elements) ->
     ob = occurrence_bounds(s, p)
     if ob is None:
         raise ValueError("pattern does not occur in the sequence")
-    n = len(s)
-    bounds = []
-    items = []
-    for i in range(1, len(p) + 2):
-        lo = ob.leftmost[i - 2] if i >= 2 else 0
-        hi = ob.rightmost[i - 1] if i <= len(p) else n + 1
-        bounds.append((lo, hi))
-        inside: set[int] = set()
-        for j in range(lo + 1, hi):
-            inside.update(s[j - 1])
-        items.append(frozenset(inside))
-    return InsertableRegions(tuple(bounds), tuple(items))
+    bounds = tuple(zip((0,) + ob.leftmost, ob.rightmost + (len(s) + 1,)))
+    items = tuple([frozenset().union(*s[lo : hi - 1]) for lo, hi in bounds])
+    return InsertableRegions(bounds, items)
 
 
 def _extension_candidates(
@@ -115,49 +98,43 @@ def _extension_candidates(
     """
     s = as_elements(seq)
     p = as_elements(pattern)
-    keys: set[tuple] = set()
     regions = insertable_regions(s, p)
     positions = [len(p) + 1] if append_only else range(1, len(p) + 2)
-    for i in positions:
-        for a in regions.items[i - 1]:
-            keys.add(("ins", i, a))
+    keys = {("ins", i, a) for i in positions for a in regions.items[i - 1]}
     if itemset_mode:
         for i in [len(p)] if append_only else range(1, len(p) + 1):
-            elem = p[i - 1]
-            pool: set[int] = set()
-            for j in range(regions.bounds[i - 1][0] + 1, regions.bounds[i][1]):
-                if is_subitemset(elem, s[j - 1]):
-                    pool.update(s[j - 1])
-            pool.difference_update(elem)
-            for a in pool:
-                keys.add(("aug", i, a))
+            lo, hi = regions.bounds[i - 1][0], regions.bounds[i][1]
+            pool = set().union(*(x for x in s[lo : hi - 1] if is_subitemset(p[i - 1], x)))
+            keys.update(("aug", i, a) for a in pool.difference(p[i - 1]))
     return keys
 
 
-def _supporter_keys(db, pattern, support_ids, itemset_mode, append_only):
+def _reaches(db, pattern, need, support_ids, itemset_mode, append_only) -> bool:
+    """Whether some one-item extension is admitted by ``need`` supporters.
+
+    Once fewer than ``need`` supporters are left, only counted keys can
+    reach ``need``, so later supporters count only those; keys whose count
+    plus the supporters left falls short are dropped, and the scan stops
+    when none is left.  For closed checks that is the running intersection.
+    """
+    counts: dict[tuple, int] = {}
+    left = len(support_ids)
     for sid in support_ids:
-        yield _extension_candidates(
+        keys = _extension_candidates(
             db.sequence(sid), pattern, itemset_mode=itemset_mode, append_only=append_only
         )
-
-
-def _no_frequent_extension(db, pattern, fmin, support_ids, itemset_mode, append_only) -> bool:
-    counts: dict[tuple, int] = {}
-    for keys in _supporter_keys(db, pattern, support_ids, itemset_mode, append_only):
+        if left < need:
+            keys &= counts.keys()
+        left -= 1
         for key in keys:
-            counts[key] = counts.get(key, 0) + 1
-            if counts[key] >= fmin:
+            count = counts[key] = counts.get(key, 0) + 1
+            if count >= need:
+                return True
+        if left + 1 < need:  # only then can a count (at least 1) fall short
+            counts = {key: count for key, count in counts.items() if count + left >= need}
+            if not counts:
                 return False
-    return True
-
-
-def _no_common_extension(db, pattern, support_ids, itemset_mode, append_only) -> bool:
-    common: set[tuple] | None = None
-    for keys in _supporter_keys(db, pattern, support_ids, itemset_mode, append_only):
-        common = set(keys) if common is None else (common & keys)
-        if not common:
-            return True
-    return not common
+    return False
 
 
 def is_maximal(
@@ -169,7 +146,7 @@ def is_maximal(
     itemset_mode: bool = False,
 ) -> bool:
     """No single-item extension is supported by fmin of the given supporters."""
-    return _no_frequent_extension(db, pattern, fmin, support_ids, itemset_mode, False)
+    return not _reaches(db, pattern, fmin, support_ids, itemset_mode, False)
 
 
 def is_closed(
@@ -181,7 +158,7 @@ def is_closed(
     itemset_mode: bool = False,
 ) -> bool:
     """No single-item extension is supported by all of the given supporters."""
-    return _no_common_extension(db, pattern, support_ids, itemset_mode, False)
+    return not _reaches(db, pattern, len(support_ids), support_ids, itemset_mode, False)
 
 
 def backward_filter(
@@ -194,11 +171,10 @@ def backward_filter(
     itemset_mode: bool = False,
 ) -> bool:
     """Closed/maximal restricted to append-slot extensions (prefix growth)."""
-    if kind == "maximal":
-        return _no_frequent_extension(db, pattern, fmin, support_ids, itemset_mode, True)
-    if kind == "closed":
-        return _no_common_extension(db, pattern, support_ids, itemset_mode, True)
-    raise ValueError(f"unknown backward kind: {kind!r}")
+    if kind not in ("closed", "maximal"):
+        raise ValueError(f"unknown backward kind: {kind!r}")
+    need = fmin if kind == "maximal" else len(support_ids)
+    return not _reaches(db, pattern, need, support_ids, itemset_mode, True)
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +271,7 @@ def filter_result(
     for e in result.entries:
         _check_deadline(deadline)
         if complete and len(e.pattern) < maxlen:
-            if kind.endswith("closed"):
-                ok = best.get(e.pattern.elements) != e.support
-            else:
-                ok = best.get(e.pattern.elements, 0) < fmin
+            ok = best.get(e.pattern.elements, 0) < (e.support if kind.endswith("closed") else fmin)
         elif kind == "closed":
             ok = is_closed(db, e.pattern, fmin, e.support_ids, itemset_mode=itemset_mode)
         elif kind == "maximal":

@@ -16,8 +16,8 @@ Two redundant representations of "where P sits inside S" are provided:
 Both answer the support question identically; they differ in memory shape.
 They are the paper's two encodings of embeddings, kept here as reference
 models: the search keeps the fill-gaps frontier of every sequence at once
-(``miner._Index``), and the condensed filter's rescans pair the frontier
-with a backward sweep (``condensed.occurrence_bounds``).
+(``miner._Index``), and the condensed filter's rescans read it forwards
+and over the reversed sequence (``condensed.occurrence_bounds``).
 """
 
 from __future__ import annotations
@@ -34,11 +34,9 @@ def as_elements(x: Pattern | Sequence | Elements) -> Elements:
 
 def is_subitemset(a: Itemset, b: Itemset) -> bool:
     """True when every item of a occurs in b (both strictly increasing)."""
-    if len(a) > len(b):
-        return False
     if len(a) == 1:
         return a[0] in b
-    return set(a).issubset(b)
+    return len(a) <= len(b) and set(a).issubset(b)
 
 
 def is_subsequence(pattern: Pattern | Elements, target: Pattern | Sequence | Elements) -> bool:
@@ -165,12 +163,12 @@ def fill_gaps_frontier(seq: Sequence | Elements, pattern: Pattern | Elements) ->
     s = as_elements(seq)
     p = as_elements(pattern)
     firsts: list[int] = []
-    j = 0
+    positions = enumerate(s, start=1)
     for pelem in p:
-        while j < len(s) and not is_subitemset(pelem, s[j]):
-            j += 1
-        if j == len(s):
+        for j, selem in positions:
+            if is_subitemset(pelem, selem):
+                firsts.append(j)
+                break
+        else:
             break
-        j += 1
-        firsts.append(j)
     return FillGapsFrontier(len(p), len(s), tuple(firsts))

@@ -31,6 +31,7 @@ from seqmine import (
     oracle_frequent,
     support,
 )
+from seqmine import condensed
 from seqmine.condensed import _extension_candidates, filter_result
 from seqmine.oracle import naive_contains
 
@@ -110,14 +111,15 @@ def test_insertable_regions_requires_support():
 @settings(max_examples=150, deadline=None)
 @given(raw_elements, raw_elements)
 def test_insertable_regions_sound(seq, pattern):
-    """Inserting any advertised item keeps the sequence a supporter."""
+    """An item is advertised at a slot exactly when inserting it there as a
+    new element keeps the sequence a supporter."""
     if occurrence_bounds(seq, pattern) is None:
         return
     regions = insertable_regions(seq, pattern)
     for i, pool in enumerate(regions.items):
-        for item in pool:
+        for item in range(4):
             grown = pattern[:i] + ((item,),) + pattern[i:]
-            assert is_subsequence(grown, seq)
+            assert (item in pool) == is_subsequence(grown, seq)
 
 
 @st.composite
@@ -178,6 +180,28 @@ def test_backward_filter_fixture(d7):
     assert backward_filter(d7, c, 3, c_ids, "maximal") is True
     with pytest.raises(ValueError):
         backward_filter(d7, a, 3, a_ids, "sideways")
+
+
+def test_rescans_stop_once_no_extension_can_reach(monkeypatch):
+    """A closed check stops at the supporter that leaves no common key; a
+    maximal check stops once no key can still reach fmin."""
+    scans = []
+    scan = condensed.insertable_regions
+    monkeypatch.setattr(condensed, "insertable_regions", lambda s, p: scans.append(s) or scan(s, p))
+    db = SequenceDatabase.from_label_sequences(["ab", "ac", "ad", "ab"])
+    a = pat(db, "a")
+    ids = (1, 2, 3, 4)
+    assert is_closed(db, a, 1, ids) is True
+    assert len(scans) == 2  # "ab" and "ac" share no insertion
+    scans.clear()
+    assert is_maximal(db, a, 3, ids) is True
+    assert len(scans) == 3  # b, c and d counted once each, one supporter left
+    scans.clear()
+    assert backward_filter(db, a, 3, ids, "maximal") is True
+    assert len(scans) == 3
+    scans.clear()
+    assert is_maximal(db, a, 2, ids) is False
+    assert len(scans) == 4  # b reaches 2 at the last supporter
 
 
 # ---------------------------------------------------------------------------
@@ -309,14 +333,38 @@ def rescan_filter(db, result, fmin, kind, itemset_mode):
     return kept
 
 
+def brute_filter(db, result, fmin, kind, itemset_mode):
+    """Every entry judged by trying each one-item extension on its
+    supporters: an item inserted as a new element at any slot or, in itemset
+    mode, added to any element; backward kinds only at the end."""
+    alphabet = sorted({a for s in db.sequences for elem in s.elements for a in elem})
+    backward = kind.startswith("backward")
+    kept = []
+    for e in result:
+        p = e.pattern.elements
+        need = len(e.support_ids) if kind.endswith("closed") else fmin
+        slots = [len(p)] if backward else range(len(p) + 1)
+        grown = [p[:i] + ((a,),) + p[i:] for i in slots for a in alphabet]
+        if itemset_mode:
+            grown += [
+                p[:i] + (tuple(sorted(p[i] + (a,))),) + p[i + 1 :]
+                for i in ([len(p) - 1] if backward else range(len(p)))
+                for a in alphabet
+                if a not in p[i]
+            ]
+        if all(sum(naive_contains(g, db.sequence(sid)) for sid in e.support_ids) < need for g in grown):
+            kept.append(e)
+    return kept
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_filter_result_matches_rescan_and_oracle(data):
     """The result-set judgement, for all four kinds, against the supporter
-    rescan on every pattern and against the oracle below ``maxlen``.  The
-    caller's threshold above the result's, a neutral constraint set, a
-    constrained run, a result without params and an already condensed result
-    must all keep the rescan's answer."""
+    rescan and a brute-force extension count on every pattern, and against
+    the oracle below ``maxlen``.  The caller's threshold above the result's,
+    a neutral constraint set, a constrained run, a result without params and
+    an already condensed result must all keep the rescan's answer."""
     itemset_mode = data.draw(st.booleans())
     db = data.draw(condensed_dbs(itemset_mode))
     maxlen = data.draw(st.integers(1, max(1, max(len(s) for s in db.sequences))))
@@ -346,6 +394,8 @@ def test_filter_result_matches_rescan_and_oracle(data):
                 db, result, caller_fmin, kind, itemset_mode=itemset_mode, constraints=constraints
             )
             want = rescan_filter(db, result, caller_fmin, kind, itemset_mode)
+            assert result_key(got) == result_key(want)
+            want = brute_filter(db, result, caller_fmin, kind, itemset_mode)
             assert result_key(got) == result_key(want)
         got = filter_result(db, frequent, fmin, kind, itemset_mode=itemset_mode)
         assert result_key(got) == result_key(mine(db, replace(params, mode=kind)))
