@@ -52,6 +52,8 @@ from .miner import (
     mine,
 )
 from .constraints import (
+    AGG_CMPS,
+    AGG_OPS,
     AggregateSpec,
     ConstraintError,
     ConstraintSet,
@@ -171,8 +173,8 @@ def build_parser() -> _Parser:
     p_mine.add_argument("--regex", default=None,
                         help="label regex with | * + ? ( ) and implicit concatenation")
     p_mine.add_argument("--cost-file", default=None, help="label<TAB>integer lines")
-    p_mine.add_argument("--agg", choices=("sum", "min", "max", "avg"), default=None)
-    p_mine.add_argument("--agg-cmp", choices=("le", "ge", "lt", "gt", "eq"), default="le")
+    p_mine.add_argument("--agg", choices=AGG_OPS, default=None)
+    p_mine.add_argument("--agg-cmp", choices=tuple(AGG_CMPS), default="le")
     p_mine.add_argument("--agg-threshold", type=float, default=None)
     p_mine.add_argument("--itemset-mode", action="store_true")
     p_mine.add_argument("--condensed-within-constraints", action="store_true",

@@ -20,18 +20,20 @@ under the gap/span bounds, which serves ``constrained_embeddings``, the
 reference model; the regex is stepped through its DFA, whose live states cut
 dead prefixes; length bounds live in ``MiningParams``.
 
-The regex sublanguage supports label tokens (runs of ``[A-Za-z0-9_]``),
-implicit concatenation, ``|`` alternation, ``*`` ``+`` ``?`` postfix
-repetition, and ``( )`` grouping.  Expressions compile through a Thompson
-NFA and subset construction into a DFA over item ids with a precomputed
-live-state set, so the search can discard prefixes that cannot reach
-acceptance.
+The regex sublanguage supports label tokens, implicit concatenation, ``|``
+alternation, ``*`` ``+`` ``?`` postfix repetition, and ``( )`` grouping.  A
+label token is a maximal run of characters that are ``str.isalnum()`` or
+``_``, so a label with any other character cannot be named in a regex.
+Expressions compile through Glushkov's position automaton, which has no
+empty moves, into a DFA over item ids with a precomputed live-state set, so
+the search can discard prefixes that cannot reach acceptance.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -47,7 +49,7 @@ class RegexError(ConstraintError):
     """Regex syntax error or label outside the alphabet."""
 
 
-_CMP = {
+AGG_CMPS = {
     "le": operator.le,
     "ge": operator.ge,
     "lt": operator.lt,
@@ -70,7 +72,7 @@ class AggregateSpec:
     def __post_init__(self) -> None:
         if self.op not in AGG_OPS:
             raise ConstraintError(f"unknown aggregate op: {self.op!r}")
-        if self.cmp not in _CMP:
+        if self.cmp not in AGG_CMPS:
             raise ConstraintError(f"unknown comparator: {self.cmp!r}")
         # Every comparison with NaN is false, so it would reject every pattern.
         if math.isnan(self.threshold):
@@ -96,7 +98,7 @@ class AggregateSpec:
         return sum(values) / len(values)
 
     def accepts(self, items: Iterable[int]) -> bool:
-        return _CMP[self.cmp](self.value(items), self.threshold)
+        return AGG_CMPS[self.cmp](self.value(items), self.threshold)
 
     def prunes_as_sum(self) -> bool:
         """Sum with an upper bound over non-negative costs shrinks monotonically."""
@@ -224,131 +226,99 @@ class ConstraintSet:
 
 
 # ---------------------------------------------------------------------------
-# Regex compilation: lexer -> recursive descent -> Thompson NFA -> DFA
+# Regex compilation: lexer -> recursive descent to Glushkov positions -> DFA
+
+# A label, an operator, or any other visible character (an error); the
+# characters ``findall`` skips are exactly the ``str.isspace`` ones.
+_TOKEN = re.compile(r"(\w+|[|*+?()])|(\S)")
 
 
-def _lex(expr: str) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
-    i = 0
-    while i < len(expr):
-        ch = expr[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "|*+?()":
-            tokens.append(("op", ch))
-            i += 1
-        elif ch.isalnum() or ch == "_":
-            j = i
-            while j < len(expr) and (expr[j].isalnum() or expr[j] == "_"):
-                j += 1
-            tokens.append(("label", expr[i:j]))
-            i = j
-        else:
-            raise RegexError(f"unexpected character {ch!r} in regex")
+def _lex(expr: str) -> list[str]:
+    tokens = []
+    for tok, bad in _TOKEN.findall(expr):
+        if bad:
+            raise RegexError(f"unexpected character {bad!r} in regex")
+        tokens.append(tok)
     return tokens
 
 
-class _Nfa:
-    """Thompson construction scratchpad: eps edges plus labelled edges."""
-
-    def __init__(self) -> None:
-        self.eps: list[list[int]] = []
-        self.sym: list[list[tuple[int, int]]] = []
-
-    def state(self) -> int:
-        self.eps.append([])
-        self.sym.append([])
-        return len(self.eps) - 1
-
-    def symbol(self, item: int) -> tuple[int, int]:
-        s, t = self.state(), self.state()
-        self.sym[s].append((item, t))
-        return s, t
-
-    def concat(self, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-        self.eps[a[1]].append(b[0])
-        return a[0], b[1]
-
-    def alt(self, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-        s, t = self.state(), self.state()
-        self.eps[s].extend((a[0], b[0]))
-        self.eps[a[1]].append(t)
-        self.eps[b[1]].append(t)
-        return s, t
-
-    def repeat(self, a: tuple[int, int], op: str) -> tuple[int, int]:
-        s, t = self.state(), self.state()
-        self.eps[s].append(a[0])
-        self.eps[a[1]].append(t)
-        if op in "*?":
-            self.eps[s].append(t)
-        if op in "*+":
-            self.eps[a[1]].append(a[0])
-        return s, t
-
-
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, str]], alphabet: Alphabet, nfa: _Nfa):
+    """Recursive descent to Glushkov's position automaton (Glushkov 1961;
+    Berry & Sethi 1986).  Each label occurrence is a position; ``items[p]`` is
+    its item id and ``follow[p]`` the positions that may match right after
+    it.  A subexpression parses to (nullable, first, last): whether it
+    matches the empty word, and the positions that start and end its
+    matches."""
+
+    def __init__(self, tokens: list[str], alphabet: Alphabet):
         self.tokens = tokens
         self.pos = 0
         self.alphabet = alphabet
-        self.nfa = nfa
+        self.items: list[int] = []
+        self.follow: list[set[int]] = []
 
-    def peek(self) -> tuple[str, str] | None:
+    def peek(self) -> str | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
-    def parse(self) -> tuple[int, int]:
+    def parse(self) -> tuple[bool, frozenset[int], frozenset[int]]:
         frag = self.alternation()
         if self.peek() is not None:
-            raise RegexError(f"unexpected token {self.peek()[1]!r}")
+            raise RegexError(f"unexpected token {self.peek()!r}")
         return frag
 
-    def alternation(self) -> tuple[int, int]:
-        frag = self.concatenation()
-        while self.peek() == ("op", "|"):
+    def alternation(self) -> tuple[bool, frozenset[int], frozenset[int]]:
+        nullable, first, last = self.concatenation()
+        while self.peek() == "|":
             self.pos += 1
-            frag = self.nfa.alt(frag, self.concatenation())
-        return frag
+            n, f, l = self.concatenation()
+            nullable, first, last = nullable or n, first | f, last | l
+        return nullable, first, last
 
-    def concatenation(self) -> tuple[int, int]:
+    def concatenation(self) -> tuple[bool, frozenset[int], frozenset[int]]:
         parts = []
-        while True:
-            tok = self.peek()
-            if tok is None or tok in (("op", "|"), ("op", ")")):
-                break
+        while self.peek() not in (None, "|", ")"):
             parts.append(self.postfix())
         if not parts:
             raise RegexError("empty expression")
-        frag = parts[0]
-        for part in parts[1:]:
-            frag = self.nfa.concat(frag, part)
-        return frag
+        nullable, first, last = parts[0]
+        for n, f, l in parts[1:]:
+            for p in last:
+                self.follow[p] |= f
+            first = first | f if nullable else first
+            last = last | l if n else l
+            nullable = nullable and n
+        return nullable, first, last
 
-    def postfix(self) -> tuple[int, int]:
-        frag = self.atom()
-        while self.peek() in (("op", "*"), ("op", "+"), ("op", "?")):
-            frag = self.nfa.repeat(frag, self.peek()[1])
+    def postfix(self) -> tuple[bool, frozenset[int], frozenset[int]]:
+        nullable, first, last = self.atom()
+        while self.peek() in ("*", "+", "?"):
+            if self.peek() != "?":
+                for p in last:
+                    self.follow[p] |= first
+            nullable = nullable or self.peek() != "+"
             self.pos += 1
-        return frag
+        return nullable, first, last
 
-    def atom(self) -> tuple[int, int]:
+    def atom(self) -> tuple[bool, frozenset[int], frozenset[int]]:
         tok = self.peek()
         if tok is None:
             raise RegexError("unexpected end of expression")
-        kind, text = tok
-        if kind == "label":
-            self.pos += 1
-            if text not in self.alphabet:
-                raise RegexError(f"regex label {text!r} not in alphabet")
-            return self.nfa.symbol(self.alphabet.id_of(text))
-        if tok == ("op", "("):
+        if tok == "(":
             self.pos += 1
             frag = self.alternation()
-            if self.peek() != ("op", ")"):
+            if self.peek() != ")":
                 raise RegexError("unbalanced parenthesis")
             self.pos += 1
             return frag
-        raise RegexError(f"unexpected token {text!r}")
+        if tok in ("|", "*", "+", "?", ")"):
+            raise RegexError(f"unexpected token {tok!r}")
+        self.pos += 1
+        if tok not in self.alphabet:
+            raise RegexError(f"regex label {tok!r} not in alphabet")
+        self.items.append(self.alphabet.id_of(tok))
+        self.follow.append(set())
+        here = frozenset([len(self.items) - 1])
+        return False, here, here
 
 
 @dataclass(eq=False)
@@ -379,51 +349,36 @@ class RegexDfa:
 
 
 def regex_compile(expr: str, alphabet: Alphabet) -> RegexDfa:
-    nfa = _Nfa()
-    start, accept = _Parser(_lex(expr), alphabet, nfa).parse()
-
-    def closure(states: frozenset[int]) -> frozenset[int]:
-        seen = set(states)
-        stack = list(states)
-        while stack:
-            for nxt in nfa.eps[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return frozenset(seen)
-
-    d0 = closure(frozenset([start]))
-    index = {d0: 0}
-    order = [d0]
-    transitions: list[dict[int, int]] = [{}]
-    i = 0
-    while i < len(order):
-        current = order[i]
+    """Determinise the position automaton of ``expr`` over item ids.  A state
+    is the set of positions just matched; the start state, 0, matched none
+    and moves to ``first``.  On an item a state moves to the positions that
+    follow one of its own and carry that item.  ``live`` is the least set
+    that holds ``accepting`` and every state with a transition into it."""
+    parser = _Parser(_lex(expr), alphabet)
+    nullable, first, last = parser.parse()
+    order = [frozenset()]
+    index = {order[0]: 0}
+    transitions: list[dict[int, int]] = []
+    for state in order:  # grows as new states are found
         outgoing: dict[int, set[int]] = {}
-        for st in current:
-            for item, target in nfa.sym[st]:
-                outgoing.setdefault(item, set()).add(target)
+        for q in set().union(*(parser.follow[p] for p in state)) if state else first:
+            outgoing.setdefault(parser.items[q], set()).add(q)
+        table = {}
         for item in sorted(outgoing):
-            nxt = closure(frozenset(outgoing[item]))
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-                transitions.append({})
-            transitions[i][item] = index[nxt]
-        i += 1
-
-    accepting = frozenset(i for i, states in enumerate(order) if accept in states)
-    reverse: dict[int, set[int]] = {}
-    for src, table in enumerate(transitions):
-        for target in table.values():
-            reverse.setdefault(target, set()).add(src)
+            target = frozenset(outgoing[item])
+            if target not in index:
+                index[target] = len(order)
+                order.append(target)
+            table[item] = index[target]
+        transitions.append(table)
+    accepting = frozenset(i for i, state in enumerate(order) if state & last or not state and nullable)
     live = set(accepting)
-    stack = list(accepting)
-    while stack:
-        for prev in reverse.get(stack.pop(), ()):
-            if prev not in live:
-                live.add(prev)
-                stack.append(prev)
+    size = 0
+    while size != len(live):
+        size = len(live)
+        # Backwards: breadth-first ids mostly grow along transitions, so one
+        # pass settles a state soon after its targets.
+        live.update(i for i in reversed(range(len(order))) if not live.isdisjoint(transitions[i].values()))
     return RegexDfa(0, tuple(transitions), accepting, frozenset(live), expr)
 
 

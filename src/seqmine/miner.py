@@ -275,7 +275,7 @@ class _Index:
                 if ((x + self.carry) & self.heads).bit_count() >= fmin:
                     self.items[c] = x
         self.lasts = None if last_places is None else {c: bitmap(last_places[c]) for c in self.items}
-        self.keeps = {0: self.mask}
+        self.keeps: dict[int, int] = {}
         first = max(nearest, lowest)
         if farthest is None or farthest >= reach:
             self.windows = ((nearest, None), (first, None))

@@ -203,22 +203,22 @@ def reference_regex_match(expr: str, alphabet: Alphabet, pattern) -> bool:
 
     Each alphabet label becomes one private-use character, so multi-letter
     labels behave as single regex atoms and postfix operators bind the same
-    way as in the engine's grammar.
+    way as in the engine's grammar.  A label token is the engine's: a maximal
+    run of characters that are ``str.isalnum()`` or ``_``.
     """
     p = _elems(pattern)
     if any(len(e) != 1 for e in p):
         raise ValueError("regex reference requires simple patterns")
-    tokens = _re.findall(r"[A-Za-z0-9_]+|[|*+?()]|\S", expr)
     translated = []
-    for tok in tokens:
-        if _re.fullmatch(r"[A-Za-z0-9_]+", tok):
-            translated.append(chr(0xE000 + alphabet.id_of(tok)))
-        elif tok in "|*+?()":
-            translated.append(tok)
-        else:
-            raise ValueError(f"bad regex token {tok!r}")
+    for label, op, bad in _re.findall(r"(\w+)|([|*+?()])|(\S)", expr):
+        if bad:
+            raise ValueError(f"bad regex token {bad!r}")
+        translated.append(chr(0xE000 + alphabet.id_of(label)) if label else op)
+    # Python reads a** as an error and a*+ as possessive: a run of postfix
+    # operators becomes the one it amounts to (a++ is a+, a?? a?, the rest a*).
+    pattern = _re.sub(r"[*+?]{2,}", lambda m: m[0][0] if len(set(m[0])) == 1 else "*", "".join(translated))
     subject = "".join(chr(0xE000 + e[0]) for e in p)
-    return _re.fullmatch("".join(translated), subject) is not None
+    return _re.fullmatch(pattern, subject) is not None
 
 
 def oracle_constrained(

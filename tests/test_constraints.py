@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqmine import (
     AggregateSpec,
+    Alphabet,
     ConstraintError,
     ConstraintSet,
     FormatError,
@@ -15,11 +20,14 @@ from seqmine import (
     constrained_embeddings,
     load_cost_text,
     mine,
+    oracle_constrained,
+    read_asp_facts,
     regex_compile,
     resolve_costs,
 )
+from seqmine.oracle import reference_regex_match
 
-from helpers import entry_labels, pat
+from helpers import entry_labels, pat, result_key
 
 A, B, C, D = 0, 1, 2, 3
 
@@ -168,8 +176,6 @@ def test_regex_postfix_ops(d7):
 
 
 def test_regex_multichar_labels_and_maximal_munch():
-    from seqmine import Alphabet
-
     al = Alphabet(["ab", "b"])
     dfa = regex_compile("ab b", al)
     assert dfa.run([0, 1]) in dfa.accepting
@@ -179,9 +185,67 @@ def test_regex_multichar_labels_and_maximal_munch():
 
 
 def test_regex_errors(d7):
-    for expr in ["", "a.", "(a", "a)", "a|", "*a", "z", "a||b"]:
+    for expr in ["", "a.", "(a", "a)", "a|", "*a", "z", "a||b", "()", "(a|)", "|a"]:
         with pytest.raises(RegexError):
             regex_compile(expr, d7.alphabet)
+    # Stacked postfix operators are legal: a** is a*.
+    star = regex_compile("a**", d7.alphabet)
+    assert all(star.run([A] * n) in star.accepting for n in range(4))
+    assert star.run([B]) is None
+
+
+REGEX_LABELS = ("a", "bc", "x²", "é")  # sorted, as Alphabet requires
+
+
+@st.composite
+def regex_cases(draw, leaves=3, depth=3):
+    """A random expression over REGEX_LABELS and its number of label
+    occurrences, at most ``leaves``: labels, nested groups, concatenation,
+    ``|`` and stacked postfix operators, with spare whitespace wherever the
+    grammar allows it."""
+    space = st.sampled_from(("", " ", " \t "))
+    kinds = ["label"] + ["group"] * (depth > 0) + ["concat", "alt"] * (depth > 0 and leaves > 1)
+    kind = draw(st.sampled_from(kinds))
+    if kind == "label":
+        text, count = draw(st.sampled_from(REGEX_LABELS)), 1
+    elif kind == "group":
+        inner, count = draw(regex_cases(leaves, depth - 1))
+        text = f"({draw(space)}{inner}{draw(space)})"
+    else:
+        split = draw(st.integers(1, leaves - 1))
+        left, i = draw(regex_cases(split, depth - 1))
+        right, j = draw(regex_cases(leaves - split, depth - 1))
+        # Labels side by side need a space between them: "abc" is one label.
+        sep = f"{draw(space)}|{draw(space)}" if kind == "alt" else " " + draw(space)
+        text, count = left + sep + right, i + j
+    for op in draw(st.lists(st.sampled_from("*+?"), max_size=2)):
+        text += draw(space) + op
+    return text, count
+
+
+@settings(max_examples=150, deadline=None)
+@given(regex_cases())
+def test_regex_dfa_matches_reference(case):
+    """The accept and live verdicts on every word of up to 4 items, against
+    the ``re``-based reference.  From a live state, acceptance is at most as
+    many items away as the expression has label occurrences, so a word is
+    live exactly when the reference accepts it followed by at most that many
+    items."""
+    expr, count = case
+    al = Alphabet(REGEX_LABELS)
+    dfa = regex_compile(expr, al)
+    # A word with an item the expression never names cannot match it.
+    named = [i for i, label in enumerate(al.labels) if label in expr]
+    accepted = {
+        w for n in range(5 + count) for w in product(named, repeat=n)
+        if reference_regex_match(expr, al, [(i,) for i in w])
+    }
+    viable = {v[:n] for v in accepted for n in range(max(0, len(v) - count), len(v) + 1)}
+    for n in range(5):
+        for w in product(range(len(al.labels)), repeat=n):
+            state = dfa.run(w)
+            assert (state in dfa.accepting) == (w in accepted), (expr, w)
+            assert (state in dfa.live) == (w in viable), (expr, w)
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +385,22 @@ def test_mine_with_regex(d7):
     cs = ConstraintSet(regex=regex_compile("a(b|c)*c", d7.alphabet))
     result = mine(d7, MiningParams(fmin=3, maxlen=4), cs)
     assert set(entry_labels(d7, result)) == {("ac", 5), ("abc", 4)}
+
+
+def test_mine_regex_on_non_ascii_labels_matches_oracle():
+    """A label of any str.isalnum() characters can be named in a regex, by
+    the engine and by the reference alike."""
+    db = read_asp_facts(
+        'seq(1,1,a). seq(1,2,"é"). seq(1,3,"x²").\n'
+        'seq(2,1,"é"). seq(2,2,a). seq(2,3,"x²"). seq(2,4,"é").\n'
+        'seq(3,1,a). seq(3,2,"x²"). seq(3,3,"é").\n'
+    )
+    assert db.alphabet.labels == ("a", "x²", "é")
+    for expr in ["a é", "a? (é|x²)+", "(x² | a)* é"]:
+        cs = ConstraintSet(regex=regex_compile(expr, db.alphabet))
+        got = mine(db, MiningParams(fmin=2, maxlen=3), cs)
+        assert len(got) > 0
+        assert result_key(got) == result_key(oracle_constrained(db, 2, 3, cs))
 
 
 def test_mine_regex_on_itemset_data_is_rejected():
