@@ -30,8 +30,7 @@ _EXPORTS = {
         "resolve_costs",
     ),
     "condensed": (
-        "InsertableRegions", "OccurrenceBounds", "backward_filter", "insertable_regions",
-        "is_closed", "is_maximal", "occurrence_bounds",
+        "InsertableRegions", "backward_filter", "insertable_regions", "is_closed", "is_maximal",
     ),
     "oracle": (
         "GuardError", "OracleConfig", "oracle_condensed", "oracle_constrained",

@@ -1,64 +1,32 @@
 """Closed and maximal pattern filtering.
 
-The core test asks, per supporter sequence: which single items could be
-inserted into the pattern while that sequence still contains the result?
-For insertion as a new element between pattern positions i-1 and i, the
-answer is exactly the items found strictly between
+One rule judges every kind: a pattern is dominated when some one-item
+extension (an item inserted as a new element, or in itemset mode added to
+an element) is contained in ``need`` of its supporters, fmin for maximal
+and all of them for closed; backward kinds extend only after the last
+element.
 
-* the leftmost position where any embedding matches element i-1 (0 when
-  i = 1), and
-* the rightmost position where any embedding matches element i (n+1 past
-  the last element),
-
-both from the fill-gaps frontier, read forwards and over the reversed
-sequence.  One rule judges every kind: a pattern is dominated when some
-one-item extension is admitted by ``need`` of its supporters, fmin for
-maximal and all of them for closed; backward kinds extend only after the
-last element.  In itemset mode an item may also join an existing element,
-checked at the matches of element i strictly between the leftmost match of
-element i-1 and the rightmost match of element i+1.
-
-A supporter admits an extension exactly when it contains the one-item
-extension pattern, so an extension's supporter count is that pattern's
-support.  When the frequent result is complete (no constraints, a
-threshold no higher than the caller's), every extension of a pattern
-shorter than ``maxlen`` that could disqualify it is itself in the result:
+When the frequent result is complete (no constraints, a threshold no
+higher than the caller's), every extension of a pattern shorter than
+``maxlen`` that could disqualify it is itself in the result:
 ``filter_result`` then judges such a pattern by looking it up among the
-one-item deletions of the result's patterns, and rescans supporters only
-for patterns at ``maxlen`` (whose insertions are longer than the result
-holds) and for constrained runs (whose output is not the frequent set).
+one-item deletions of the result's patterns.  Patterns at ``maxlen``
+(whose insertions are longer than the result holds), constrained runs
+(whose output is not the frequent set) and results without params count
+their extensions on the database's unconstrained vertical bitmaps
+(``miner._Index``), the fill-gaps frontier of every sequence at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_
 
 from .seqdb import Elements, MiningResult, Pattern, ResultEntry, Sequence, SequenceDatabase
-from .relations import as_elements, fill_gaps_frontier, is_prefix, is_subitemset, is_subsequence
-from .miner import _check_deadline
-
-
-@dataclass(frozen=True)
-class OccurrenceBounds:
-    """Per pattern position: leftmost and rightmost match over all embeddings."""
-
-    leftmost: tuple[int, ...]
-    rightmost: tuple[int, ...]
-
-
-def occurrence_bounds(seq: Sequence | Elements, pattern: Pattern | Elements) -> OccurrenceBounds | None:
-    """Bounds of the pattern's embeddings in one sequence; None if unsupported.
-
-    The leftmost matches are the fill-gaps frontier; the rightmost are the
-    frontier of the reversed pattern in the reversed sequence, mirrored.
-    """
-    s = as_elements(seq)
-    p = as_elements(pattern)
-    frontier = fill_gaps_frontier(s, p)
-    if not frontier.supports:
-        return None
-    mirrored = fill_gaps_frontier(s[::-1], p[::-1]).firsts
-    return OccurrenceBounds(frontier.firsts, tuple([len(s) + 1 - j for j in reversed(mirrored)]))
+from .relations import as_elements, fill_gaps_frontier, is_prefix, is_subsequence
+from .constraints import ConstraintSet
+from .miner import _Index, _check_deadline
 
 
 @dataclass(frozen=True)
@@ -75,65 +43,71 @@ class InsertableRegions:
 
 
 def insertable_regions(seq: Sequence | Elements, pattern: Pattern | Elements) -> InsertableRegions:
+    """The per-sequence reference model of the insertion slots: the lower
+    ends of slots 2..len+1 are the pattern's leftmost matches over all
+    embeddings (the fill-gaps frontier), the upper ends of slots 1..len the
+    rightmost (the frontier of the reversed pattern in the reversed sequence)."""
     s = as_elements(seq)
     p = as_elements(pattern)
-    ob = occurrence_bounds(s, p)
-    if ob is None:
+    frontier = fill_gaps_frontier(s, p)
+    if not frontier.supports:
         raise ValueError("pattern does not occur in the sequence")
-    bounds = tuple(zip((0,) + ob.leftmost, ob.rightmost + (len(s) + 1,)))
+    mirrored = fill_gaps_frontier(s[::-1], p[::-1]).firsts
+    rightmost = tuple([len(s) + 1 - j for j in reversed(mirrored)])
+    bounds = tuple(zip((0,) + frontier.firsts, rightmost + (len(s) + 1,)))
     items = tuple([frozenset().union(*s[lo : hi - 1]) for lo, hi in bounds])
     return InsertableRegions(bounds, items)
 
 
-def _extension_candidates(
-    seq: Sequence | Elements, pattern: Pattern | Elements, *, itemset_mode: bool, append_only: bool
-) -> set[tuple]:
-    """All single-item extension keys this supporter admits.
-
-    Keys are ("ins", position, item) for new-element insertion and
-    ("aug", position, item) for element augmentation (itemset mode).  Some
-    embedding matches element i at j exactly when p_i is a sub-itemset of
-    s_j and j lies between the lower end of slot i and the upper end of slot
-    i+1, so augmentations read the same regions as insertions.
-    """
-    s = as_elements(seq)
-    p = as_elements(pattern)
-    regions = insertable_regions(s, p)
-    positions = [len(p) + 1] if append_only else range(1, len(p) + 2)
-    keys = {("ins", i, a) for i in positions for a in regions.items[i - 1]}
-    if itemset_mode:
-        for i in [len(p)] if append_only else range(1, len(p) + 1):
-            lo, hi = regions.bounds[i - 1][0], regions.bounds[i][1]
-            pool = set().union(*(x for x in s[lo : hi - 1] if is_subitemset(p[i - 1], x)))
-            keys.update(("aug", i, a) for a in pool.difference(p[i - 1]))
-    return keys
+def _plain_index(db: SequenceDatabase) -> tuple[_Index, list[int], dict[int, int]]:
+    """The database's unconstrained bitmaps, each sequence's head byte (by
+    sid - 1) and each item's head bits, the sequences that hold it."""
+    index = _Index(db, 1, ConstraintSet())
+    head_bytes = [i for i, b in enumerate(index.heads.to_bytes(index.nbytes, "little")) if b]
+    item_heads = {c: (x + index.carry) & index.heads for c, x in index.items.items()}
+    return index, head_bytes, item_heads
 
 
-def _reaches(db, pattern, need, support_ids, itemset_mode, append_only) -> bool:
-    """Whether some one-item extension is admitted by ``need`` supporters.
+def _reaches(plain, pattern, need, support_ids, itemset_mode, append_only) -> bool:
+    """Whether some one-item extension of ``pattern`` is contained in at
+    least ``need`` of the sequences ``support_ids``, on ``_plain_index(db)``.
 
-    Once fewer than ``need`` supporters are left, only counted keys can
-    reach ``need``, so later supporters count only those; keys whose count
-    plus the supporters left falls short are dropped, and the scan stops
-    when none is left.  For closed checks that is the running intersection.
-    """
-    counts: dict[tuple, int] = {}
-    left = len(support_ids)
+    The prefixes' leftmost matches come from the S-step ``after`` (an
+    unconstrained index has one window).  For each insertion slot (in
+    itemset mode also each element to augment) and each item that ``need``
+    supporters hold, a walk ANDs in the item's bitmap, steps through the
+    rest of the pattern and counts head bits among the supporters, stopping
+    once the count falls below ``need``."""
+    index, head_bytes, item_heads = plain
+    after, items, carry = index.after, index.items, index.carry
+    row = bytearray(index.nbytes)
     for sid in support_ids:
-        keys = _extension_candidates(
-            db.sequence(sid), pattern, itemset_mode=itemset_mode, append_only=append_only
-        )
-        if left < need:
-            keys &= counts.keys()
-        left -= 1
-        for key in keys:
-            count = counts[key] = counts.get(key, 0) + 1
-            if count >= need:
-                return True
-        if left + 1 < need:  # only then can a count (at least 1) fall short
-            counts = {key: count for key, count in counts.items() if count + left >= need}
-            if not counts:
+        row[head_bytes[sid - 1]] = 0x80
+    heads = int.from_bytes(row, "little")
+    tests = [c for c, h in item_heads.items() if (h & heads).bit_count() >= need]
+    p = as_elements(pattern)
+    bits = [reduce(and_, [items.get(c, 0) for c in elem]) for elem in p]
+    prefixes = [None]  # the entries of p_1..p_i, None for the empty prefix
+    for x in bits:
+        prefixes.append(after(prefixes[-1], False) & x)
+
+    def walk(entries: int, rest: list[int]) -> bool:
+        for x in rest:
+            if ((entries + carry) & heads).bit_count() < need:
                 return False
+            entries = after(entries, False) & x
+        return ((entries + carry) & heads).bit_count() >= need
+
+    k = len(p)
+    for i in [k] if append_only else range(k + 1):
+        base, rest = after(prefixes[i], False), bits[i:]
+        if any(walk(base & items[c], rest) for c in tests):
+            return True
+    if itemset_mode:
+        for i in [k - 1] if append_only and k else range(k):
+            base, rest = prefixes[i + 1], bits[i + 1 :]
+            if any(walk(base & items[c], rest) for c in tests if c not in p[i]):
+                return True
     return False
 
 
@@ -145,8 +119,9 @@ def is_maximal(
     *,
     itemset_mode: bool = False,
 ) -> bool:
-    """No single-item extension is supported by fmin of the given supporters."""
-    return not _reaches(db, pattern, fmin, support_ids, itemset_mode, False)
+    """No single-item extension is supported by fmin of the given supporters;
+    each call builds the database's bitmaps (``filter_result`` builds them once)."""
+    return not _reaches(_plain_index(db), pattern, fmin, support_ids, itemset_mode, False)
 
 
 def is_closed(
@@ -157,8 +132,9 @@ def is_closed(
     *,
     itemset_mode: bool = False,
 ) -> bool:
-    """No single-item extension is supported by all of the given supporters."""
-    return not _reaches(db, pattern, len(support_ids), support_ids, itemset_mode, False)
+    """No single-item extension is supported by all of the given supporters;
+    each call builds the database's bitmaps (``filter_result`` builds them once)."""
+    return not _reaches(_plain_index(db), pattern, len(support_ids), support_ids, itemset_mode, False)
 
 
 def backward_filter(
@@ -170,11 +146,12 @@ def backward_filter(
     *,
     itemset_mode: bool = False,
 ) -> bool:
-    """Closed/maximal restricted to append-slot extensions (prefix growth)."""
+    """Closed/maximal restricted to append-slot extensions (prefix growth);
+    each call builds the database's bitmaps (``filter_result`` builds them once)."""
     if kind not in ("closed", "maximal"):
         raise ValueError(f"unknown backward kind: {kind!r}")
     need = fmin if kind == "maximal" else len(support_ids)
-    return not _reaches(db, pattern, need, support_ids, itemset_mode, True)
+    return not _reaches(_plain_index(db), pattern, need, support_ids, itemset_mode, True)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +228,8 @@ def filter_result(
     dominated exactly when one of its one-item extensions is in the result
     with equal support (closed kinds) or support of at least ``fmin``
     (maximal kinds).  Patterns at ``maxlen``, constrained runs and results
-    without such params (e.g. from ``read_results``) rescan supporters.
+    without such params (e.g. from ``read_results``) count their extensions
+    on bitmaps built once (``_reaches``).
     """
     if kind not in ("closed", "maximal", "backward-closed", "backward-maximal"):
         raise ValueError(f"unknown condensed kind: {kind!r}")
@@ -266,21 +244,18 @@ def filter_result(
         and params.resolved_fmin(len(db)) <= fmin
     )
     append_only = kind.startswith("backward")
+    closed = kind.endswith("closed")
     best = _best_extension_support(result.entries, itemset_mode, append_only) if complete else {}
+    plain = None
     kept = []
     for e in result.entries:
         _check_deadline(deadline)
         if complete and len(e.pattern) < maxlen:
-            ok = best.get(e.pattern.elements, 0) < (e.support if kind.endswith("closed") else fmin)
-        elif kind == "closed":
-            ok = is_closed(db, e.pattern, fmin, e.support_ids, itemset_mode=itemset_mode)
-        elif kind == "maximal":
-            ok = is_maximal(db, e.pattern, fmin, e.support_ids, itemset_mode=itemset_mode)
+            ok = best.get(e.pattern.elements, 0) < (e.support if closed else fmin)
         else:
-            ok = backward_filter(
-                db, e.pattern, fmin, e.support_ids,
-                kind.removeprefix("backward-"), itemset_mode=itemset_mode,
-            )
+            plain = plain or _plain_index(db)
+            need = len(e.support_ids) if closed else fmin
+            ok = not _reaches(plain, e.pattern, need, e.support_ids, itemset_mode, append_only)
         if ok:
             kept.append(e)
     return MiningResult.build(kept, result.params)

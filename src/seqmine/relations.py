@@ -15,9 +15,9 @@ Two redundant representations of "where P sits inside S" are provided:
 
 Both answer the support question identically; they differ in memory shape.
 They are the paper's two encodings of embeddings, kept here as reference
-models: the search keeps the fill-gaps frontier of every sequence at once
-(``miner._Index``), and the condensed filter's rescans read it forwards
-and over the reversed sequence (``condensed.occurrence_bounds``).
+models: the search and the condensed filter keep the fill-gaps frontier of
+every sequence at once (``miner._Index``); ``condensed.insertable_regions``
+reads it forwards and over the reversed sequence.
 """
 
 from __future__ import annotations

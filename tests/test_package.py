@@ -31,8 +31,7 @@ PUBLIC_NAMES = {
         "RegexError", "constrained_embeddings", "load_cost_text", "regex_compile", "resolve_costs",
     },
     "condensed": {
-        "InsertableRegions", "OccurrenceBounds", "backward_filter", "insertable_regions",
-        "is_closed", "is_maximal", "occurrence_bounds",
+        "InsertableRegions", "backward_filter", "insertable_regions", "is_closed", "is_maximal",
     },
     "oracle": {
         "GuardError", "OracleConfig", "oracle_condensed", "oracle_constrained",
