@@ -82,11 +82,12 @@ def run_suite(
     modes: Iterable[str],
     maxlen: int,
     minlen: int = 1,
-    itemset_mode: bool = False,
     constraints=None,
     timeout: float | None = None,
 ) -> Iterator[BenchRecord]:
-    """Yield one record per cell of the (dataset x threshold x mode) grid.
+    """Yield one record per cell of the (dataset x threshold x mode) grid;
+    a dataset with multi-item elements is mined with itemsets, as ``mine``
+    mines it.
 
     Raises ``ValueError`` for bad parameters and ``DataError`` for a
     threshold that does not resolve on a dataset, before any cell runs; a
@@ -97,9 +98,7 @@ def run_suite(
     for name, db in datasets:
         for fmin in thresholds:
             for mode in modes:
-                params = MiningParams(
-                    fmin=fmin, maxlen=maxlen, minlen=minlen, mode=mode, itemset_mode=itemset_mode
-                )
+                params = MiningParams(fmin=fmin, maxlen=maxlen, minlen=minlen, mode=mode)
                 cells.append((name, db, params, params.resolved_fmin(len(db))))
     return _run_cells(cells, constraints, timeout)
 

@@ -9,8 +9,8 @@ including constraint parameters that do not fit the dataset's alphabet,
 ``--regex`` with ``--itemset-mode``, a NaN ``--agg-threshold`` and a
 ``--timeout`` that is not a positive, finite number), 2 timeout, 3 data
 error (unreadable or malformed input files, an output file that cannot be
-written, a database/mode mismatch, or a percentage ``--min-support`` on a
-database with no sequences).
+written, a database with multi-item elements without ``--itemset-mode``, or
+a percentage ``--min-support`` on a database with no sequences).
 
 A reader that closes standard output early (``seqmine mine ... | head``)
 stops the output, not the run: the rest goes to ``os.devnull`` and the
@@ -273,6 +273,14 @@ def _check_writable(path: str | None) -> None:
     raise OSError(code, os.strerror(code), path)
 
 
+def _check_itemsets(db: SequenceDatabase, itemset_mode: bool) -> None:
+    """Refuse a database with multi-item elements unless ``--itemset-mode``
+    names them.  The library mines such data as it finds it; the flag is the
+    command line's guard against mining itemsets by accident."""
+    if not itemset_mode and not db.simple_mode:
+        raise DataError("database has multi-item elements; enable itemset_mode")
+
+
 def _build_constraints(args, db: SequenceDatabase) -> ConstraintSet:
     agg_flags = (args.agg, args.agg_threshold, args.cost_file)
     if any(f is not None for f in agg_flags) and None in agg_flags:
@@ -304,10 +312,7 @@ def _build_constraints(args, db: SequenceDatabase) -> ConstraintSet:
 def _cmd_mine(args) -> int:
     fmin = _parse_support(args.min_support)
     try:
-        params = MiningParams(
-            fmin=fmin, maxlen=args.maxlen, minlen=args.minlen,
-            mode=args.mode, itemset_mode=args.itemset_mode,
-        )
+        params = MiningParams(fmin=fmin, maxlen=args.maxlen, minlen=args.minlen, mode=args.mode)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     if args.regex is not None and args.itemset_mode:
@@ -332,6 +337,7 @@ def _cmd_mine(args) -> int:
 
     stats = MineStats()
     try:
+        _check_itemsets(db, args.itemset_mode)
         result = mine(
             db, params, constraints,
             timeout=args.timeout, stats=stats,
@@ -395,6 +401,8 @@ def _cmd_bench(args) -> int:
     if not thresholds:
         raise _UsageError("--min-support list is empty")
     modes = _parse_labels(args.mode)
+    if not modes:
+        raise _UsageError("--mode list is empty")
     for m in modes:
         if m not in MODES:
             raise _UsageError(f"unknown mode: {m!r}")
@@ -407,9 +415,10 @@ def _cmd_bench(args) -> int:
     try:
         cells = bench_mod.run_suite(
             datasets, thresholds, modes,
-            maxlen=args.maxlen, minlen=args.minlen, itemset_mode=args.itemset_mode,
-            timeout=args.timeout,
+            maxlen=args.maxlen, minlen=args.minlen, timeout=args.timeout,
         )
+        for _, db in datasets:
+            _check_itemsets(db, args.itemset_mode)
     except DataError as exc:
         return _data_error(exc)
     except ValueError as exc:
@@ -446,6 +455,7 @@ def _cmd_oracle(args) -> int:
         return _data_error(exc)
     try:
         resolved = params.resolved_fmin(len(db))
+        _check_itemsets(db, args.itemset_mode)
         result = oracle_frequent(db, resolved, args.maxlen, itemset_mode=args.itemset_mode)
     except (DataError, GuardError) as exc:
         return _data_error(exc)

@@ -1,10 +1,10 @@
 """Closed and maximal pattern filtering.
 
 One rule judges every kind: a pattern is dominated when some one-item
-extension (an item inserted as a new element, or in itemset mode added to
-an element) is contained in ``need`` of its supporters, fmin for maximal
-and all of them for closed; backward kinds extend only after the last
-element.
+extension (an item inserted as a new element, or, where the database has
+multi-item elements, added to an element) is contained in ``need`` of its
+supporters, fmin for maximal and all of them for closed; backward kinds
+extend only after the last element.
 
 When the frequent result is complete (no constraints, a threshold no
 higher than the caller's), every extension of a pattern shorter than
@@ -68,13 +68,13 @@ def _plain_index(db: SequenceDatabase) -> tuple[_Index, list[int], dict[int, int
     return index, head_bytes, item_heads
 
 
-def _reaches(plain, pattern, need, support_ids, itemset_mode, append_only) -> bool:
+def _reaches(plain, pattern, need, support_ids, append_only) -> bool:
     """Whether some one-item extension of ``pattern`` is contained in at
     least ``need`` of the sequences ``support_ids``, on ``_plain_index(db)``.
 
     The prefixes' leftmost matches come from the S-step ``after`` (an
-    unconstrained index has one window).  For each insertion slot (in
-    itemset mode also each element to augment) and each item that ``need``
+    unconstrained index has one window).  For each insertion slot (on
+    itemset data also each element to augment) and each item that ``need``
     supporters hold, a walk ANDs in the item's bitmap, steps through the
     rest of the pattern and counts head bits among the supporters, stopping
     once the count falls below ``need``."""
@@ -103,7 +103,7 @@ def _reaches(plain, pattern, need, support_ids, itemset_mode, append_only) -> bo
         base, rest = after(prefixes[i], False), bits[i:]
         if any(walk(base & items[c], rest) for c in tests):
             return True
-    if itemset_mode:
+    if index.itemsets:
         for i in [k - 1] if append_only and k else range(k):
             base, rest = prefixes[i + 1], bits[i + 1 :]
             if any(walk(base & items[c], rest) for c in tests if c not in p[i]):
@@ -111,47 +111,27 @@ def _reaches(plain, pattern, need, support_ids, itemset_mode, append_only) -> bo
     return False
 
 
-def is_maximal(
-    db: SequenceDatabase,
-    pattern: Pattern,
-    fmin: int,
-    support_ids: tuple[int, ...],
-    *,
-    itemset_mode: bool = False,
-) -> bool:
+def is_maximal(db: SequenceDatabase, pattern: Pattern, fmin: int, support_ids: tuple[int, ...]) -> bool:
     """No single-item extension is supported by fmin of the given supporters;
     each call builds the database's bitmaps (``filter_result`` builds them once)."""
-    return not _reaches(_plain_index(db), pattern, fmin, support_ids, itemset_mode, False)
+    return not _reaches(_plain_index(db), pattern, fmin, support_ids, False)
 
 
-def is_closed(
-    db: SequenceDatabase,
-    pattern: Pattern,
-    fmin: int,
-    support_ids: tuple[int, ...],
-    *,
-    itemset_mode: bool = False,
-) -> bool:
+def is_closed(db: SequenceDatabase, pattern: Pattern, support_ids: tuple[int, ...]) -> bool:
     """No single-item extension is supported by all of the given supporters;
     each call builds the database's bitmaps (``filter_result`` builds them once)."""
-    return not _reaches(_plain_index(db), pattern, len(support_ids), support_ids, itemset_mode, False)
+    return not _reaches(_plain_index(db), pattern, len(support_ids), support_ids, False)
 
 
 def backward_filter(
-    db: SequenceDatabase,
-    pattern: Pattern,
-    fmin: int,
-    support_ids: tuple[int, ...],
-    kind: str,
-    *,
-    itemset_mode: bool = False,
+    db: SequenceDatabase, pattern: Pattern, fmin: int, support_ids: tuple[int, ...], kind: str
 ) -> bool:
     """Closed/maximal restricted to append-slot extensions (prefix growth);
     each call builds the database's bitmaps (``filter_result`` builds them once)."""
     if kind not in ("closed", "maximal"):
         raise ValueError(f"unknown backward kind: {kind!r}")
     need = fmin if kind == "maximal" else len(support_ids)
-    return not _reaches(_plain_index(db), pattern, need, support_ids, itemset_mode, True)
+    return not _reaches(_plain_index(db), pattern, need, support_ids, True)
 
 
 # ---------------------------------------------------------------------------
@@ -178,23 +158,19 @@ def _pairwise_keep(result: MiningResult, kind: str, deadline: float | None) -> l
     return kept
 
 
-def _best_extension_support(
-    entries: tuple[ResultEntry, ...], itemset_mode: bool, append_only: bool
-) -> dict[Elements, int]:
+def _best_extension_support(entries: tuple[ResultEntry, ...], append_only: bool) -> dict[Elements, int]:
     """Map every one-item deletion of every entry's pattern to the highest
     support among the patterns it came from.
 
     Deleting a one-item element undoes an insertion; deleting one item of a
-    larger element undoes an augmentation (itemset mode only).  Backward
-    kinds delete only from the last element.
+    larger element, which only itemset data holds, undoes an augmentation.
+    Backward kinds delete only from the last element.
     """
     best: dict[Elements, int] = {}
     for e in entries:
         p = e.pattern.elements
         for i in [len(p) - 1] if append_only else range(len(p)):
             elem = p[i]
-            if len(elem) > 1 and not itemset_mode:
-                continue
             for k in range(len(elem)):
                 rest = elem[:k] + elem[k + 1:]
                 sub = p[:i] + ((rest,) if rest else ()) + p[i + 1:]
@@ -209,7 +185,6 @@ def filter_result(
     fmin: int,
     kind: str,
     *,
-    itemset_mode: bool = False,
     constraints=None,
     within_constraints: bool = False,
     deadline: float | None = None,
@@ -245,7 +220,7 @@ def filter_result(
     )
     append_only = kind.startswith("backward")
     closed = kind.endswith("closed")
-    best = _best_extension_support(result.entries, itemset_mode, append_only) if complete else {}
+    best = _best_extension_support(result.entries, append_only) if complete else {}
     plain = None
     kept = []
     for e in result.entries:
@@ -255,7 +230,7 @@ def filter_result(
         else:
             plain = plain or _plain_index(db)
             need = len(e.support_ids) if closed else fmin
-            ok = not _reaches(plain, e.pattern, need, e.support_ids, itemset_mode, append_only)
+            ok = not _reaches(plain, e.pattern, need, e.support_ids, append_only)
         if ok:
             kept.append(e)
     return MiningResult.build(kept, result.params)

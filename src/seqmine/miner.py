@@ -25,7 +25,8 @@ chosen from the constraint set's gap and span windows:
   candidate: a borrow that admits every later position, after a shift by
   the mingap, or, when a maxgap bounds something, shifts across the gap
   window (cSPADE's gap join on SPAM bitmaps); adding an item to the last
-  element (itemset mode) is the I-step, an AND with the item's bitmap;
+  element (on data with multi-item elements) is the I-step, an AND with
+  the item's bitmap;
 * a minspan raises the first S-step's window alone, since positions
   increase along a chain; a sequence is one segment of the bitmaps, or,
   when a maxspan bounds something, one segment per start position, as long
@@ -63,7 +64,7 @@ class MiningTimeout(Exception):
 
 
 class DataError(ValueError):
-    """Database/parameter mismatch (e.g. itemset data without itemset_mode)."""
+    """Database/parameter mismatch (e.g. a fractional fmin on no sequences)."""
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,6 @@ class MiningParams:
     maxlen: int
     minlen: int = 1
     mode: str = "frequent"
-    itemset_mode: bool = False
 
     def __post_init__(self) -> None:
         if isinstance(self.fmin, bool) or not isinstance(self.fmin, (int, float)):
@@ -130,7 +130,7 @@ def _check_deadline(deadline: float | None) -> None:
 #
 # ``None`` is the empty pattern's entries.  The search ANDs
 # ``after(entries)`` (a new last element) or the entries themselves (an item
-# added to the last element, itemset mode) with an item's bitmap, and reads
+# added to the last element, on itemset data) with an item's bitmap, and reads
 # support and sids from the head bits ``(entries + carry) & heads`` (support
 # after a window-free S-step from ``lasts`` instead).  The index judges no
 # constraint beyond the gap and span windows it is laid out from.
@@ -175,7 +175,9 @@ class _Index:
     nearest - 1 and a borrow set every position bit above each segment's
     lowest entry bit (``starts`` holds each segment's lowest bit, and the
     guard stops the borrow of ``v - starts`` at its top).  The I-step keeps
-    the entry bits whose element holds the new item.
+    the entry bits whose element holds the new item; ``itemsets`` is set
+    when some element holds more than one item, and only then does the
+    search take it.
 
     A minspan binds only the first S-step, from a one-element pattern:
     its window starts at max(nearest, lowest), and has width 0 when lowest
@@ -259,6 +261,7 @@ class _Index:
             return int.from_bytes(row, "little")
 
         self.nbytes = nbytes
+        self.itemsets = not db.simple_mode
         self.sid_of = range(1, len(sequences) + 1)
         self.mask = int.from_bytes(mask, "little")
         self.guards = int.from_bytes(guards, "little")
@@ -384,7 +387,7 @@ def _search(
     # Per S-step kind (later, first): the last-occurrence bits where that
     # step admits a suffix of each sequence, else None.
     lasts = tuple(None if width is not None else index.lasts for _, width in index.windows)
-    maxlen, minlen, itemset_mode = params.maxlen, params.minlen, params.itemset_mode
+    maxlen, minlen, itemsets = params.maxlen, params.minlen, index.itemsets
     trusted = Pattern._trusted
     # One one-item element per item, shared by every pattern that appends it.
     singles = {c: (c,) for c in items}
@@ -399,14 +402,14 @@ def _search(
         depth = len(elements)
         emits = depth >= minlen and (dfa is None or dfa_state in dfa.accepting) and accepts(elements)
         grows = depth < maxlen
-        augments = itemset_mode and depth > 0
+        augments = itemsets and depth > 0
         s_hits = a_hits = ()
         if grows or augments:
             offered = len(candidates)
             if costs is not None:
                 candidates = [c for c in candidates if (k := costs.get(c)) is None or viable(running_sum + k)]
             tests = candidates
-            # mine() rejects a regex in itemset mode, so a regex run only appends.
+            # mine() rejects a regex on itemset data, so a regex run only appends.
             if admits is not None:
                 allowed = admits[dfa_state]
                 tests = [c for c in candidates if c in allowed]
@@ -470,19 +473,19 @@ def mine(
     """Mine the database under the given parameters and optional constraints
     (``None`` is ``ConstraintSet()``).
 
-    Condensed modes run the frequent search first, then filter.  Returns a
-    canonically ordered result; raises MiningTimeout past the deadline, and
-    ValueError for a ``timeout`` that is not > 0 (NaN would never pass).
+    Condensed modes run the frequent search first, then filter.  On a
+    database with multi-item elements patterns grow by adding an item to an
+    element too, and a regex raises ConstraintError.  Returns a canonically
+    ordered result; raises MiningTimeout past the deadline, and ValueError
+    for a ``timeout`` that is not > 0 (NaN would never pass).
     """
     from . import condensed as _condensed
 
     if timeout is not None and not timeout > 0:
         raise ValueError(f"timeout must be > 0 seconds, got {timeout!r}")
     cs = ConstraintSet() if constraints is None else constraints
-    if cs.regex is not None and params.itemset_mode:
+    if cs.regex is not None and not db.simple_mode:
         raise ConstraintError("regex constraints require simple mode")
-    if not params.itemset_mode and not db.simple_mode:
-        raise DataError("database has multi-item elements; enable itemset_mode")
     fmin = params.resolved_fmin(len(db))
     stats = stats if stats is not None else MineStats()
     deadline = None if timeout is None else time.monotonic() + timeout
@@ -496,7 +499,6 @@ def mine(
             result,
             fmin,
             kind=params.mode,
-            itemset_mode=params.itemset_mode,
             constraints=cs,
             within_constraints=condensed_within_constraints,
             deadline=deadline,

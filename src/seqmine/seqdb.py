@@ -22,6 +22,7 @@ import io
 import json
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterable, Iterator, TextIO
 
 
@@ -178,9 +179,10 @@ class SequenceDatabase:
     def __iter__(self) -> Iterator[Sequence]:
         return iter(self.sequences)
 
-    @property
+    @cached_property
     def simple_mode(self) -> bool:
-        """True when every element of every sequence is a singleton."""
+        """True when every element of every sequence is a singleton; the
+        sequences are immutable, so one scan answers every later read."""
         return all(len(e) == 1 for s in self.sequences for e in s.elements)
 
     def sequence(self, sid: int) -> Sequence:

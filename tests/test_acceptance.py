@@ -131,7 +131,7 @@ def test_criterion_3():
             base = oracle_frequent(db, 1, maxlen, itemset_mode=True)
             for fmin in (1, 2, 3):
                 want = filtered_key(base, fmin)
-                got = mine(db, MiningParams(fmin=fmin, maxlen=maxlen, itemset_mode=True))
+                got = mine(db, MiningParams(fmin=fmin, maxlen=maxlen))
                 assert result_key(got) == want, ("itemset", case, fmin)
         assert time.monotonic() - start < 300.0
 
@@ -235,9 +235,7 @@ def test_criterion_4(d7):
                 continue
             fmin = rng.randint(1, 3)
             want = oracle_constrained(db, fmin, maxlen, cs, minlen=minlen, itemset_mode=itemset)
-            got = mine(
-                db, MiningParams(fmin=fmin, maxlen=maxlen, minlen=minlen, itemset_mode=itemset), cs
-            )
+            got = mine(db, MiningParams(fmin=fmin, maxlen=maxlen, minlen=minlen), cs)
             assert result_key(got) == result_key(want), (cases, picks)
             cases += 1
             covered.update(picks)

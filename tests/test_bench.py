@@ -51,6 +51,13 @@ def test_bad_cells_are_rejected_before_any_cell_runs(d7):
         run_suite([("d7", d7), ("empty", empty)], [0.5], ["frequent"], maxlen=4)
 
 
+def test_itemset_data_is_mined_with_itemsets():
+    # The dataset decides: (a b) and <(a b) c> are counted without a switch.
+    db = SequenceDatabase.from_label_sequences([[("a", "b"), "c"], [("a", "b"), ("a", "c")]])
+    (record,) = run_suite([("sets", db)], [2], ["frequent"], maxlen=3)
+    assert record.pattern_count == 7
+
+
 def test_fractional_threshold_resolution(d7):
     (record,) = run_suite([("d7", d7)], [3 / 7], ["frequent"], maxlen=4)
     assert record.fmin == 3 / 7

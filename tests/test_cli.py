@@ -235,11 +235,17 @@ def test_mine_data_errors(d7_path, tmp_path, capsys):
         capsys, "bench", "--input", str(itemsets), "--min-support", "1", "--maxlen", "2"
     )
     assert code == 3 and "itemset_mode" in err and not out
-    code, _, _ = run(
-        capsys, "mine", "--input", str(itemsets), "--min-support", "1",
-        "--maxlen", "2", "--itemset-mode",
+    # The reference miner once answered with the one-item-element patterns alone.
+    code, out, err = run(
+        capsys, "oracle", "--input", str(itemsets), "--min-support", "1", "--maxlen", "2"
     )
-    assert code == 0
+    assert code == 3 and "itemset_mode" in err and not out
+    for command in ("mine", "oracle"):
+        code, out, _ = run(
+            capsys, command, "--input", str(itemsets), "--min-support", "1",
+            "--maxlen", "2", "--itemset-mode",
+        )
+        assert code == 0 and len(out_lines(out)) == 7, command
 
     # A percentage of no sequences is no threshold: the database is at fault.
     empty = tmp_path / "empty.spmf"
@@ -249,6 +255,39 @@ def test_mine_data_errors(d7_path, tmp_path, capsys):
             capsys, command, "--input", str(empty), "--min-support", "10%", "--maxlen", "2"
         )
         assert code == 3 and "data error" in err and not out, command
+
+
+def test_mine_itemset_flag_changes_nothing_on_one_item_data(d7_path, tmp_path, capsys):
+    # The database decides how items are handled: on one-item elements the
+    # flag is only the guard, so every mode writes the same records.
+    for mode in cli.MODES:
+        outputs = []
+        for flag in ([], ["--itemset-mode"]):
+            path = tmp_path / f"{mode}{len(flag)}.jsonl"
+            code, _, _ = run(
+                capsys, "mine", "--input", str(d7_path), "--min-support", "3", "--maxlen", "4",
+                "--mode", mode, "--output", str(path), *flag,
+            )
+            assert code == 0
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1] != b"", mode
+
+
+def test_bench_itemset_flag_changes_nothing_on_one_item_data(d7_path, tmp_path, capsys):
+    # Apart from time and memory, the records match: counters included.
+    records = []
+    for flag in ([], ["--itemset-mode"]):
+        path = tmp_path / f"bench{len(flag)}.jsonl"
+        code, _, _ = run(
+            capsys, "bench", "--input", str(d7_path), "--min-support", "2,3", "--maxlen", "4",
+            "--mode", ",".join(cli.MODES), "--output", str(path), *flag,
+        )
+        assert code == 0
+        records.append([
+            {k: v for k, v in r.items() if k not in ("wall_seconds", "peak_rss_kb")}
+            for r in out_lines(path.read_text())
+        ])
+    assert len(records[0]) == 10 and records[0] == records[1]
 
 
 def test_mine_timeout_exit_code(tmp_path, capsys):
@@ -607,6 +646,8 @@ def test_bench_grid_and_jsonl(d7_path, tmp_path, capsys):
 def test_bench_usage_errors(d7_path, capsys):
     cases = [
         ["bench", "--input", str(d7_path), "--min-support", ",", "--maxlen", "4"],
+        ["bench", "--input", str(d7_path), "--min-support", "3", "--mode", ",", "--maxlen", "4"],
+        ["bench", "--input", str(d7_path), "--min-support", "3", "--mode", "", "--maxlen", "4"],
         ["bench", "--input", str(d7_path), "--min-support", "3",
          "--mode", "open", "--maxlen", "4"],
         ["bench", "--input", str(d7_path), "--min-support", "3", "--maxlen", "0"],
@@ -617,6 +658,18 @@ def test_bench_usage_errors(d7_path, capsys):
         assert code == 1, argv
         assert not out, argv
         assert err.splitlines()[-1].startswith("seqmine bench: error: "), (argv, err)
+
+
+def test_bench_mixed_sweep_stops_before_its_first_cell(d7_path, tmp_path, capsys):
+    # Every input is checked before any cell runs, so no record file is made.
+    itemsets = tmp_path / "sets.spmf"
+    itemsets.write_text("1 2 -1 3 -2\n")
+    records = tmp_path / "records.jsonl"
+    code, out, err = run(
+        capsys, "bench", "--input", str(d7_path), "--input", str(itemsets),
+        "--min-support", "1", "--maxlen", "2", "--output", str(records),
+    )
+    assert code == 3 and "itemset_mode" in err and not out and not records.exists()
 
 
 def test_bench_missing_input_is_data_error(tmp_path, capsys):

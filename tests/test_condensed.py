@@ -139,7 +139,7 @@ def test_is_closed_fixture(d7):
     for labels, expect in [("abc", True), ("bc", False), ("c", False), ("a", True)]:
         p = pat(d7, *labels)
         _, ids = support(d7, p)
-        assert is_closed(d7, p, 3, ids) is expect
+        assert is_closed(d7, p, ids) is expect
 
 
 def test_backward_filter_fixture(d7):
@@ -247,7 +247,7 @@ def test_maximal_at_maxlen_on_a_larger_database():
 
 def test_itemset_closed_absorbs_same_support_subsets():
     db = SequenceDatabase.from_label_sequences([[], [("a", "b")]])
-    result = mine(db, MiningParams(fmin=1, maxlen=1, mode="closed", itemset_mode=True))
+    result = mine(db, MiningParams(fmin=1, maxlen=1, mode="closed"))
     assert pattern_set(result) == {((0, 1),)}
 
 
@@ -285,27 +285,26 @@ def condensed_dbs(draw, itemset_mode):
     return SequenceDatabase.from_label_sequences(rows)
 
 
-def one_by_one_filter(db, result, fmin, kind, itemset_mode):
+def one_by_one_filter(db, result, fmin, kind):
     """Every entry judged on its own by is_closed, is_maximal or backward_filter."""
     kept = []
     for e in result:
         if kind == "closed":
-            ok = is_closed(db, e.pattern, fmin, e.support_ids, itemset_mode=itemset_mode)
+            ok = is_closed(db, e.pattern, e.support_ids)
         elif kind == "maximal":
-            ok = is_maximal(db, e.pattern, fmin, e.support_ids, itemset_mode=itemset_mode)
+            ok = is_maximal(db, e.pattern, fmin, e.support_ids)
         else:
-            ok = backward_filter(
-                db, e.pattern, fmin, e.support_ids, kind.removeprefix("backward-"), itemset_mode=itemset_mode
-            )
+            ok = backward_filter(db, e.pattern, fmin, e.support_ids, kind.removeprefix("backward-"))
         if ok:
             kept.append(e)
     return kept
 
 
-def brute_filter(db, result, fmin, kind, itemset_mode):
+def brute_filter(db, result, fmin, kind):
     """Every entry judged by trying each one-item extension on its
-    supporters: an item inserted as a new element at any slot or, in itemset
-    mode, added to any element; backward kinds only at the end."""
+    supporters: an item inserted as a new element at any slot or added to
+    any element (never contained where every element holds one item);
+    backward kinds only at the end."""
     alphabet = sorted({a for s in db.sequences for elem in s.elements for a in elem})
     backward = kind.startswith("backward")
     kept = []
@@ -314,13 +313,12 @@ def brute_filter(db, result, fmin, kind, itemset_mode):
         need = len(e.support_ids) if kind.endswith("closed") else fmin
         slots = [len(p)] if backward else range(len(p) + 1)
         grown = [p[:i] + ((a,),) + p[i:] for i in slots for a in alphabet]
-        if itemset_mode:
-            grown += [
-                p[:i] + (tuple(sorted(p[i] + (a,))),) + p[i + 1 :]
-                for i in ([len(p) - 1] if backward else range(len(p)))
-                for a in alphabet
-                if a not in p[i]
-            ]
+        grown += [
+            p[:i] + (tuple(sorted(p[i] + (a,))),) + p[i + 1 :]
+            for i in ([len(p) - 1] if backward else range(len(p)))
+            for a in alphabet
+            if a not in p[i]
+        ]
         if all(sum(naive_contains(g, db.sequence(sid)) for sid in e.support_ids) < need for g in grown):
             kept.append(e)
     return kept
@@ -341,7 +339,6 @@ def test_filter_result_matches_rescan_and_oracle(data):
         fmin=data.draw(st.integers(1, len(db))),
         maxlen=maxlen,
         minlen=data.draw(st.integers(1, maxlen)),
-        itemset_mode=itemset_mode,
     )
     # Every layout the constrained search builds: per-start segments under a
     # maxspan, and a raised first window under a minspan.
@@ -371,14 +368,12 @@ def test_filter_result_matches_rescan_and_oracle(data):
     want_oracle = oracle_frequent(db, fmin, maxlen, itemset_mode, config=LONG)
     for kind in KINDS:
         for caller_fmin, constraints, result in cases:
-            got = filter_result(
-                db, result, caller_fmin, kind, itemset_mode=itemset_mode, constraints=constraints
-            )
-            want = one_by_one_filter(db, result, caller_fmin, kind, itemset_mode)
+            got = filter_result(db, result, caller_fmin, kind, constraints=constraints)
+            want = one_by_one_filter(db, result, caller_fmin, kind)
             assert result_key(got) == result_key(want)
-            want = brute_filter(db, result, caller_fmin, kind, itemset_mode)
+            want = brute_filter(db, result, caller_fmin, kind)
             assert result_key(got) == result_key(want)
-        got = filter_result(db, frequent, fmin, kind, itemset_mode=itemset_mode)
+        got = filter_result(db, frequent, fmin, kind)
         assert result_key(got) == result_key(mine(db, replace(params, mode=kind)))
         want = oracle_condensed(want_oracle, kind)
         assert result_key([e for e in got if len(e.pattern) < maxlen]) == result_key(

@@ -403,13 +403,18 @@ def test_mine_regex_on_non_ascii_labels_matches_oracle():
         assert result_key(got) == result_key(oracle_constrained(db, 2, 3, cs))
 
 
-def test_mine_regex_on_itemset_data_is_rejected():
+def test_mine_regex_on_itemset_data_is_rejected(d7):
     from seqmine import SequenceDatabase
 
+    # The database decides: a regex runs on one-item elements, unasked...
+    cs = ConstraintSet(regex=regex_compile("a", d7.alphabet))
+    got = mine(d7, MiningParams(fmin=1, maxlen=2), cs)
+    assert len(got) > 0 and result_key(got) == result_key(oracle_constrained(d7, 1, 2, cs))
+    # ...and is refused on multi-item ones.
     db = SequenceDatabase.from_label_sequences([[("a", "b"), "c"]])
     cs = ConstraintSet(regex=regex_compile("a", db.alphabet))
-    with pytest.raises(ConstraintError):
-        mine(db, MiningParams(fmin=1, maxlen=2, itemset_mode=True), cs)
+    with pytest.raises(ConstraintError, match="simple mode"):
+        mine(db, MiningParams(fmin=1, maxlen=2), cs)
 
 
 def test_mine_combined_constraints(d7):

@@ -14,7 +14,6 @@ from seqmine import (
     AggregateSpec,
     ConstraintError,
     ConstraintSet,
-    DataError,
     MineStats,
     MiningParams,
     MiningResult,
@@ -166,12 +165,6 @@ def test_local_pruning_toggle_is_pure_optimization(d7):
     assert result_key(on) == result_key(off)
 
 
-def test_regex_requires_simple_mode(d7):
-    cs = ConstraintSet(regex=regex_compile("a", d7.alphabet))
-    with pytest.raises(ConstraintError, match="simple mode"):
-        mine(d7, MiningParams(fmin=1, maxlen=2, itemset_mode=True), cs)
-
-
 def test_stats_counts_nodes(d7):
     stats = MineStats()
     mine(d7, MiningParams(fmin=3, maxlen=4), stats=stats)
@@ -227,23 +220,23 @@ def test_missing_cost_raises_only_for_an_admitted_frequent_extension(d7, costs, 
 
 
 @pytest.mark.parametrize(
-    "itemset_mode, constraints, deepest",
+    "extra, constraints, count, deepest",
     [
-        (False, None, 1200),
-        (True, None, 1200),
-        (False, ConstraintSet(maxgap=0), 1200),
+        ([], None, 1200, 1200),
+        # A second sequence (a b) makes itemset data: b and (a b) join the result.
+        ([[("a", "b")]], None, 1202, 1200),
+        ([], ConstraintSet(maxgap=0), 1200, 1200),
         # A chain over all 1,200 positions spans 1,200.
-        (False, ConstraintSet(maxspan=1199), 1199),
+        ([], ConstraintSet(maxspan=1199), 1199, 1199),
     ],
     ids=["simple", "itemset", "gap", "span"],
 )
-def test_deep_pattern_search(itemset_mode, constraints, deepest):
+def test_deep_pattern_search(extra, constraints, count, deepest):
     # Deeper than the interpreter's default recursion limit.  The gap case
     # runs on the gap bitmaps, the span case on the span state.
-    db = SequenceDatabase.from_label_sequences([["a"] * 1200])
-    params = MiningParams(fmin=1, maxlen=1200, itemset_mode=itemset_mode)
-    result = mine(db, params, constraints)
-    assert len(result) == deepest
+    db = SequenceDatabase.from_label_sequences([["a"] * 1200] + extra)
+    result = mine(db, MiningParams(fmin=1, maxlen=1200), constraints)
+    assert len(result) == count
     assert result.entries[-1].pattern.elements == ((0,),) * deepest
 
 
@@ -267,17 +260,11 @@ def test_timeout_must_be_positive(d7):
 # Itemset mode
 
 
-def test_simple_engine_rejects_itemset_data():
-    db = SequenceDatabase.from_label_sequences([[("a", "b")]])
-    with pytest.raises(DataError):
-        mine(db, MiningParams(fmin=1, maxlen=2))
-
-
 def test_itemset_mode_small_fixture():
     db = SequenceDatabase.from_label_sequences(
         [[("a", "b"), "c"], [("a", "b"), ("a", "c")]]
     )
-    result = mine(db, MiningParams(fmin=2, maxlen=3, itemset_mode=True))
+    result = mine(db, MiningParams(fmin=2, maxlen=3))
     assert {(e.pattern.elements, e.support) for e in result} == {
         (((0,),), 2),
         (((1,),), 2),
@@ -289,25 +276,20 @@ def test_itemset_mode_small_fixture():
     }
 
 
-def test_itemset_mode_agrees_with_simple_on_singleton_data(d7):
-    simple = mine(d7, MiningParams(fmin=3, maxlen=4))
-    itemset = mine(d7, MiningParams(fmin=3, maxlen=4, itemset_mode=True))
-    assert result_key(simple) == result_key(itemset)
-
-
 def test_itemset_repeated_triple_regression():
     # Augmentations stay legal even when the frontier has no strict suffix
     # left, which once broke candidate inheritance on this database.
     db = SequenceDatabase.from_label_sequences(
         [[("a", "b", "c"), ("a", "b", "c"), ("a", "b", "c")]]
     )
-    result = mine(db, MiningParams(fmin=1, maxlen=3, itemset_mode=True))
+    result = mine(db, MiningParams(fmin=1, maxlen=3))
     expected = oracle_frequent(db, 1, 3, itemset_mode=True)
     assert result_key(result) == result_key(expected)
     assert len(result) == 399
 
 
 def test_itemset_mode_random_vs_oracle():
+    # mine() reads the multi-item elements off the database; the oracle is told.
     rng = random.Random(20)
     from helpers import db_maxlen, random_itemset_db
 
@@ -315,7 +297,7 @@ def test_itemset_mode_random_vs_oracle():
         db = random_itemset_db(rng)
         maxlen = db_maxlen(db, cap=5)
         for fmin in (1, 2):
-            got = mine(db, MiningParams(fmin=fmin, maxlen=maxlen, itemset_mode=True))
+            got = mine(db, MiningParams(fmin=fmin, maxlen=maxlen))
             want = oracle_frequent(db, fmin, maxlen, itemset_mode=True)
             assert result_key(got) == result_key(want)
 
@@ -368,7 +350,7 @@ def bitmap_dbs(draw, itemset_mode):
 
 
 @st.composite
-def bitmap_params(draw, db, itemset_mode):
+def bitmap_params(draw, db):
     """fmin from 1 to the database size; maxlen from 1 to the longest
     sequence; minlen from 1 to maxlen."""
     longest = max(len(s) for s in db.sequences)
@@ -377,7 +359,6 @@ def bitmap_params(draw, db, itemset_mode):
         fmin=draw(st.integers(1, len(db))),
         maxlen=maxlen,
         minlen=draw(st.integers(1, maxlen)),
-        itemset_mode=itemset_mode,
     )
 
 
@@ -438,7 +419,7 @@ def _assume_oracle_sized(db, params):
     more than MAX_PATTERNS patterns.  Growing maxlen one level at a time
     keeps a discarded draw cheap."""
     for maxlen in range(1, params.maxlen + 1):
-        level = MiningParams(fmin=params.fmin, maxlen=maxlen, itemset_mode=params.itemset_mode)
+        level = MiningParams(fmin=params.fmin, maxlen=maxlen)
         assume(len(mine(db, level)) <= MAX_PATTERNS)
 
 
@@ -447,7 +428,7 @@ def _assume_oracle_sized(db, params):
 def test_simple_search_matches_oracle(data):
     itemset_mode = data.draw(st.booleans())
     db = data.draw(bitmap_dbs(itemset_mode))
-    params = data.draw(bitmap_params(db, itemset_mode))
+    params = data.draw(bitmap_params(db))
     _assume_oracle_sized(db, params)
     got = _search_on(db, params, ConstraintSet(), narrow=data.draw(st.booleans()))
     want = oracle_frequent(db, params.fmin, params.maxlen, itemset_mode=itemset_mode, config=WIDE)
@@ -461,7 +442,7 @@ def test_simple_search_matches_oracle(data):
 def test_constrained_simple_search_matches_oracle(data):
     itemset_mode = data.draw(st.booleans())
     db = data.draw(bitmap_dbs(itemset_mode))
-    params = data.draw(bitmap_params(db, itemset_mode))
+    params = data.draw(bitmap_params(db))
     cs = data.draw(bitmap_constraints(db, itemset_mode))
     _assume_oracle_sized(db, params)
     cs = cs or ConstraintSet()
@@ -496,7 +477,7 @@ def chain_constraints(draw):
 def test_chain_search_matches_oracle(data):
     itemset_mode = data.draw(st.booleans())
     db = data.draw(bitmap_dbs(itemset_mode))
-    params = data.draw(bitmap_params(db, itemset_mode))
+    params = data.draw(bitmap_params(db))
     cs = data.draw(chain_constraints())
     _assume_oracle_sized(db, params)
     got = _search_on(db, params, cs, narrow=data.draw(st.booleans()))
@@ -559,7 +540,7 @@ def gap_bounds(draw):
 def test_gap_bitmap_search_matches_oracle(data):
     itemset_mode = data.draw(st.booleans())
     db = data.draw(bitmap_dbs(itemset_mode))
-    params = data.draw(bitmap_params(db, itemset_mode))
+    params = data.draw(bitmap_params(db))
     rules = data.draw(bitmap_constraints(db, itemset_mode)) or ConstraintSet()
     cs = replace(rules, **data.draw(gap_bounds()))
     _assume_oracle_sized(db, params)
@@ -610,7 +591,7 @@ def span_bounds(draw):
 def test_span_bitmap_search_matches_oracle_and_embeddings(data):
     itemset_mode = data.draw(st.booleans())
     db = data.draw(bitmap_dbs(itemset_mode))
-    params = data.draw(bitmap_params(db, itemset_mode))
+    params = data.draw(bitmap_params(db))
     rules = data.draw(bitmap_constraints(db, itemset_mode)) or ConstraintSet()
     bounds = data.draw(span_bounds())
     cs = replace(rules, **bounds)
@@ -665,11 +646,9 @@ def test_minspan_past_the_maxgap_leaves_one_element_patterns(d7):
     # Under maxgap=0 a second element matches 1 position after the first,
     # never the 9 a minspan of 10 needs, so no pattern grows past one element.
     cs = ConstraintSet(minspan=10, maxgap=0)
-    for itemset_mode in (False, True):
-        params = MiningParams(fmin=1, maxlen=4, itemset_mode=itemset_mode)
-        got = mine(d7, params, cs)
-        assert result_key(got) == result_key(oracle_constrained(d7, 1, 4, cs, itemset_mode=itemset_mode))
-        assert got.entries and all(len(e.pattern) == 1 for e in got)
+    got = mine(d7, MiningParams(fmin=1, maxlen=4), cs)
+    assert result_key(got) == result_key(oracle_constrained(d7, 1, 4, cs))
+    assert got.entries and all(len(e.pattern) == 1 for e in got)
 
 
 @pytest.mark.parametrize("bounds", [dict(mingap=1), dict(maxspan=3)], ids=["mingap", "maxspan"])
@@ -766,8 +745,7 @@ def test_simple_search_long_sequence_among_short_ones():
         rows.insert(17, [element() for _ in range(1200)])
         db = SequenceDatabase.from_label_sequences(rows)
         for fmin, maxlen in ((1, 3), (2, 4), (6, 4)):
-            params = MiningParams(fmin=fmin, maxlen=maxlen, itemset_mode=itemset_mode)
-            got = mine(db, params)
+            got = mine(db, MiningParams(fmin=fmin, maxlen=maxlen))
             want = oracle_frequent(db, fmin, maxlen, itemset_mode=itemset_mode, config=config)
             assert result_key(got) == result_key(want)
             assert all(18 in e.support_ids for e in got)
