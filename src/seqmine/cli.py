@@ -178,7 +178,8 @@ def build_parser() -> _Parser:
     p_mine.add_argument("--agg-threshold", type=float, default=None)
     p_mine.add_argument("--itemset-mode", action="store_true")
     p_mine.add_argument("--condensed-within-constraints", action="store_true",
-                        help="judge condensed modes pairwise inside the constrained output")
+                        help="judge condensed modes only against the patterns of the "
+                        "constrained output (without constraints, the frequent set)")
     p_mine.add_argument("--timeout", type=_parse_timeout, default=None, metavar="SECONDS")
     p_mine.add_argument("--output", default=None, help="result records file (default stdout)")
     p_mine.add_argument("--emit-asp-facts", default=None, metavar="PATH",
@@ -397,17 +398,19 @@ def _cmd_gen(args) -> int:
 def _cmd_bench(args) -> int:
     from . import bench as bench_mod
 
-    thresholds = [_parse_support(tok) for tok in _parse_labels(args.min_support)]
+    # Repeats run once; 1 and 100% (1.0) compare equal but are different cells.
+    parsed = [_parse_support(tok) for tok in _parse_labels(args.min_support)]
+    thresholds = [t for _, t in dict.fromkeys((type(t), t) for t in parsed)]
     if not thresholds:
         raise _UsageError("--min-support list is empty")
-    modes = _parse_labels(args.mode)
+    modes = list(dict.fromkeys(_parse_labels(args.mode)))
     if not modes:
         raise _UsageError("--mode list is empty")
     for m in modes:
         if m not in MODES:
             raise _UsageError(f"unknown mode: {m!r}")
     datasets = []
-    for path in args.input:
+    for path in dict.fromkeys(args.input):
         try:
             datasets.append((os.path.basename(path), load_database(path, args.format)))
         except FormatError as exc:

@@ -6,14 +6,14 @@ multi-item elements, added to an element) is contained in ``need`` of its
 supporters, fmin for maximal and all of them for closed; backward kinds
 extend only after the last element.
 
-When the frequent result is complete (no constraints, a threshold no
-higher than the caller's), every extension of a pattern shorter than
-``maxlen`` that could disqualify it is itself in the result:
-``filter_result`` then judges such a pattern by looking it up among the
-one-item deletions of the result's patterns.  Patterns at ``maxlen``
-(whose insertions are longer than the result holds), constrained runs
-(whose output is not the frequent set) and results without params count
-their extensions on the database's unconstrained vertical bitmaps
+When the caller vouches that the result holds every frequent pattern up to
+some length (``mine()`` does so for unconstrained runs, up to ``maxlen``),
+every extension of a shorter pattern that could disqualify it is itself in
+the result: ``filter_result`` then judges such a pattern by looking it up
+among the one-item deletions of the result's patterns.  Every other
+pattern (at that length, from a constrained run, or from a result no
+caller vouches for, e.g. one read back with ``read_results``) counts its
+extensions on the database's unconstrained vertical bitmaps
 (``miner._Index``), the fill-gaps frontier of every sequence at once.
 """
 
@@ -185,7 +185,7 @@ def filter_result(
     fmin: int,
     kind: str,
     *,
-    constraints=None,
+    complete_to: int | None = None,
     within_constraints: bool = False,
     deadline: float | None = None,
 ) -> MiningResult:
@@ -193,39 +193,31 @@ def filter_result(
 
     Default semantics judge each pattern by single-item extension checks
     against its own supporters (unrestricted by any active constraint set);
-    ``within_constraints`` switches to pairwise comparison inside the result.
+    ``within_constraints`` judges it only against the result's patterns.
 
-    The extension checks read the result itself when it is known to hold
-    every frequent pattern of length ``minlen``..``maxlen``: no constraints
-    (``None`` or neutral), and ``result.params`` records a ``maxlen``, the
-    mode ``frequent`` or ``kind``, and a threshold that resolves on ``db``
-    to at most ``fmin``.  A pattern shorter than ``maxlen`` is then
-    dominated exactly when one of its one-item extensions is in the result
-    with equal support (closed kinds) or support of at least ``fmin``
-    (maximal kinds).  Patterns at ``maxlen``, constrained runs and results
-    without such params (e.g. from ``read_results``) count their extensions
-    on bitmaps built once (``_reaches``).
+    ``complete_to`` is the caller's promise that ``result`` holds every
+    pattern of length ``minlen``..``complete_to`` with support >= ``fmin``.
+    A pattern shorter than ``complete_to`` is then dominated exactly when
+    one of its one-item extensions is in the result with equal support
+    (closed kinds) or support of at least ``fmin`` (maximal kinds); within
+    constraints the same lookup also judges patterns at ``complete_to``,
+    whose only super-patterns in the result are augmentations.  Without
+    the promise (``None``), ``within_constraints`` compares every pair of
+    entries, and otherwise every pattern counts its extensions on bitmaps
+    built once (``_reaches``); both are right for any input.
     """
     if kind not in ("closed", "maximal", "backward-closed", "backward-maximal"):
         raise ValueError(f"unknown condensed kind: {kind!r}")
-    if within_constraints:
-        return MiningResult.build(_pairwise_keep(result, kind, deadline), result.params)
-    params = result.params
-    maxlen = getattr(params, "maxlen", None)
-    complete = (
-        (constraints is None or constraints.is_neutral())
-        and maxlen is not None
-        and params.mode in ("frequent", kind)
-        and params.resolved_fmin(len(db)) <= fmin
-    )
+    if within_constraints and complete_to is None:
+        return MiningResult.build(_pairwise_keep(result, kind, deadline))
     append_only = kind.startswith("backward")
     closed = kind.endswith("closed")
-    best = _best_extension_support(result.entries, append_only) if complete else {}
+    best = {} if complete_to is None else _best_extension_support(result.entries, append_only)
     plain = None
     kept = []
     for e in result.entries:
         _check_deadline(deadline)
-        if complete and len(e.pattern) < maxlen:
+        if complete_to is not None and (within_constraints or len(e.pattern) < complete_to):
             ok = best.get(e.pattern.elements, 0) < (e.support if closed else fmin)
         else:
             plain = plain or _plain_index(db)
@@ -233,4 +225,4 @@ def filter_result(
             ok = not _reaches(plain, e.pattern, need, e.support_ids, append_only)
         if ok:
             kept.append(e)
-    return MiningResult.build(kept, result.params)
+    return MiningResult.build(kept)

@@ -473,7 +473,10 @@ def mine(
     """Mine the database under the given parameters and optional constraints
     (``None`` is ``ConstraintSet()``).
 
-    Condensed modes run the frequent search first, then filter.  On a
+    Condensed modes run the frequent search first, then filter.  Without
+    constraints that search emits every frequent pattern up to ``maxlen``,
+    so ``mine`` passes ``complete_to=maxlen`` and the filter judges by
+    lookup in the result (see ``condensed.filter_result``).  On a
     database with multi-item elements patterns grow by adding an item to an
     element too, and a regex raises ConstraintError.  Returns a canonically
     ordered result; raises MiningTimeout past the deadline, and ValueError
@@ -492,14 +495,14 @@ def mine(
 
     entries = _search(_Index(db, fmin, cs), fmin, params, cs, stats, deadline)
 
-    result = MiningResult.build(entries, params)
+    result = MiningResult.build(entries)
     if params.mode != "frequent":
         result = _condensed.filter_result(
             db,
             result,
             fmin,
             kind=params.mode,
-            constraints=cs,
+            complete_to=params.maxlen if cs.is_neutral() else None,
             within_constraints=condensed_within_constraints,
             deadline=deadline,
         )

@@ -23,7 +23,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, TextIO
 
 
 class FormatError(ValueError):
@@ -215,22 +215,21 @@ class ResultEntry:
 
 @dataclass(frozen=True)
 class MiningResult:
-    """Canonically ordered set of result entries plus an echo of the run params.
+    """Canonically ordered set of result entries.
 
     Entries are sorted by (pattern length, elements) and pattern-unique;
     ``build`` enforces both.
     """
 
     entries: tuple[ResultEntry, ...]
-    params: Any = None
 
     @classmethod
-    def build(cls, entries: Iterable[ResultEntry], params: Any = None) -> "MiningResult":
+    def build(cls, entries: Iterable[ResultEntry]) -> "MiningResult":
         ordered = sorted(entries, key=lambda e: e.pattern.sort_key())
         for a, b in zip(ordered, ordered[1:]):
             if a.pattern == b.pattern:
                 raise ValueError(f"duplicate pattern in result: {a.pattern}")
-        return cls(tuple(ordered), params)
+        return cls(tuple(ordered))
 
     def __len__(self) -> int:
         return len(self.entries)

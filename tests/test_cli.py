@@ -305,13 +305,16 @@ def test_mine_timeout_exit_code(tmp_path, capsys):
 
 def test_mine_within_constraints_timeout_exit_code(tmp_path, capsys):
     # The search ends well before the deadline; the pairwise filter of
-    # --condensed-within-constraints would run for seconds past it.
+    # --condensed-within-constraints would run for seconds past it.  The
+    # vacuous --max-gap makes the run constrained, so the filter cannot
+    # judge by lookup in the frequent set and compares every pair.
     db = tmp_path / "db.spmf"
     code, _, _ = run(capsys, "gen", "--num-sequences", "40", "--seed", "5", "--output", str(db))
     assert code == 0
     code, out, err = run(
         capsys, "mine", "--input", str(db), "--min-support", "20%", "--maxlen", "8",
-        "--mode", "maximal", "--condensed-within-constraints", "--timeout", "0.5",
+        "--mode", "maximal", "--condensed-within-constraints", "--max-gap", "100",
+        "--timeout", "0.5",
     )
     assert code == 2 and "timed out" in err and not out
 
@@ -641,6 +644,35 @@ def test_bench_grid_and_jsonl(d7_path, tmp_path, capsys):
     assert len(records) == 4
     counts = {(r["resolved_fmin"], r["mode"]): r["pattern_count"] for r in records}
     assert counts == {(3, "frequent"): 7, (3, "maximal"): 1, (5, "frequent"): 5, (5, "maximal"): 2}
+
+
+def test_bench_runs_a_repeated_value_once(d7_path, tmp_path, capsys):
+    records_path = tmp_path / "records.jsonl"
+    code, out, _ = run(
+        capsys, "bench", "--input", str(d7_path), "--input", str(d7_path),
+        "--min-support", "3,3", "--mode", "frequent,frequent", "--maxlen", "4",
+        "--output", str(records_path),
+    )
+    assert code == 0
+    assert len(out.splitlines()) == 3  # header, rule, one row
+    [record] = out_lines(records_path.read_text())
+    assert (record["fmin"], record["mode"], record["pattern_count"]) == (3, "frequent", 7)
+
+
+def test_bench_keeps_a_count_and_a_fraction_that_compare_equal(d7_path, tmp_path, capsys):
+    # 1 and 100% parse to 1 and 1.0, which compare equal in Python, but a
+    # count of one sequence and all of them are different cells.
+    records_path = tmp_path / "records.jsonl"
+    code, out, _ = run(
+        capsys, "bench", "--input", str(d7_path), "--min-support", "1,100%,1",
+        "--maxlen", "4", "--output", str(records_path),
+    )
+    assert code == 0
+    assert len(out.splitlines()) == 4
+    records = out_lines(records_path.read_text())
+    assert [(repr(r["fmin"]), r["resolved_fmin"], r["pattern_count"]) for r in records] == [
+        ("1", 1, 23), ("1.0", 7, 0),
+    ]
 
 
 def test_bench_usage_errors(d7_path, capsys):

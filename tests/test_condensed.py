@@ -14,7 +14,6 @@ from seqmine import (
     ConstraintSet,
     GenParams,
     MiningParams,
-    MiningResult,
     MiningTimeout,
     OracleConfig,
     SequenceDatabase,
@@ -30,7 +29,8 @@ from seqmine import (
     oracle_frequent,
     support,
 )
-from seqmine.condensed import filter_result
+from seqmine import condensed
+from seqmine.condensed import _pairwise_keep, filter_result
 from seqmine.oracle import naive_contains
 
 from helpers import db_maxlen, entry_labels, pat, pattern_set, random_simple_db, result_key
@@ -223,12 +223,14 @@ def test_within_constraints_changes_the_answer(d7):
 def test_within_constraints_honours_the_deadline():
     # 40 sequences at 20% give about 3,000 frequent patterns in well under a
     # second; comparing every pair of them takes several seconds more, so the
-    # deadline falls inside the pairwise filter.
+    # deadline falls inside the pairwise filter.  The maxgap bounds nothing,
+    # but a constrained run is not known to be the frequent set, so the
+    # filter compares pairs instead of looking patterns up.
     db, _ = generate(GenParams(num_sequences=40, seed=5))
     params = MiningParams(fmin=0.2, maxlen=8, mode="maximal")
     start = time.monotonic()
     with pytest.raises(MiningTimeout):
-        mine(db, params, condensed_within_constraints=True, timeout=0.5)
+        mine(db, params, ConstraintSet(maxgap=100), condensed_within_constraints=True, timeout=0.5)
     assert time.monotonic() - start < 3.0
     # The filter alone stops at its first entry past the deadline.
     frequent = mine(db, replace(params, mode="frequent"))
@@ -329,9 +331,10 @@ def brute_filter(db, result, fmin, kind):
 def test_filter_result_matches_rescan_and_oracle(data):
     """The result-set judgement, for all four kinds, against the one-pattern
     checks and a brute-force extension count on every pattern, and against
-    the oracle below ``maxlen``.  The caller's threshold above the result's,
-    a neutral constraint set, a constrained run, a result without params and
-    an already condensed result must all keep the brute-force answer."""
+    the oracle below ``maxlen``.  The frequent result judged by lookup
+    (``complete_to=maxlen``) or without that promise, the caller's threshold
+    above the result's, a constrained run and an already condensed result
+    must all keep the brute-force answer."""
     itemset_mode = data.draw(st.booleans())
     db = data.draw(condensed_dbs(itemset_mode))
     maxlen = data.draw(st.integers(1, max(1, max(len(s) for s in db.sequences))))
@@ -359,16 +362,15 @@ def test_filter_result_matches_rescan_and_oracle(data):
     fmin = params.fmin
     frequent = mine(db, params)
     cases = [
+        (fmin, maxlen, frequent),
         (fmin, None, frequent),
         (fmin + data.draw(st.integers(1, 2)), None, frequent),
-        (fmin, ConstraintSet(), frequent),
-        (fmin, None, MiningResult.build(frequent.entries)),
-        (fmin, cs, mine(db, params, cs)),
+        (fmin, None, mine(db, params, cs)),
     ] + [(fmin, None, mine(db, replace(params, mode=k))) for k in KINDS]
     want_oracle = oracle_frequent(db, fmin, maxlen, itemset_mode, config=LONG)
     for kind in KINDS:
-        for caller_fmin, constraints, result in cases:
-            got = filter_result(db, result, caller_fmin, kind, constraints=constraints)
+        for caller_fmin, complete_to, result in cases:
+            got = filter_result(db, result, caller_fmin, kind, complete_to=complete_to)
             want = one_by_one_filter(db, result, caller_fmin, kind)
             assert result_key(got) == result_key(want)
             want = brute_filter(db, result, caller_fmin, kind)
@@ -379,3 +381,72 @@ def test_filter_result_matches_rescan_and_oracle(data):
         assert result_key([e for e in got if len(e.pattern) < maxlen]) == result_key(
             [e for e in want if params.minlen <= len(e.pattern) < maxlen]
         )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_within_constraints_without_constraints_matches_pairwise_and_oracle(data):
+    """Without constraints the result is the whole frequent set up to
+    ``maxlen``, so judging a pattern by lookup in it equals comparing it
+    with every other entry, at every length up to and including ``maxlen``."""
+    itemset_mode = data.draw(st.booleans())
+    db = data.draw(condensed_dbs(itemset_mode))
+    maxlen = data.draw(st.integers(1, max(1, max(len(s) for s in db.sequences))))
+    params = MiningParams(
+        fmin=data.draw(st.integers(1, len(db))),
+        maxlen=maxlen,
+        minlen=data.draw(st.integers(1, maxlen)),
+    )
+    assume(len(mine(db, replace(params, minlen=1))) <= MAX_PATTERNS)
+
+    fmin = params.fmin
+    frequent = mine(db, params)
+    want_frequent = oracle_frequent(db, fmin, maxlen, itemset_mode, config=LONG)
+    for kind in KINDS:
+        got = mine(db, replace(params, mode=kind), condensed_within_constraints=True)
+        want = oracle_condensed(want_frequent, kind)
+        assert result_key(got) == result_key([e for e in want if len(e.pattern) >= params.minlen])
+        got = filter_result(db, frequent, fmin, kind, complete_to=maxlen, within_constraints=True)
+        assert result_key(got) == result_key(_pairwise_keep(frequent, kind, None))
+
+
+def count_reaches(monkeypatch):
+    """The patterns ``condensed._reaches`` is asked about, in call order."""
+    calls = []
+    reaches = condensed._reaches
+
+    def counting(plain, pattern, *rest):
+        calls.append(pattern)
+        return reaches(plain, pattern, *rest)
+
+    monkeypatch.setattr(condensed, "_reaches", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_only_patterns_no_lookup_can_judge_count_their_extensions(d7, monkeypatch, kind):
+    params = MiningParams(fmin=3, maxlen=2)
+    cs = ConstraintSet(maxgap=100)  # bounds nothing, but is not neutral
+    frequent, constrained = mine(d7, params), mine(d7, params, cs)
+    calls = count_reaches(monkeypatch)
+    mine(d7, replace(params, mode=kind))
+    assert calls and calls == [e.pattern for e in frequent if len(e.pattern) == 2]
+    calls.clear()
+    mine(d7, replace(params, mode=kind), cs)
+    assert calls == [e.pattern for e in constrained]
+    calls.clear()
+    filter_result(d7, frequent, 3, kind)
+    assert calls == [e.pattern for e in frequent]
+    calls.clear()
+    mine(d7, replace(params, mode=kind), condensed_within_constraints=True)
+    assert calls == []
+
+
+def test_within_constraints_without_constraints_on_the_default_database():
+    # Judged by lookup in the frequent set this takes about 0.4 s on a 2-CPU
+    # host with Python 3.11; comparing every pair of its 12,547 entries did
+    # not finish in 60 s.
+    db, _ = generate(GenParams())
+    params = MiningParams(0.10, 20, mode="maximal")
+    result = mine(db, params, condensed_within_constraints=True, timeout=30)
+    assert len(result) == 8800

@@ -516,7 +516,7 @@ def _search_on(db, params, cs, narrow=True, deadline=None, stats=None):
     general = _search(index, fmin, params, cs, general_stats, deadline)
     assert general == entries
     assert general_stats == stats
-    return MiningResult.build(entries, params)
+    return MiningResult.build(entries)
 
 
 @st.composite
