@@ -2,7 +2,8 @@
 
 A cell is one (dataset, threshold, mode) combination.  Each cell records
 wall time, peak RSS, the search's counters (nodes expanded, support counts
-made, candidates the regex or a summed aggregate bound gated), and the
+made, candidates the regex or a summed aggregate bound gated, candidates
+a sibling's supporters bounded), and the
 pattern count; cells that hit their timeout are marked incomplete and the sweep
 moves on.  Every cell's parameters are checked, and every threshold
 resolved on its dataset, before the first cell runs.
@@ -32,6 +33,7 @@ class BenchRecord:
     nodes_expanded: int
     candidate_tests: int
     gated: int
+    bounded: int
     completed: bool
     pattern_count: int | None = None
 
@@ -47,6 +49,7 @@ class BenchRecord:
             "nodes_expanded": self.nodes_expanded,
             "candidate_tests": self.candidate_tests,
             "gated": self.gated,
+            "bounded": self.bounded,
             "completed": self.completed,
         }
         if self.completed:
@@ -126,6 +129,7 @@ def _run_cells(cells, constraints, timeout) -> Iterator[BenchRecord]:
             nodes_expanded=stats.nodes_expanded,
             candidate_tests=stats.candidate_tests,
             gated=stats.gated,
+            bounded=stats.bounded,
             completed=completed,
             pattern_count=count,
         )

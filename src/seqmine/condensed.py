@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import compress
 from operator import and_
 
-from .seqdb import Elements, MiningResult, Pattern, ResultEntry, Sequence, SequenceDatabase
+from .seqdb import Elements, MiningResult, Pattern, ResultEntry, Sequence, SequenceDatabase, _sid_flags
 from .relations import as_elements, fill_gaps_frontier, is_prefix, is_subsequence
 from .constraints import ConstraintSet
 from .miner import _Index, _check_deadline
@@ -61,16 +62,17 @@ def insertable_regions(seq: Sequence | Elements, pattern: Pattern | Elements) ->
 
 def _plain_index(db: SequenceDatabase) -> tuple[_Index, list[int], dict[int, int]]:
     """The database's unconstrained bitmaps, each sequence's head byte (by
-    sid - 1) and each item's head bits, the sequences that hold it."""
+    sid - 1) and each item's sid int, the sequences that hold it (bit k-1
+    for sid k, as ``ResultEntry.sid_bits``)."""
     index = _Index(db, 1, ConstraintSet())
     head_bytes = [i for i, b in enumerate(index.heads.to_bytes(index.nbytes, "little")) if b]
-    item_heads = {c: (x + index.carry) & index.heads for c, x in index.items.items()}
-    return index, head_bytes, item_heads
+    item_sids = {c: index.sid_bits((x + index.carry) & index.heads) for c, x in index.items.items()}
+    return index, head_bytes, item_sids
 
 
-def _reaches(plain, pattern, need, support_ids, append_only) -> bool:
-    """Whether some one-item extension of ``pattern`` is contained in at
-    least ``need`` of the sequences ``support_ids``, on ``_plain_index(db)``.
+def _reaches(plain, entry: ResultEntry, need: int, append_only: bool) -> bool:
+    """Whether some one-item extension of ``entry.pattern`` is contained in
+    at least ``need`` of the entry's supporters, on ``_plain_index(db)``.
 
     The prefixes' leftmost matches come from the S-step ``after`` (an
     unconstrained index has one window).  For each insertion slot (on
@@ -78,14 +80,15 @@ def _reaches(plain, pattern, need, support_ids, append_only) -> bool:
     supporters hold, a walk ANDs in the item's bitmap, steps through the
     rest of the pattern and counts head bits among the supporters, stopping
     once the count falls below ``need``."""
-    index, head_bytes, item_heads = plain
+    index, head_bytes, item_sids = plain
     after, items, carry = index.after, index.items, index.carry
+    supporters = entry.sid_bits
+    tests = [c for c, s in item_sids.items() if (s & supporters).bit_count() >= need]
     row = bytearray(index.nbytes)
-    for sid in support_ids:
-        row[head_bytes[sid - 1]] = 0x80
+    for i in compress(head_bytes, _sid_flags(supporters)):
+        row[i] = 0x80
     heads = int.from_bytes(row, "little")
-    tests = [c for c, h in item_heads.items() if (h & heads).bit_count() >= need]
-    p = as_elements(pattern)
+    p = as_elements(entry.pattern)
     bits = [reduce(and_, [items.get(c, 0) for c in elem]) for elem in p]
     prefixes = [None]  # the entries of p_1..p_i, None for the empty prefix
     for x in bits:
@@ -114,13 +117,13 @@ def _reaches(plain, pattern, need, support_ids, append_only) -> bool:
 def is_maximal(db: SequenceDatabase, pattern: Pattern, fmin: int, support_ids: tuple[int, ...]) -> bool:
     """No single-item extension is supported by fmin of the given supporters;
     each call builds the database's bitmaps (``filter_result`` builds them once)."""
-    return not _reaches(_plain_index(db), pattern, fmin, support_ids, False)
+    return not _reaches(_plain_index(db), ResultEntry.from_ids(pattern, support_ids), fmin, False)
 
 
 def is_closed(db: SequenceDatabase, pattern: Pattern, support_ids: tuple[int, ...]) -> bool:
     """No single-item extension is supported by all of the given supporters;
     each call builds the database's bitmaps (``filter_result`` builds them once)."""
-    return not _reaches(_plain_index(db), pattern, len(support_ids), support_ids, False)
+    return not _reaches(_plain_index(db), ResultEntry.from_ids(pattern, support_ids), len(support_ids), False)
 
 
 def backward_filter(
@@ -131,7 +134,7 @@ def backward_filter(
     if kind not in ("closed", "maximal"):
         raise ValueError(f"unknown backward kind: {kind!r}")
     need = fmin if kind == "maximal" else len(support_ids)
-    return not _reaches(_plain_index(db), pattern, need, support_ids, True)
+    return not _reaches(_plain_index(db), ResultEntry.from_ids(pattern, support_ids), need, True)
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +224,7 @@ def filter_result(
             ok = best.get(e.pattern.elements, 0) < (e.support if closed else fmin)
         else:
             plain = plain or _plain_index(db)
-            need = len(e.support_ids) if closed else fmin
-            ok = not _reaches(plain, e.pattern, need, e.support_ids, append_only)
+            ok = not _reaches(plain, e, e.sid_bits.bit_count() if closed else fmin, append_only)
         if ok:
             kept.append(e)
     return MiningResult.build(kept)

@@ -36,8 +36,10 @@ chosen from the constraint set's gap and span windows:
   of every sequence, counts a candidate with one AND against those bits;
   every other step reads support from head bits, one per sequence, that a
   carry sets wherever the sequence holds an entry;
-* a pattern's supporting sids are decoded from its parent's, so decoding
-  walks the parent's support rather than the whole database.
+* each frequent extension reads its supporters once from its head bits,
+  as one int with a bit per sequence (``ResultEntry.sid_bits``); wherever
+  the search narrows, a candidate whose support the node's int ANDed with
+  a sibling's int already keeps below fmin is skipped uncounted.
 
 The paper's two embedding representations, skip-gaps and fill-gaps, give
 the same supports; the bitmaps keep the fill-gaps one, and ``relations``
@@ -51,7 +53,6 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 
 from .seqdb import MiningResult, Pattern, ResultEntry, SequenceDatabase
 from .constraints import ConstraintError, ConstraintSet
@@ -109,11 +110,14 @@ class MineStats:
     """Search counters.  ``nodes_expanded`` counts the frames popped from the
     search stack, the empty-pattern root included; ``candidate_tests`` the
     support counts made; ``gated`` the candidates a node skipped without a
-    count because the regex or a summed aggregate bound rules them out."""
+    count because the regex or a summed aggregate bound rules them out;
+    ``bounded`` those it skipped because a sibling's supporters leave too
+    few of its own."""
 
     nodes_expanded: int = 0
     candidate_tests: int = 0
     gated: int = 0
+    bounded: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +154,10 @@ def _smear(x: int, width: int, shift) -> int:
             acc |= shift(x, m)
             m += 1
     return acc
+
+
+# A head byte as a base-2 digit: 0x80 (a supporter) is 1, 0x00 is 0.
+_HEAD_DIGITS = bytes.maketrans(b"\x00\x80", b"01")
 
 
 class _Index:
@@ -200,14 +208,12 @@ class _Index:
     sequence, which holds the item exactly when it holds the last
     occurrence, so ``_count`` needs no carry there.
 
-    The sids are read against a set of sequences already known, at the
-    root all of them (``sid_of``, 1..N since sids are dense, and ``fill``):
-    ``fill`` sets every byte but the head bytes to 0x01.  A node with
-    frequent extensions passes its children its sids and ``fill | ((heads ^
-    found) >> 7)``, which also sets the head bytes of its non-supporters to
-    0x01.  A child ORs that into its own head bits and deletes every 0x01
-    byte, which leaves one byte per parent supporter, 0x80 where the child
-    keeps it, to select from the parent's sids.
+    ``sid_bits`` turns head bits into the supporters' int, bit k-1 for sid
+    k (sids are dense, 1..N, in layout order): ``fill`` sets every byte but
+    the head bytes to 0x01, so the head bits ORed with it, written
+    big-endian with every 0x01 byte deleted, leave one byte per sequence,
+    sid N first, 0x80 for a supporter and 0x00 for the rest; one
+    ``translate`` makes them the digits of the int in base 2.
     """
 
     def __init__(self, db: SequenceDatabase, fmin: int, cs: ConstraintSet):
@@ -262,7 +268,6 @@ class _Index:
 
         self.nbytes = nbytes
         self.itemsets = not db.simple_mode
-        self.sid_of = range(1, len(sequences) + 1)
         self.mask = int.from_bytes(mask, "little")
         self.guards = int.from_bytes(guards, "little")
         self.starts = int.from_bytes(starts, "little")
@@ -285,6 +290,10 @@ class _Index:
         else:
             self.windows = ((nearest, farthest - nearest + 1), (first, max(0, farthest - first + 1)))
         self.narrows = self.windows[0][1] is None
+
+    def sid_bits(self, found: int) -> int:
+        """The int with bit k-1 set for each sid k whose head bit ``found`` sets."""
+        return int((found | self.fill).to_bytes(self.nbytes, "big").translate(_HEAD_DIGITS, b"\x01"), 2)
 
     def _shift(self, x: int, d: int) -> int:
         keep = self.keeps.get(d)
@@ -313,11 +322,11 @@ class _Index:
 # The search
 
 
-def _count(base: int, tests: list[int], items: dict[int, int], carry: int, heads: int, fmin: int, lasts=None) -> list:
-    """The frequent extensions among ``tests``: (item, entries, head bits,
-    support) for each item whose bits ANDed with ``base`` (the S-step's
-    ``after`` or, for the I-step, the entries themselves) leave at least
-    ``fmin`` supporters, in the order of ``tests``.
+def _count(index: _Index, base: int, tests: list[int], fmin: int, lasts=None) -> list:
+    """The frequent extensions among ``tests``: (item, entries, support,
+    supporters' int) for each item whose bits ANDed with ``base`` (the
+    S-step's ``after`` or, for the I-step, the entries themselves) leave at
+    least ``fmin`` supporters, in the order of ``tests``.
 
     The general count adds ``carry`` and reads the head bits of every
     candidate.  ``lasts``, each item's last-occurrence bits, may be given
@@ -325,21 +334,29 @@ def _count(base: int, tests: list[int], items: dict[int, int], carry: int, heads
     (a window-free S-step): an item lies in the suffix exactly when its last
     occurrence does, so the support is one AND and a ``bit_count``, and
     only a hit computes its entries and head bits."""
+    items, carry, heads, sid_bits = index.items, index.carry, index.heads, index.sid_bits
     hits = []
     if lasts is not None:
         for c in tests:
             n = (base & lasts[c]).bit_count()
             if n >= fmin:
                 x = base & items[c]
-                hits.append((c, x, (x + carry) & heads, n))
+                hits.append((c, x, n, sid_bits((x + carry) & heads)))
         return hits
     for c in tests:
         x = base & items[c]
         h = (x + carry) & heads
         n = h.bit_count()
         if n >= fmin:
-            hits.append((c, x, h, n))
+            hits.append((c, x, n, sid_bits(h)))
     return hits
+
+
+def _bound(tests: list[int], bits: int, siblings: dict[int, int], fmin: int) -> list[int]:
+    """The candidates among ``tests`` worth a count: those with no sibling
+    in ``siblings`` (item -> the sibling extension's supporters' int), and
+    those whose sibling's supporters share at least ``fmin`` of ``bits``."""
+    return [c for c in tests if (s := siblings.get(c)) is None or (bits & s).bit_count() >= fmin]
 
 
 def _search(
@@ -351,8 +368,8 @@ def _search(
     deadline: float | None,
 ) -> list[ResultEntry]:
     """Depth-first pattern growth over an explicit stack of frames
-    (elements, entries, head bits, support, candidates, dfa_state,
-    running_sum, up), starting from the empty pattern with the index's
+    (elements, entries, support, supporters' int, candidates, dfa_state,
+    running_sum, siblings), starting from the empty pattern with the index's
     items as candidates, and narrowing them where ``index.narrows``.  Every
     gate is applied here; ``index`` only supplies the bitmaps and the
     S-step.
@@ -366,12 +383,21 @@ def _search(
     cost entry passes the sum gate and raises in ``AggregateSpec.cost_of``
     once it is a frequent extension the DFA admits.
 
-    A node's supporters are among its parent's, so ``up`` is the parent's
-    (sids, fill): ``index.fill`` with the head bytes of the parent's
-    non-supporters also set to 0x01.  ORed into the node's head bits and
-    with every 0x01 byte deleted, it leaves one byte per parent supporter,
-    0x80 where the node keeps it.  A node decodes its sids only when it is
-    emitted or has frequent extensions."""
+    Each frequent extension reads its supporters' int from its head bits
+    once (``index.sid_bits``); an emitted node's entry keeps it.  Where the
+    search narrows, deleting the item a node P added from the node's
+    extension by c leaves a sibling extension of P, as frequent in every
+    sequence that holds the extension: P·d·c and P·(d c) leave P·c, and
+    (P + d)·c leaves P·c, but (P + d) + c leaves P + c (``+`` adds an item
+    to the last element).  So ``siblings`` holds P's S-hits and, for
+    I-candidates, P's S-hits after an S-step and P's I-hits after an
+    I-step, by item; ``_bound`` skips a candidate (``stats.bounded``) when
+    fewer than fmin of the node's supporters support its sibling.  A
+    candidate with no sibling is counted: the root's, one the regex gated
+    at P, one P found only as an I-hit.  A maxgap window moves as the
+    pattern grows, so a deleted middle element can break the sibling's
+    gaps; then ``index.narrows`` is clear and the search keeps no
+    siblings."""
     dfa = cs.regex
     agg = cs.aggregate
     costs = agg.costs if agg is not None and agg.prunes_as_sum() else None
@@ -381,9 +407,7 @@ def _search(
     if dfa is not None:
         admits = [frozenset(c for c, t in table.items() if t in dfa.live) for table in dfa.transitions]
     accepts = cs.accepts
-    after_of, items, carry, heads, fill, nbytes, narrow = (
-        index.after, index.items, index.carry, index.heads, index.fill, index.nbytes, index.narrows
-    )
+    after_of, items, narrow = index.after, index.items, index.narrows
     # Per S-step kind (later, first): the last-occurrence bits where that
     # step admits a suffix of each sequence, else None.
     lasts = tuple(None if width is not None else index.lasts for _, width in index.windows)
@@ -393,67 +417,69 @@ def _search(
     singles = {c: (c,) for c in items}
     sink: list[ResultEntry] = []
     # Every sequence supports the empty pattern, the root, which is never
-    # emitted (minlen >= 1); its children decode from (sid_of, fill).
-    stack = [((), None, heads, 0, list(items), dfa.start if dfa is not None else None, 0, (index.sid_of, fill))]
+    # emitted (minlen >= 1) and has no siblings.
+    stack = [((), None, 0, 0, list(items), dfa.start if dfa is not None else None, 0, None)]
     while stack:
-        elements, entries, found, support, candidates, dfa_state, running_sum, up = stack.pop()
+        elements, entries, support, bits, candidates, dfa_state, running_sum, siblings = stack.pop()
         stats.nodes_expanded += 1
         _check_deadline(deadline)
         depth = len(elements)
         emits = depth >= minlen and (dfa is None or dfa_state in dfa.accepting) and accepts(elements)
+        if emits:
+            sink.append(ResultEntry(trusted(elements), support, bits))
         grows = depth < maxlen
         augments = itemsets and depth > 0
-        s_hits = a_hits = ()
-        if grows or augments:
-            offered = len(candidates)
-            if costs is not None:
-                candidates = [c for c in candidates if (k := costs.get(c)) is None or viable(running_sum + k)]
-            tests = candidates
-            # mine() rejects a regex on itemset data, so a regex run only appends.
-            if admits is not None:
-                allowed = admits[dfa_state]
-                tests = [c for c in candidates if c in allowed]
-            # Candidates are ascending, so the ones above the last item are a tail.
-            aug_tests = candidates[bisect_right(candidates, elements[-1][-1]) :] if augments else []
-            if grows:
-                first = depth == 1
-                s_hits = _count(after_of(entries, first), tests, items, carry, heads, fmin, lasts[first])
-            if augments:
-                a_hits = _count(entries, aug_tests, items, carry, heads, fmin)
-            stats.candidate_tests += (len(tests) if grows else 0) + len(aug_tests)
-            stats.gated += offered - len(tests)
-        if not (emits or s_hits or a_hits):
+        if not (grows or augments):
             continue
-        up_sids, up_fill = up
-        sids = tuple(compress(up_sids, (found | up_fill).to_bytes(nbytes, "little").translate(None, b"\x01")))
-        if emits:
-            sink.append(ResultEntry(trusted(elements), support, sids))
+        offered = len(candidates)
+        if costs is not None:
+            candidates = [c for c in candidates if (k := costs.get(c)) is None or viable(running_sum + k)]
+        tests = candidates
+        # mine() rejects a regex on itemset data, so a regex run only appends.
+        if admits is not None:
+            allowed = admits[dfa_state]
+            tests = [c for c in candidates if c in allowed]
+        # Candidates are ascending, so the ones above the last item are a tail.
+        aug_tests = candidates[bisect_right(candidates, elements[-1][-1]) :] if augments else []
+        s_tests, a_tests = (tests if grows else []), aug_tests
+        if siblings is not None:
+            offered_tests = len(s_tests) + len(a_tests)
+            s_tests, a_tests = _bound(s_tests, bits, siblings[0], fmin), _bound(a_tests, bits, siblings[1], fmin)
+            stats.bounded += offered_tests - len(s_tests) - len(a_tests)
+        s_hits = _count(index, after_of(entries, depth == 1), s_tests, fmin, lasts[depth == 1]) if grows else []
+        a_hits = _count(index, entries, a_tests, fmin) if augments else []
+        stats.candidate_tests += len(s_tests) + len(a_tests)
+        stats.gated += offered - len(tests)
         if not (s_hits or a_hits):
             continue
-        up = (sids, fill | ((heads ^ found) >> 7))
 
         local = [hit[0] for hit in s_hits]
         inherited = candidates
+        # The siblings of an S-child's and an I-child's (S, I) candidates.
+        s_child = a_child = None
         if narrow:
             if tests is candidates:
                 inherited = local
             else:
                 frequent = set(local)
                 inherited = [c for c in candidates if c in frequent or c not in allowed]
-        for c, x, h, n in s_hits:
+            s_bits = {c: b for c, _, _, b in s_hits}
+            s_child = (s_bits, s_bits)
+        for c, x, n, b in s_hits:
             nxt_state = dfa_state if dfa is None else dfa.step(dfa_state, c)
             new_sum = 0 if costs is None else running_sum + agg.cost_of(c)
-            stack.append((elements + (singles[c],), x, h, n, inherited, nxt_state, new_sum, up))
+            stack.append((elements + (singles[c],), x, n, b, inherited, nxt_state, new_sum, s_child))
         if a_hits:
             # An item that never occurs after the last element's leftmost match
             # cannot appear in a later element, but it can still augment the
             # last one, so augment-children get the union of both lists.
             if narrow:
                 inherited = sorted(set(local).union(hit[0] for hit in a_hits))
+                a_child = (s_bits, {c: b for c, _, _, b in a_hits})
             head, last = elements[:-1], elements[-1]
-            for c, x, h, n in a_hits:
+            for c, x, n, b in a_hits:
                 new_sum = 0 if costs is None else running_sum + agg.cost_of(c)
-                stack.append((head + (last + (c,),), x, h, n, inherited, dfa_state, new_sum, up))
+                stack.append((head + (last + (c,),), x, n, b, inherited, dfa_state, new_sum, a_child))
     return sink
 
 

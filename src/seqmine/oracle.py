@@ -149,7 +149,7 @@ def oracle_frequent(
             count, ids = naive_support(db, candidate)
             if count < fmin:
                 continue
-            out.append(ResultEntry(Pattern(candidate), count, ids))
+            out.append(ResultEntry.from_ids(Pattern(candidate), ids))
             if len(candidate) < maxlen:
                 extend(candidate)
 
@@ -283,5 +283,5 @@ def oracle_constrained(
         if cs.regex is not None:
             if not reference_regex_match(cs.regex.expr, db.alphabet, e.pattern):
                 continue
-        out.append(ResultEntry(e.pattern, support, ids))
+        out.append(ResultEntry.from_ids(e.pattern, ids))
     return MiningResult.build(out)

@@ -21,8 +21,10 @@ from __future__ import annotations
 import io
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
+from itertools import compress, count
+from operator import getitem
 from typing import Iterable, Iterator, TextIO
 
 
@@ -119,6 +121,24 @@ class Sequence:
             yield from itemset
 
 
+def _frozen_slots(cls):
+    """Make every attribute assignment and deletion on ``cls`` raise
+    ``FrozenInstanceError``.  With ``slots=True`` the dataclass-generated
+    methods of Python 3.10-3.13 call ``super()`` with the class that the slots
+    copy replaced, so a name that is not a field raised ``TypeError``.
+    Pickling and copying restore slots without ``__setattr__``."""
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
+    return cls
+
+
+@_frozen_slots
 @dataclass(frozen=True, order=True, slots=True)
 class Pattern:
     """A candidate/mined pattern: a tuple of itemsets, same shape as a sequence.
@@ -188,6 +208,14 @@ class SequenceDatabase:
     def sequence(self, sid: int) -> Sequence:
         return self.sequences[sid - 1]
 
+    @cached_property
+    def _sid_pieces(self) -> list[list[str]]:
+        """Text pieces for ``write_results``, kept as long as the database:
+        row j holds, for each value of byte j of a sid int, its sids joined
+        by commas (3 at j = 1 is "9,10").  ``write_results`` adds the rows
+        as far as the widest int it writes."""
+        return []
+
     @classmethod
     def from_label_sequences(
         cls, label_seqs: Iterable[Iterable[Iterable[str] | str]]
@@ -206,11 +234,40 @@ class SequenceDatabase:
 # Mining results
 
 
+# Maps the digits of bin() to flags that ``compress`` reads: "0" is false.
+_DIGIT_FLAGS = bytes.maketrans(b"0", b"\x00")
+
+
+def _sid_flags(sid_bits: int) -> bytes:
+    """One byte per sid, from sid 1 to the highest in ``sid_bits``: non-zero
+    exactly where its bit is set (bin() lists the bits highest first)."""
+    return bin(sid_bits)[:1:-1].encode().translate(_DIGIT_FLAGS)
+
+
+@_frozen_slots
 @dataclass(frozen=True, slots=True)
 class ResultEntry:
+    """A pattern, its support and its supporters.  ``sid_bits`` holds the
+    supporters as one int with bit k-1 set for sid k; ``support_ids`` reads
+    them back as an ascending tuple, and ``from_ids`` builds an entry from
+    such a tuple."""
+
     pattern: Pattern
     support: int
-    support_ids: tuple[int, ...]
+    sid_bits: int
+
+    @classmethod
+    def from_ids(cls, pattern: Pattern, support_ids: Iterable[int]) -> "ResultEntry":
+        """The entry of ``pattern`` supported by the distinct sids ``support_ids``."""
+        bits = n = 0
+        for sid in support_ids:
+            bits |= 1 << (sid - 1)
+            n += 1
+        return cls(pattern, n, bits)
+
+    @property
+    def support_ids(self) -> tuple[int, ...]:
+        return tuple(compress(count(1), _sid_flags(self.sid_bits)))
 
 
 @dataclass(frozen=True)
@@ -418,6 +475,17 @@ class _Memo(dict):
         return value
 
 
+def _sid_row(j: int) -> list[str]:
+    """Row j of ``SequenceDatabase._sid_pieces``: the piece of byte value
+    16h + l joins the pieces of nibble l (sids 8j+1..8j+4) and nibble h
+    (sids 8j+5..8j+8), so a row formats 64 numbers, not 1,024."""
+    lo, hi = (
+        [",".join([str(8 * j + k + 1) for k in range(shift, shift + 4) if v << shift >> k & 1]) for v in range(16)]
+        for shift in (0, 4)
+    )
+    return [f"{a},{b}" if a and b else a or b for b in hi for a in lo]
+
+
 def write_results(result: Iterable[ResultEntry], db: SequenceDatabase) -> str:
     """One compact JSON object per entry, in the order ``result`` yields them.
 
@@ -427,16 +495,24 @@ def write_results(result: Iterable[ResultEntry], db: SequenceDatabase) -> str:
     line is ``json.dumps(record, separators=(",", ":"))`` of
     ``{"pattern": label lists, "support": n, "support_ids": [...]}``, joined
     from pieces encoded once: every label with ``json.dumps`` (so non-ASCII
-    and control characters are escaped the same way), every element's
-    ``[...]`` text by itemset, and every sid's digits by sid.  The sid memo
-    holds the sids the result uses, whatever their range.
+    and control characters are escaped the same way) and every element's
+    ``[...]`` text by itemset.  The sids are written straight from
+    ``sid_bits``, one piece per non-zero byte (``db._sid_pieces``), so no
+    tuple of sids is built; ``compress`` skips the zero bytes.
     """
     labels = [json.dumps(label) for label in db.alphabet.labels]
     element = _Memo(lambda itemset: "[" + ",".join([labels[i] for i in itemset]) + "]").__getitem__
-    sid = _Memo(str).__getitem__
+    rows = db._sid_pieces
+
+    def sids(bits: int) -> str:
+        data = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
+        if len(data) > len(rows):
+            rows.extend(map(_sid_row, range(len(rows), len(data))))
+        return ",".join(map(getitem, compress(rows, data), compress(data, data)))
+
     return "".join([
         f'{{"pattern":[{",".join(map(element, e.pattern.elements))}],"support":{e.support},'
-        f'"support_ids":[{",".join(map(sid, e.support_ids))}]}}\n'
+        f'"support_ids":[{sids(e.sid_bits)}]}}\n'
         for e in result
     ])
 
@@ -475,7 +551,7 @@ def read_results(source: str | bytes | TextIO, db: SequenceDatabase) -> MiningRe
             if pattern in first_line:
                 raise ValueError(f"duplicate of the pattern on line {first_line[pattern]}")
             first_line[pattern] = lineno
-            entries.append(ResultEntry(pattern, support, sids))
+            entries.append(ResultEntry.from_ids(pattern, sids))
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"bad result record on line {lineno}: {exc}") from None
     return MiningResult.build(entries)

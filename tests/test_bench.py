@@ -35,9 +35,10 @@ def test_record_fields_and_json(d7):
     payload = json.loads(record.to_json())
     assert set(payload) == {
         "dataset", "fmin", "resolved_fmin", "mode", "constraints", "wall_seconds",
-        "peak_rss_kb", "nodes_expanded", "candidate_tests", "gated", "completed", "pattern_count",
+        "peak_rss_kb", "nodes_expanded", "candidate_tests", "gated", "bounded", "completed", "pattern_count",
     }
     assert (payload["candidate_tests"], payload["gated"]) == (record.candidate_tests, 0)
+    assert payload["bounded"] == record.bounded
     assert payload["dataset"] == "d7"
     assert payload["constraints"] == "none"
     assert payload["pattern_count"] == 1

@@ -415,9 +415,9 @@ def count_reaches(monkeypatch):
     calls = []
     reaches = condensed._reaches
 
-    def counting(plain, pattern, *rest):
-        calls.append(pattern)
-        return reaches(plain, pattern, *rest)
+    def counting(plain, entry, *rest):
+        calls.append(entry.pattern)
+        return reaches(plain, entry, *rest)
 
     monkeypatch.setattr(condensed, "_reaches", counting)
     return calls

@@ -663,6 +663,104 @@ def test_bounded_runs_narrow(d7, bounds):
     assert on.candidate_tests < off.candidate_tests
 
 
+# ---------------------------------------------------------------------------
+# The sibling bound: where the search narrows, a candidate is counted only
+# if the node's supporters share fmin with the supporters of the extension
+# that adds the same item to the node's parent.
+
+
+@st.composite
+def deep_itemset_dbs(draw, labels="abcd", max_sequences=5):
+    """Up to ``max_sequences`` sequences of up to six elements, an element
+    holding one to four of ``labels``, so that patterns add an item to an
+    element already grown by an added item (I-steps after I-steps)."""
+    element = st.lists(st.sampled_from(labels), min_size=1, max_size=4, unique=True)
+    return SequenceDatabase.from_label_sequences(
+        draw(st.lists(st.lists(element, max_size=6), min_size=1, max_size=max_sequences))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_sibling_bound_matches_unbounded_search_and_oracle(data):
+    # Three answers must agree: the search as shipped (narrowed and bounded
+    # wherever the layout allows), the search with ``narrows`` cleared
+    # (neither narrowing nor bound), and the oracle.  The constraints reach
+    # every sibling case: regex-gated items inherited untested (no sibling),
+    # sum-gated ones, span bounds (bounded) and gap bounds (a maxgap clears
+    # ``narrows``, so no bound), at any maxlen up to the longest sequence.
+    kind = data.draw(st.sampled_from(["simple", "itemset", "deep_itemset"]))
+    itemset_mode = kind != "simple"
+    db = data.draw(deep_itemset_dbs() if kind == "deep_itemset" else bitmap_dbs(itemset_mode))
+    params = data.draw(bitmap_params(db))
+    rules = data.draw(bitmap_constraints(db, itemset_mode)) or ConstraintSet()
+    cs = replace(rules, **data.draw(st.one_of(st.just({}), gap_bounds(), span_bounds())))
+    _assume_oracle_sized(db, params)
+    shipped_stats, plain_stats = MineStats(), MineStats()
+    shipped = _search_on(db, params, cs, stats=shipped_stats)
+    plain = _search_on(db, params, cs, narrow=False, stats=plain_stats)
+    want = oracle_constrained(
+        db, params.fmin, params.maxlen, cs, minlen=params.minlen,
+        itemset_mode=itemset_mode, config=WIDE,
+    )
+    assert result_key(shipped) == result_key(plain) == result_key(want)
+    assert shipped_stats.nodes_expanded == plain_stats.nodes_expanded
+    assert plain_stats.bounded == 0
+    if not _Index(db, 1, cs).narrows:
+        assert shipped_stats.bounded == 0
+
+
+@settings(max_examples=500, deadline=None)
+@given(deep_itemset_dbs("abcde", 10), st.data())
+def test_sibling_bound_on_itemset_data_matches_unbounded_search(db, data):
+    # Larger itemset databases than the oracle takes: the bounded search
+    # against the one with ``narrows`` cleared.  Bounding an I-candidate
+    # after an I-step by the parent's S-hit loses patterns on a few percent
+    # of these databases.
+    params = MiningParams(fmin=data.draw(st.integers(1, len(db))), maxlen=data.draw(st.integers(1, 4)))
+    shipped = _search_on(db, params, ConstraintSet())
+    assert result_key(shipped) == result_key(_search_on(db, params, ConstraintSet(), narrow=False))
+
+
+def test_sibling_of_an_added_item_after_an_added_item():
+    # <(a b c)> grows from <(a b)> by c.  Its sibling is <(a c)>, which the
+    # two supporters of <(a b)> hold, not <(a)(c)>, which only the other two
+    # sequences hold; <(a b)>'s S-candidate c is bounded by <(a)(c)>.
+    db = SequenceDatabase.from_label_sequences([[["a", "b", "c"]]] * 2 + [["a", "c"]] * 2)
+    stats = MineStats()
+    got = _search_on(db, MiningParams(fmin=2, maxlen=2), ConstraintSet(), stats=stats)
+    assert result_key(got) == result_key(oracle_frequent(db, 2, 2, itemset_mode=True))
+    assert pat(db, "abc") in {e.pattern for e in got}
+    assert stats.bounded > 0
+
+
+@pytest.mark.parametrize(
+    "fmin, maxlen, cs, skipped",
+    [
+        (5, 4, ConstraintSet(), 4),
+        (5, 3, ConstraintSet(minspan=2, maxspan=3), 4),
+        (5, 4, ConstraintSet(mingap=1), 2),
+        (2, 4, ConstraintSet(), 0),
+        (5, 4, ConstraintSet(maxgap=1), 0),
+    ],
+    ids=["fmin5", "span", "mingap", "fmin2", "maxgap"],
+)
+def test_bound_accounts_for_the_counts_it_skips(d7, monkeypatch, fmin, maxlen, cs, skipped):
+    # The same search with the bound replaced by one that keeps every
+    # candidate: the bounded run counts exactly the candidates it did not
+    # skip, and emits the same entries.  On d7 only fmin 5 leaves a sibling
+    # too few shared supporters, and a maxgap clears ``narrows``.
+    params = MiningParams(fmin=fmin, maxlen=maxlen)
+    bounded = MineStats()
+    got = _search_on(d7, params, cs, stats=bounded)
+    monkeypatch.setattr("seqmine.miner._bound", lambda tests, bits, siblings, fmin: tests)
+    unbounded = MineStats()
+    assert result_key(_search_on(d7, params, cs, stats=unbounded)) == result_key(got)
+    assert (bounded.bounded, unbounded.bounded) == (skipped, 0)
+    assert bounded.candidate_tests + bounded.bounded == unbounded.candidate_tests
+    assert bounded.nodes_expanded == unbounded.nodes_expanded
+
+
 def test_maxspan_support_counts_sequences_not_segments():
     # Under maxspan=2 the first sequence is laid out as four start segments
     # of up to two positions; a lies in three of them and b in all four, and

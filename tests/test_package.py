@@ -88,3 +88,21 @@ def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         seqmine.no_such_name
     assert not hasattr(seqmine, "mine_frequent")
+
+
+def test_readme_library_example_runs():
+    # The README's "## Library" code block, run as written from the
+    # repository root, prints every entry with its ascending support ids.
+    root = SRC.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code], cwd=root, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 7
+    assert lines[0] == "[['1']] 6 (1, 2, 4, 5, 6, 7)"
+    assert "[['1'], ['2'], ['3']] 4 (2, 4, 6, 7)" in lines

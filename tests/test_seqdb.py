@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -117,18 +119,32 @@ def test_pattern_sort_key_orders_by_length_then_lex():
 
 def test_result_objects_keep_slots_not_dicts(d7):
     p = pat(d7, "a", "bc")
-    e = ResultEntry(p, 1, (2,))
-    for obj in (p, e):
-        assert not hasattr(obj, "__dict__")
-    with pytest.raises(FrozenInstanceError):
-        p.elements = ()
-    with pytest.raises(FrozenInstanceError):
-        e.support = 2
+    e = ResultEntry.from_ids(p, (2,))
     trusted = Pattern._trusted(p.elements)
     assert trusted == p and hash(trusted) == hash(p)
-    assert not hasattr(trusted, "__dict__")
+    for obj in (p, e, trusted):
+        assert not hasattr(obj, "__dict__")
+        # Fields and any other name alike: no assignment, no deletion.
+        for name in ("elements", "support", "sid_bits", "support_ids", "extra", "__dict__"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(obj, name, 1)
+            with pytest.raises(FrozenInstanceError):
+                delattr(obj, name)
+        # Pickling and copying restore the slots without assigning.
+        for again in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), copy.copy(obj)):
+            assert type(again) is type(obj) and again == obj and hash(again) == hash(obj)
+    assert pickle.loads(pickle.dumps(e)).support_ids == (2,)
     assert replace(p, elements=[[0]]) == pat(d7, "a")
-    assert replace(e, support=2, support_ids=(1, 2)) == ResultEntry(p, 2, (1, 2))
+    assert replace(e, support=2, sid_bits=0b11) == ResultEntry.from_ids(p, (1, 2))
+    assert replace(e) == e and replace(trusted) == p
+
+
+def test_result_entry_holds_its_sids_as_one_int(d7):
+    e = ResultEntry.from_ids(pat(d7, "a"), (1, 2, 4, 5, 6, 7))
+    assert e.sid_bits == 0b1111011 and e.support == 6
+    assert e.support_ids == (1, 2, 4, 5, 6, 7)
+    assert ResultEntry.from_ids(pat(d7, "a"), ()).support_ids == ()
+    assert ResultEntry.from_ids(pat(d7, "a"), iter([9, 64, 65])).support_ids == (9, 64, 65)
 
 
 def test_empty_pattern_is_constructible():
@@ -282,15 +298,15 @@ def test_read_asp_facts_errors():
 
 
 def test_write_results_exact_line(d7):
-    entry = ResultEntry(pat(d7, "a", "c"), 5, (1, 2, 4, 6, 7))
+    entry = ResultEntry.from_ids(pat(d7, "a", "c"), (1, 2, 4, 6, 7))
     text = write_results(MiningResult.build([entry]), d7)
     assert text == '{"pattern":[["a"],["c"]],"support":5,"support_ids":[1,2,4,6,7]}\n'
 
 
 def test_results_roundtrip(d7):
     entries = [
-        ResultEntry(pat(d7, "a"), 6, (1, 2, 4, 5, 6, 7)),
-        ResultEntry(pat(d7, "a", "bc"), 1, (2,)),
+        ResultEntry.from_ids(pat(d7, "a"), (1, 2, 4, 5, 6, 7)),
+        ResultEntry.from_ids(pat(d7, "a", "bc"), (2,)),
     ]
     result = MiningResult.build(entries)
     again = read_results(write_results(result, d7), d7)
@@ -329,16 +345,16 @@ def results_over_labels(draw):
         lambda elements: Pattern(tuple(tuple(sorted(e)) for e in elements))
     )
     # The writer does not check support ids against the database, so most
-    # drawn here exceed len(db), some are negative or past 64 bits, and the
+    # sid ints drawn here set bits past len(db), some past 64 bits, and the
     # support need not count them; the rest are a result the database can
     # have.
     sids = st.sets(st.integers(min_value=1, max_value=max(1, n_seqs)), max_size=n_seqs).map(sorted)
-    valid = st.builds(lambda p, ids: ResultEntry(p, len(ids), tuple(ids)), pattern, sids)
+    valid = st.builds(ResultEntry.from_ids, pattern, sids)
     arbitrary = st.builds(
         ResultEntry,
         pattern,
         st.integers(min_value=0, max_value=10**6),
-        st.lists(st.integers(), max_size=6).map(tuple),
+        st.integers(min_value=0, max_value=2**80),
     )
     entries = draw(st.lists(valid | arbitrary, max_size=8, unique_by=lambda e: e.pattern))
     return MiningResult.build(entries), db
@@ -373,6 +389,43 @@ def test_write_results_joins_over_any_split(case, cuts):
     whole = write_results(result, db)
     assert "".join(write_results(block, db) for block in blocks) == whole
     assert write_results(iter(entries), db) == whole == reference_write_results(result, db)
+
+
+@st.composite
+def sid_results(draw):
+    """A result over a database of 0-70 one-element sequences, so every
+    N mod 8 occurs, with sids drawn so that 1 and N appear often."""
+    n = draw(st.integers(min_value=0, max_value=70))
+    db = SequenceDatabase(Alphabet(["a", "b"]), tuple(Sequence(sid, ((0,),)) for sid in range(1, n + 1)))
+    sid = st.sampled_from([1, n]) | st.integers(min_value=1, max_value=n) if n else st.nothing()
+    ids = st.sets(sid, max_size=n)
+    patterns = st.lists(st.lists(st.sampled_from([(0,), (1,), (0, 1)]), min_size=1, max_size=3), max_size=6)
+    elements = draw(patterns.map(lambda ps: sorted({tuple(p) for p in ps})))
+    entries = [ResultEntry.from_ids(Pattern(e), draw(ids)) for e in elements]
+    return MiningResult.build(entries), db
+
+
+@settings(max_examples=300, deadline=None)
+@given(sid_results(), sid_results(), st.integers(min_value=0, max_value=6))
+def test_sid_ints_round_trip(case, other, cut):
+    result, db = case
+    for e in result:
+        assert list(e.support_ids) == sorted(set(e.support_ids))
+        assert set(e.support_ids) <= set(range(1, len(db) + 1))
+        assert e.support == len(e.support_ids) == e.sid_bits.bit_count()
+        assert ResultEntry.from_ids(e.pattern, e.support_ids) == e
+    text = write_results(result, db)
+    assert text == reference_write_results(result, db)
+    assert read_results(text, db) == result
+    # Two databases of different sizes written in turn, a block at a time:
+    # each keeps its own pieces, and its blocks join to its whole text.
+    other_result, other_db = other
+    other_text = write_results(other_result, other_db)
+    for res, base, whole in ((result, db, text), (other_result, other_db, other_text)):
+        entries = res.entries
+        assert write_results(entries[:cut], base) + write_results(entries[cut:], base) == whole
+        assert whole == reference_write_results(res, base)
+        assert read_results(whole, base) == res
 
 
 def test_write_results_empty_result_is_empty_text(d7):
@@ -413,8 +466,8 @@ def test_read_results_rejects_bad_records(d7):
 
 
 def test_mining_result_build_sorts_and_deduplicates(d7):
-    a = ResultEntry(pat(d7, "a"), 6, (1, 2, 4, 5, 6, 7))
-    ab = ResultEntry(pat(d7, "a", "b"), 5, (2, 4, 5, 6, 7))
+    a = ResultEntry.from_ids(pat(d7, "a"), (1, 2, 4, 5, 6, 7))
+    ab = ResultEntry.from_ids(pat(d7, "a", "b"), (2, 4, 5, 6, 7))
     result = MiningResult.build([ab, a])
     assert [e.pattern for e in result.entries] == [a.pattern, ab.pattern]
     with pytest.raises(ValueError):
