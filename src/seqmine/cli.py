@@ -18,7 +18,10 @@ exit code is what it would have been.  A failed write to an ``--output``
 file is still a data error.
 
 ``mine`` and ``oracle`` write their result records ``BLOCK`` at a time, so
-the output text of a large result is never held whole.  ``mine`` imports
+the output text of a large result is never held whole: at most one block's
+record texts, their join and its encoded copy are.  The label and sid texts
+the writer joins are kept with the database, so a small block costs no more
+per record than a large one.  ``mine`` imports
 only the modules a mining run needs; ``gen``, ``bench`` and ``oracle``
 import theirs when they run.
 """
@@ -67,7 +70,7 @@ EXIT_USAGE = 1
 EXIT_TIMEOUT = 2
 EXIT_DATA = 3
 
-BLOCK = 2000  # result records formatted and written per chunk
+BLOCK = 256  # result records formatted and written per chunk
 
 
 class _UsageError(Exception):

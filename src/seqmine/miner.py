@@ -51,8 +51,10 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .seqdb import MiningResult, Pattern, ResultEntry, SequenceDatabase
 from .constraints import ConstraintError, ConstraintSet
@@ -366,13 +368,23 @@ def _search(
     cs: ConstraintSet,
     stats: MineStats,
     deadline: float | None,
-) -> list[ResultEntry]:
+) -> list[list[ResultEntry]]:
     """Depth-first pattern growth over an explicit stack of frames
     (elements, entries, support, supporters' int, candidates, dfa_state,
     running_sum, siblings), starting from the empty pattern with the index's
     items as candidates, and narrowing them where ``index.narrows``.  Every
     gate is applied here; ``index`` only supplies the bitmaps and the
     S-step.
+
+    Returns the emitted entries as one list per element count, the counts
+    ascending.  A node's children pop from the stack with the S-children
+    first, then the I-children, each kind by ascending item: the pre-order
+    walk of SPAM's lexicographic tree (Ayres et al. 2002).  It meets the
+    patterns of one element count in canonical order, so each list is
+    sorted as it is filled: a node comes before its descendants of its own
+    element count, which extend its last element; children come by
+    ascending item; and any descendant of P·c, which keeps P's last element
+    as it is, comes before any of P + d, which extends that element.
 
     At each node the gates run before any count.  The sum gate drops the
     candidates whose cost would lift a summed upper bound past it; costs are
@@ -415,7 +427,8 @@ def _search(
     trusted = Pattern._trusted
     # One one-item element per item, shared by every pattern that appends it.
     singles = {c: (c,) for c in items}
-    sink: list[ResultEntry] = []
+    # The emitted entries by element count, each list in canonical order.
+    sink: defaultdict[int, list[ResultEntry]] = defaultdict(list)
     # Every sequence supports the empty pattern, the root, which is never
     # emitted (minlen >= 1) and has no siblings.
     stack = [((), None, 0, 0, list(items), dfa.start if dfa is not None else None, 0, None)]
@@ -426,7 +439,7 @@ def _search(
         depth = len(elements)
         emits = depth >= minlen and (dfa is None or dfa_state in dfa.accepting) and accepts(elements)
         if emits:
-            sink.append(ResultEntry(trusted(elements), support, bits))
+            sink[depth].append(ResultEntry(trusted(elements), support, bits))
         grows = depth < maxlen
         augments = itemsets and depth > 0
         if not (grows or augments):
@@ -465,22 +478,25 @@ def _search(
                 inherited = [c for c in candidates if c in frequent or c not in allowed]
             s_bits = {c: b for c, _, _, b in s_hits}
             s_child = (s_bits, s_bits)
-        for c, x, n, b in s_hits:
-            nxt_state = dfa_state if dfa is None else dfa.step(dfa_state, c)
-            new_sum = 0 if costs is None else running_sum + agg.cost_of(c)
-            stack.append((elements + (singles[c],), x, n, b, inherited, nxt_state, new_sum, s_child))
+        # The stack pops the S-children in ascending order, then the
+        # I-children in ascending order, so they go on in reverse.
         if a_hits:
             # An item that never occurs after the last element's leftmost match
             # cannot appear in a later element, but it can still augment the
             # last one, so augment-children get the union of both lists.
+            a_inherited = inherited
             if narrow:
-                inherited = sorted(set(local).union(hit[0] for hit in a_hits))
+                a_inherited = sorted(set(local).union(hit[0] for hit in a_hits))
                 a_child = (s_bits, {c: b for c, _, _, b in a_hits})
             head, last = elements[:-1], elements[-1]
-            for c, x, n, b in a_hits:
+            for c, x, n, b in reversed(a_hits):
                 new_sum = 0 if costs is None else running_sum + agg.cost_of(c)
-                stack.append((head + (last + (c,),), x, n, b, inherited, dfa_state, new_sum, a_child))
-    return sink
+                stack.append((head + (last + (c,),), x, n, b, a_inherited, dfa_state, new_sum, a_child))
+        for c, x, n, b in reversed(s_hits):
+            nxt_state = dfa_state if dfa is None else dfa.step(dfa_state, c)
+            new_sum = 0 if costs is None else running_sum + agg.cost_of(c)
+            stack.append((elements + (singles[c],), x, n, b, inherited, nxt_state, new_sum, s_child))
+    return [sink[depth] for depth in sorted(sink)]
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +521,10 @@ def mine(
     lookup in the result (see ``condensed.filter_result``).  On a
     database with multi-item elements patterns grow by adding an item to an
     element too, and a regex raises ConstraintError.  Returns a canonically
-    ordered result; raises MiningTimeout past the deadline, and ValueError
-    for a ``timeout`` that is not > 0 (NaN would never pass).
+    ordered result, built by ``MiningResult.build`` from the search's lists
+    one after the other, which are in that order already, so nothing is
+    sorted; raises MiningTimeout past the deadline, and ValueError for a
+    ``timeout`` that is not > 0 (NaN would never pass).
     """
     from . import condensed as _condensed
 
@@ -519,9 +537,8 @@ def mine(
     stats = stats if stats is not None else MineStats()
     deadline = None if timeout is None else time.monotonic() + timeout
 
-    entries = _search(_Index(db, fmin, cs), fmin, params, cs, stats, deadline)
-
-    result = MiningResult.build(entries)
+    by_length = _search(_Index(db, fmin, cs), fmin, params, cs, stats, deadline)
+    result = MiningResult.build(chain.from_iterable(by_length))
     if params.mode != "frequent":
         result = _condensed.filter_result(
             db,

@@ -23,7 +23,7 @@ import json
 import re
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from itertools import compress, count
+from itertools import compress, count, islice
 from operator import getitem
 from typing import Iterable, Iterator, TextIO
 
@@ -216,6 +216,16 @@ class SequenceDatabase:
         as far as the widest int it writes."""
         return []
 
+    @cached_property
+    def _element_texts(self) -> "_Memo":
+        """Text pieces for ``write_results``, kept as long as the database:
+        an itemset's JSON list of labels, made when a record first holds
+        it, from labels each encoded once with ``json.dumps`` (so non-ASCII
+        and control characters are escaped the same way)."""
+        names = self.alphabet.labels
+        labels = _Memo(lambda item: json.dumps(names[item])).__getitem__
+        return _Memo(lambda itemset: "[" + ",".join(map(labels, itemset)) + "]")
+
     @classmethod
     def from_label_sequences(
         cls, label_seqs: Iterable[Iterable[Iterable[str] | str]]
@@ -270,6 +280,12 @@ class ResultEntry:
         return tuple(compress(count(1), _sid_flags(self.sid_bits)))
 
 
+def _precedes(a: ResultEntry, b: ResultEntry) -> bool:
+    """Whether ``a``'s pattern sorts strictly before ``b``'s in canonical order."""
+    x, y = a.pattern.elements, b.pattern.elements
+    return len(x) < len(y) or (len(x) == len(y) and x < y)
+
+
 @dataclass(frozen=True)
 class MiningResult:
     """Canonically ordered set of result entries.
@@ -282,7 +298,15 @@ class MiningResult:
 
     @classmethod
     def build(cls, entries: Iterable[ResultEntry]) -> "MiningResult":
-        ordered = sorted(entries, key=lambda e: e.pattern.sort_key())
+        """The result of ``entries``.  Entries already in strictly ascending
+        canonical order, as ``mine()`` emits them, pass one check of each
+        consecutive pair and are kept as given, with no sort key built.  Any
+        other input (``read_results``, the oracles) is sorted, and a pattern
+        that appears twice raises ValueError."""
+        ordered = tuple(entries)
+        if all(map(_precedes, ordered, islice(ordered, 1, None))):
+            return cls(ordered)
+        ordered = sorted(ordered, key=lambda e: e.pattern.sort_key())
         for a, b in zip(ordered, ordered[1:]):
             if a.pattern == b.pattern:
                 raise ValueError(f"duplicate pattern in result: {a.pattern}")
@@ -353,14 +377,18 @@ def read_spmf(source: str | bytes | TextIO) -> SequenceDatabase:
 
 
 def _build_from_raw(raw_seqs: list[list[tuple[str, ...]]]) -> SequenceDatabase:
+    """The database of label elements, its alphabet drawn from their labels.
+    Every one-item element of an item is one shared tuple."""
     alphabet = Alphabet.from_tokens(lab for s in raw_seqs for e in s for lab in e)
-    sequences = []
-    for sid, elems in enumerate(raw_seqs, start=1):
-        ids = []
-        for elem in elems:
-            mapped = sorted(alphabet.id_of(lab) for lab in elem)
-            ids.append(tuple(mapped))
-        sequences.append(Sequence(sid, tuple(ids)))
+    index = alphabet._index
+    singles = {lab: (i,) for lab, i in index.items()}
+    sequences = [
+        Sequence(sid, tuple(
+            singles[elem[0]] if len(elem) == 1 else tuple(sorted(map(index.__getitem__, elem)))
+            for elem in elems
+        ))
+        for sid, elems in enumerate(raw_seqs, start=1)
+    ]
     return SequenceDatabase(alphabet, tuple(sequences))
 
 
@@ -494,14 +522,13 @@ def write_results(result: Iterable[ResultEntry], db: SequenceDatabase) -> str:
     at a time and the texts of consecutive slices join to the whole.  Each
     line is ``json.dumps(record, separators=(",", ":"))`` of
     ``{"pattern": label lists, "support": n, "support_ids": [...]}``, joined
-    from pieces encoded once: every label with ``json.dumps`` (so non-ASCII
-    and control characters are escaped the same way) and every element's
-    ``[...]`` text by itemset.  The sids are written straight from
-    ``sid_bits``, one piece per non-zero byte (``db._sid_pieces``), so no
-    tuple of sids is built; ``compress`` skips the zero bytes.
+    from pieces kept with the database, so a block costs no more than its
+    records: each element's ``[...]`` text (``db._element_texts``), and
+    the sids written straight from ``sid_bits``, one piece per non-zero
+    byte (``db._sid_pieces``), so no tuple of sids is built; ``compress``
+    skips the zero bytes.
     """
-    labels = [json.dumps(label) for label in db.alphabet.labels]
-    element = _Memo(lambda itemset: "[" + ",".join([labels[i] for i in itemset]) + "]").__getitem__
+    element = db._element_texts.__getitem__
     rows = db._sid_pieces
 
     def sids(bits: int) -> str:

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import collections
+import contextlib
 import functools
 import importlib
+import io
 import json
 import os
+import random
 import re
 import select
 import shutil
@@ -15,10 +19,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seqmine import MiningParams, load_database, mine, write_results, write_spmf
+from seqmine import (
+    MiningParams, SequenceDatabase, load_database, mine, write_asp_facts, write_results, write_spmf,
+)
 from seqmine import cli
 from seqmine.cli import build_parser, main
+from seqmine.miner import MODES
 
 D7 = None  # path fixture supplies the file
 
@@ -59,7 +68,7 @@ def test_mine_output_file(d7_path, tmp_path, capsys):
     )
     assert code == 0
     assert out == ""
-    assert len(out_lines(out_path.read_text())) == 7
+    assert len(out_lines(out_path.read_text(encoding="utf-8"))) == 7
 
 
 def test_mine_maximal_mode(d7_path, capsys):
@@ -119,7 +128,7 @@ def test_mine_super_pattern_flags(d7_path, capsys):
 
 def test_mine_aggregate_flags(d7_path, tmp_path, capsys):
     cost = tmp_path / "costs.tsv"
-    cost.write_text("1\t1\n2\t2\n3\t3\n4\t10\n")
+    cost.write_text("1\t1\n2\t2\n3\t3\n4\t10\n", encoding="utf-8")
     code, out, _ = run(
         capsys, "mine", "--input", str(d7_path), "--min-support", "3", "--maxlen", "4",
         "--cost-file", str(cost), "--agg", "sum", "--agg-cmp", "le", "--agg-threshold", "3",
@@ -141,7 +150,7 @@ def test_mine_asp_facts_roundtrip(d7_path, tmp_path, capsys):
         "--maxlen", "4", "--emit-asp-facts", str(facts),
     )
     assert code == 0
-    assert facts.read_text().startswith("seq(1,1,")
+    assert facts.read_text(encoding="utf-8").startswith("seq(1,1,")
     code, second, _ = run(
         capsys, "mine", "--input", str(facts), "--format", "aspfacts",
         "--min-support", "3", "--maxlen", "4",
@@ -192,7 +201,7 @@ def test_mine_nan_aggregate_threshold_is_usage_error(d7_path, tmp_path, capsys):
     # Every comparison with NaN is false: the run used to print no pattern
     # and exit 0.
     cost = tmp_path / "costs.tsv"
-    cost.write_text("1\t1\n2\t2\n3\t3\n4\t10\n")
+    cost.write_text("1\t1\n2\t2\n3\t3\n4\t10\n", encoding="utf-8")
     for agg in ("sum", "min", "max", "avg"):
         code, out, err = run(
             capsys, "mine", "--input", str(d7_path), "--min-support", "3", "--maxlen", "4",
@@ -221,12 +230,12 @@ def test_mine_data_errors(d7_path, tmp_path, capsys):
     assert code == 3 and "data error" in err
 
     bad = tmp_path / "bad.spmf"
-    bad.write_text("1 x -2\n")
+    bad.write_text("1 x -2\n", encoding="utf-8")
     code, _, err = run(capsys, "mine", "--input", str(bad), "--min-support", "1", "--maxlen", "2")
     assert code == 3 and "data error" in err
 
     itemsets = tmp_path / "sets.spmf"
-    itemsets.write_text("1 2 -1 3 -2\n")
+    itemsets.write_text("1 2 -1 3 -2\n", encoding="utf-8")
     code, _, err = run(
         capsys, "mine", "--input", str(itemsets), "--min-support", "1", "--maxlen", "2"
     )
@@ -249,7 +258,7 @@ def test_mine_data_errors(d7_path, tmp_path, capsys):
 
     # A percentage of no sequences is no threshold: the database is at fault.
     empty = tmp_path / "empty.spmf"
-    empty.write_text("")
+    empty.write_text("", encoding="utf-8")
     for command in ("mine", "bench", "oracle"):
         code, out, err = run(
             capsys, command, "--input", str(empty), "--min-support", "10%", "--maxlen", "2"
@@ -285,7 +294,7 @@ def test_bench_itemset_flag_changes_nothing_on_one_item_data(d7_path, tmp_path, 
         assert code == 0
         records.append([
             {k: v for k, v in r.items() if k not in ("wall_seconds", "peak_rss_kb")}
-            for r in out_lines(path.read_text())
+            for r in out_lines(path.read_text(encoding="utf-8"))
         ])
     assert len(records[0]) == 10 and records[0] == records[1]
 
@@ -327,14 +336,14 @@ def test_mine_within_constraints_timeout_exit_code(tmp_path, capsys):
 )
 def test_mine_deep_pattern(bounds, deepest, tmp_path, capsys):
     deep = tmp_path / "deep.spmf"
-    deep.write_text("1 -1 " * 1200 + "-2\n")
+    deep.write_text("1 -1 " * 1200 + "-2\n", encoding="utf-8")
     out = tmp_path / "out.jsonl"
     code, _, err = run(
         capsys, "mine", "--input", str(deep), "--min-support", "1",
         "--maxlen", "1200", "--output", str(out), *bounds,
     )
     assert code == 0, err
-    assert len(out_lines(out.read_text())) == deepest
+    assert len(out_lines(out.read_text(encoding="utf-8"))) == deepest
 
 
 @pytest.mark.parametrize(
@@ -430,7 +439,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def _one_sequence_db(path, n_items):
     """One sequence of ``n_items`` distinct items: at support 1 and maxlen 1
     exactly ``n_items`` patterns."""
-    path.write_text("".join(f"{i} -1 " for i in range(1, n_items + 1)) + "-2\n")
+    path.write_text("".join(f"{i} -1 " for i in range(1, n_items + 1)) + "-2\n", encoding="utf-8")
     return path
 
 
@@ -506,6 +515,129 @@ def test_oracle_writes_records_in_blocks(d7_path, capsys, monkeypatch):
     assert sizes == [2, 2, 2, 1] and out.count("\n") == 7
 
 
+# Labels JSON must escape, in multi-item elements.  SPMF holds only integer
+# labels; the ASP facts format holds any.
+ESCAPED_LABELS = ['a"b', "back\\slash", "tab\there", "\x01", "é", "日本", "\U0001f600"]
+
+
+def _escaped_itemset_db(path):
+    rng = random.Random(3)
+    rows = [[rng.sample(ESCAPED_LABELS, rng.randint(1, 3)) for _ in range(rng.randint(3, 7))] for _ in range(12)]
+    db = SequenceDatabase.from_label_sequences(rows)
+    path.write_text(write_asp_facts(db), encoding="utf-8")
+    assert load_database(str(path), "aspfacts") == db
+    return db
+
+
+def test_any_block_size_writes_the_same_bytes(tmp_path, capsys, monkeypatch):
+    db = _escaped_itemset_db(tmp_path / "db.lp")
+    result = mine(db, MiningParams(fmin=2, maxlen=3))
+    expected = write_results(result, db)
+    assert len(result) > 2 * cli.BLOCK and '\\"' in expected and "\\u00e9" in expected
+    argv = ["mine", "--input", str(tmp_path / "db.lp"), "--format", "aspfacts", "--itemset-mode",
+            "--min-support", "2", "--maxlen", "3"]
+    out_path = tmp_path / "out.jsonl"
+    for block in (1, 2, 7, cli.BLOCK, len(result)):
+        monkeypatch.setattr(cli, "BLOCK", block)
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and out == expected, (block, err)
+        code, out, err = run(capsys, *argv, "--output", str(out_path))
+        assert code == 0 and out_path.read_bytes() == expected.encode("utf-8"), (block, err)
+
+
+def test_a_run_encodes_each_label_once(tmp_path, capsys, monkeypatch):
+    # 10,000 labels, one pattern each, written in many blocks: the labels
+    # and element texts are kept with the database, so no block encodes a
+    # label again.
+    path = _one_sequence_db(tmp_path / "db.spmf", 10_000)
+    calls = collections.Counter()
+    real = json.dumps
+
+    def counting(obj, *args, **kwargs):
+        calls[obj] += 1
+        return real(obj, *args, **kwargs)
+
+    sizes = _record_block_sizes(monkeypatch)
+    monkeypatch.setattr(json, "dumps", counting)
+    code, out, err = run(capsys, "mine", "--input", str(path), "--min-support", "1", "--maxlen", "1")
+    monkeypatch.undo()
+    assert code == 0, err
+    assert len(sizes) > 1 and out.count("\n") == 10_000
+    labels = {str(i) for i in range(1, 10_001)}
+    assert {obj for obj in calls if obj in labels} == labels
+    assert max(calls[label] for label in labels) == 1
+
+
+# ---------------------------------------------------------------------------
+# Fuzzed flags: every combination ends in a documented exit code
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    itemsets = root / "sets.spmf"
+    itemsets.write_text("1 2 -1 3 -1 -2\n1 -1 2 3 -1 -2\n2 -1 1 2 -1 3 -1 -2\n", encoding="utf-8")
+    costs = root / "costs.tsv"
+    costs.write_text("1\t1\n2\t2\n3\t3\n4\t10\n", encoding="utf-8")
+    return itemsets, costs
+
+
+@st.composite
+def _value(draw, valid, odd):
+    """Mostly one of ``valid``, one time in five one of ``odd``."""
+    return draw(st.sampled_from(odd if odd and draw(st.integers(0, 4)) == 0 else valid))
+
+
+@st.composite
+def _option(draw, flag, valid, odd=()):
+    """``[flag, value]`` one time in three, else nothing."""
+    return [flag, draw(_value(valid, odd))] if draw(st.integers(0, 2)) == 0 else []
+
+
+@st.composite
+def mine_argvs(draw, itemsets, costs):
+    """A ``seqmine mine`` command line, each flag mostly valid and sometimes
+    an odd value: supports of 0%, 150%, -1, NaN or nothing, lengths of 0 or
+    less, negative bounds, timeouts that are 0, NaN, infinite or too short,
+    empty or unknown labels, malformed regexes, NaN thresholds, and
+    ``--itemset-mode`` with or without multi-item data."""
+    argv = ["mine", "--input", str(draw(st.sampled_from([SRC.parent / "data" / "d7.spmf", itemsets])))]
+    argv += ["--min-support", draw(_value(["1", "2", "3", "50%", "100%"], ["0%", "150%", "-1", "nan", "", "0"]))]
+    argv += ["--maxlen", draw(_value(["1", "3", "100"], ["-3", "0"]))]
+    argv += draw(_option("--minlen", ["1", "2"], ["-1", "0", "4"]))
+    argv += draw(_option("--mode", list(MODES)))
+    for flag in ("--min-gap", "--max-gap", "--min-span", "--max-span"):
+        argv += draw(_option(flag, ["0", "1", "2", "5"], ["-1", "0"]))
+    argv += draw(_option("--timeout", ["30", "1e-9"], ["0", "nan", "inf", "-1"]))
+    argv += draw(_option("--must-have", ["1", "1,3", "", ","], ["zz", " , "]))
+    argv += draw(_option("--cannot-have", ["2", ""], ["zz"]))
+    argv += draw(_option("--regex", ["1 2* 3", "(1|2)*"], ["1(", "(", ")", "*", "1|", "zz", ""]))
+    argv += draw(_option("--super-pattern", ["1 3", "1+2 3"], ["", "zz"]))
+    if draw(st.integers(0, 2)) == 0:
+        argv += ["--cost-file", str(costs), "--agg", draw(st.sampled_from(["sum", "min", "max", "avg"]))]
+        argv += ["--agg-cmp", draw(st.sampled_from(["le", "lt", "ge", "gt", "eq"]))]
+        argv += ["--agg-threshold", draw(_value(["0", "4"], ["nan", "-inf", "inf"]))]
+    for flag in ("--itemset-mode", "--condensed-within-constraints"):
+        if draw(st.booleans()):
+            argv.append(flag)
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_mine_flags_end_in_a_documented_exit_code(data, fuzz_files):
+    argv = data.draw(mine_argvs(*fuzz_files))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    if code == 0:
+        records = out_lines(out.getvalue())
+        assert all(r["support"] == len(r["support_ids"]) for r in records)
+    else:
+        assert not out.getvalue() and err.getvalue()
+
+
 def _cli_process(*argv, **kwargs):
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     return subprocess.Popen([sys.executable, "-m", "seqmine", *argv], env=env, **kwargs)
@@ -515,7 +647,7 @@ def test_reader_closing_stdout_is_not_an_error(tmp_path):
     from seqmine.datagen import GenParams, generate
 
     path = tmp_path / "gen.spmf"
-    path.write_text(write_spmf(generate(GenParams())[0]))
+    path.write_text(write_spmf(generate(GenParams())[0]), encoding="utf-8")
     err_path = tmp_path / "err.txt"
     with open(err_path, "wb") as err_fh:
         proc = _cli_process(
@@ -525,7 +657,7 @@ def test_reader_closing_stdout_is_not_an_error(tmp_path):
         head = proc.stdout.read(10)
         proc.stdout.close()
         code = proc.wait(timeout=120)
-    err = err_path.read_text()
+    err = err_path.read_text(encoding="utf-8")
     assert head == b'{"pattern"'
     assert code == 0, err
     assert "Traceback" not in err and "Exception ignored" not in err
@@ -571,7 +703,7 @@ def test_reader_closing_an_output_pipe_is_a_data_error(tmp_path):
     finally:
         if fd is not None:
             os.close(fd)
-    err = err_path.read_text()
+    err = err_path.read_text(encoding="utf-8")
     assert code == 3, err
     assert err.splitlines()[-1].startswith("seqmine: data error: ") and "Traceback" not in err
 
@@ -590,7 +722,7 @@ def test_gen_writes_db_and_manifest(tmp_path, capsys):
     assert code == 0
     manifest_path = tmp_path / "synth.spmf.manifest.json"
     assert manifest_path.exists()
-    payload = json.loads(manifest_path.read_text())
+    payload = json.loads(manifest_path.read_text(encoding="utf-8"))
     assert payload["params"]["min_coverage"] == pytest.approx(0.2)
     assert len(payload["planted"]) == 3
     assert all(len(p["sids"]) == 6 for p in payload["planted"])  # ceil(0.2 * 30)
@@ -611,7 +743,8 @@ def test_gen_is_deterministic(tmp_path, capsys):
         )
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
-    assert (tmp_path / "a.spmf.json").read_text() == (tmp_path / "b.spmf.json").read_text()
+    manifests = [(tmp_path / name).read_text(encoding="utf-8") for name in ("a.spmf.json", "b.spmf.json")]
+    assert manifests[0] == manifests[1]
 
 
 def test_gen_usage_errors(capsys, tmp_path):
@@ -640,7 +773,7 @@ def test_bench_grid_and_jsonl(d7_path, tmp_path, capsys):
     )
     assert code == 0
     assert "dataset" in out and "d7.spmf" in out
-    records = out_lines(records_path.read_text())
+    records = out_lines(records_path.read_text(encoding="utf-8"))
     assert len(records) == 4
     counts = {(r["resolved_fmin"], r["mode"]): r["pattern_count"] for r in records}
     assert counts == {(3, "frequent"): 7, (3, "maximal"): 1, (5, "frequent"): 5, (5, "maximal"): 2}
@@ -655,7 +788,7 @@ def test_bench_runs_a_repeated_value_once(d7_path, tmp_path, capsys):
     )
     assert code == 0
     assert len(out.splitlines()) == 3  # header, rule, one row
-    [record] = out_lines(records_path.read_text())
+    [record] = out_lines(records_path.read_text(encoding="utf-8"))
     assert (record["fmin"], record["mode"], record["pattern_count"]) == (3, "frequent", 7)
 
 
@@ -669,7 +802,7 @@ def test_bench_keeps_a_count_and_a_fraction_that_compare_equal(d7_path, tmp_path
     )
     assert code == 0
     assert len(out.splitlines()) == 4
-    records = out_lines(records_path.read_text())
+    records = out_lines(records_path.read_text(encoding="utf-8"))
     assert [(repr(r["fmin"]), r["resolved_fmin"], r["pattern_count"]) for r in records] == [
         ("1", 1, 23), ("1.0", 7, 0),
     ]
@@ -695,7 +828,7 @@ def test_bench_usage_errors(d7_path, capsys):
 def test_bench_mixed_sweep_stops_before_its_first_cell(d7_path, tmp_path, capsys):
     # Every input is checked before any cell runs, so no record file is made.
     itemsets = tmp_path / "sets.spmf"
-    itemsets.write_text("1 2 -1 3 -2\n")
+    itemsets.write_text("1 2 -1 3 -2\n", encoding="utf-8")
     records = tmp_path / "records.jsonl"
     code, out, err = run(
         capsys, "bench", "--input", str(d7_path), "--input", str(itemsets),
@@ -746,7 +879,7 @@ def test_console_script(d7_path):
     proc = subprocess.run(
         [exe, "mine", "--input", str(d7_path), "--min-support", "3", "--maxlen", "4"],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
     )
     assert proc.returncode == 0
     assert len([l for l in proc.stdout.splitlines() if l.strip()]) == 7
@@ -759,7 +892,7 @@ def test_python_dash_m_runs_the_cli(module, d7_path, capsys):
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     for extra, want in (([], code), (["--bogus"], 1)):
         proc = subprocess.run(
-            [sys.executable, "-m", module, *argv, *extra], env=env, capture_output=True, text=True
+            [sys.executable, "-m", module, *argv, *extra], env=env, capture_output=True, encoding="utf-8"
         )
         assert proc.returncode == want, proc.stderr
         assert proc.stdout == (expected if want == 0 else "")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import replace
+from itertools import chain
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,13 +24,15 @@ from seqmine import (
     generate,
     mine,
     OracleConfig,
+    oracle_condensed,
     oracle_constrained,
     oracle_frequent,
     regex_compile,
 )
+from seqmine import seqdb
 from seqmine.datagen import GenParams
 from seqmine.constraints import constrained_embeddings
-from seqmine.miner import _Index, _search
+from seqmine.miner import MODES, _Index, _search
 
 from helpers import entry_labels, pat, result_key
 
@@ -516,7 +519,7 @@ def _search_on(db, params, cs, narrow=True, deadline=None, stats=None):
     general = _search(index, fmin, params, cs, general_stats, deadline)
     assert general == entries
     assert general_stats == stats
-    return MiningResult.build(entries)
+    return MiningResult.build(chain.from_iterable(entries))
 
 
 @st.composite
@@ -759,6 +762,60 @@ def test_bound_accounts_for_the_counts_it_skips(d7, monkeypatch, fmin, maxlen, c
     assert (bounded.bounded, unbounded.bounded) == (skipped, 0)
     assert bounded.candidate_tests + bounded.bounded == unbounded.candidate_tests
     assert bounded.nodes_expanded == unbounded.nodes_expanded
+
+
+# ---------------------------------------------------------------------------
+# Canonical order: the pre-order walk, S-children before I-children and each
+# kind ascending, meets each element count's patterns in canonical order, so
+# MiningResult.build keeps mine()'s entries as they come, without a sort.
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_search_emits_each_length_in_canonical_order(data):
+    # Simple and itemset data, minlen above 1, regexes whose prefixes emit
+    # nothing, gap and span windows, the sum gate and every mode, condensed
+    # ones within constraints or not.
+    kind = data.draw(st.sampled_from(["simple", "itemset", "deep_itemset"]))
+    itemset_mode = kind != "simple"
+    db = data.draw(deep_itemset_dbs() if kind == "deep_itemset" else bitmap_dbs(itemset_mode))
+    params = replace(data.draw(bitmap_params(db)), mode=data.draw(st.sampled_from(MODES)))
+    rules = data.draw(bitmap_constraints(db, itemset_mode)) or ConstraintSet()
+    cs = replace(rules, **data.draw(st.one_of(st.just({}), gap_bounds(), span_bounds())))
+    within = data.draw(st.booleans())
+    _assume_oracle_sized(db, params)
+
+    fmin = params.resolved_fmin(len(db))
+    by_length = _search(_Index(db, fmin, cs), fmin, params, cs, MineStats(), None)
+    lengths = [len(level[0].pattern) for level in by_length]
+    assert lengths == sorted(set(lengths)) and all(n >= params.minlen for n in lengths)
+    for n, level in zip(lengths, by_length):
+        keys = [e.pattern.sort_key() for e in level]
+        assert all(len(e.pattern) == n for e in level)
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+    entries = list(chain.from_iterable(by_length))
+    assert MiningResult.build(entries).entries == tuple(entries)
+
+    # mine() and the condensed filter hand build ordered entries: no sort.
+    sorts = []
+
+    def recording_sorted(*args, **kwargs):
+        sorts.append(args)
+        return sorted(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(seqdb, "sorted", recording_sorted, raising=False)
+        result = mine(db, params, cs, condensed_within_constraints=within)
+    assert sorts == []
+    if params.mode == "frequent":
+        assert result.entries == tuple(entries)
+    want = oracle_constrained(
+        db, params.fmin, params.maxlen, cs, minlen=params.minlen, itemset_mode=itemset_mode, config=WIDE
+    )
+    if params.mode != "frequent":
+        want = oracle_condensed(want, params.mode) if within else None
+    if want is not None:
+        assert result_key(result) == result_key(want)
 
 
 def test_maxspan_support_counts_sequences_not_segments():

@@ -45,7 +45,7 @@ PUBLIC_NAMES = {
 def fresh(code: str) -> str:
     """Run ``code`` in a new interpreter that imports seqmine from the source tree."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, encoding="utf-8")
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -99,7 +99,7 @@ def test_readme_library_example_runs():
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run(
-        [sys.executable, "-W", "error", "-c", code], cwd=root, env=env, capture_output=True, text=True
+        [sys.executable, "-W", "error", "-c", code], cwd=root, env=env, capture_output=True, encoding="utf-8"
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()

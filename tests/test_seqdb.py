@@ -472,3 +472,61 @@ def test_mining_result_build_sorts_and_deduplicates(d7):
     assert [e.pattern for e in result.entries] == [a.pattern, ab.pattern]
     with pytest.raises(ValueError):
         MiningResult.build([a, a])
+
+
+@settings(max_examples=300, deadline=None)
+@given(sid_results(), st.data())
+def test_mining_result_build_sorts_any_order_and_rejects_any_duplicate(case, data):
+    # build keeps input that is already in canonical order (mine()'s) and
+    # sorts any other; a pattern given twice raises whether or not the two
+    # sit next to each other, in order or not, with equal sids or not.
+    result, _ = case
+    entries = list(result.entries)
+    keys = [e.pattern.sort_key() for e in entries]
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    shuffled = data.draw(st.permutations(entries))
+    assert MiningResult.build(shuffled) == result == MiningResult.build(iter(entries))
+    if not entries:
+        return
+    twin = data.draw(st.sampled_from(entries))
+    twin = data.draw(st.sampled_from([twin, ResultEntry(twin.pattern, twin.support + 1, twin.sid_bits)]))
+    for base in (entries, shuffled):
+        at = data.draw(st.integers(0, len(base)))
+        with pytest.raises(ValueError, match="duplicate pattern"):
+            MiningResult.build(base[:at] + [twin] + base[at:])
+
+
+def test_loader_shares_one_tuple_per_one_item_element():
+    db = read_spmf("1 -1 2 -1 1 2 -1 -2\n2 -1 1 -1 -2\n")
+    (a, b, ab), (b2, a2) = (s.elements for s in db.sequences)
+    assert (a, b, ab) == ((0,), (1,), (0, 1))
+    assert a is a2 and b is b2
+    rows = SequenceDatabase.from_label_sequences([["x", "y"], ["y", ["x"]]]).sequences
+    assert rows[0].elements[0] is rows[1].elements[1] and rows[0].elements[1] is rows[1].elements[0]
+
+
+def test_write_results_encodes_each_label_once_per_database(monkeypatch):
+    # Blocks written one call at a time reuse the labels and element texts
+    # kept with the database: json.dumps runs once per label written, and
+    # never for a label no record holds.
+    labels = ["a\"b", "back\\slash", "é", "日本", "unused"]
+    db = SequenceDatabase.from_label_sequences([[labels[:2], labels[2]], [labels[3], labels[4]]])
+    ids = [db.alphabet.id_of(label) for label in labels]
+    elements = [(ids[0], ids[1]), (ids[2],), (ids[3],), (ids[0],)]
+    result = MiningResult.build(
+        ResultEntry.from_ids(Pattern((x, y)), (1,)) for x in elements for y in elements
+    )
+    expected = reference_write_results(result, db)
+    calls = []
+    real = json.dumps
+
+    def counting(obj, *args, **kwargs):
+        calls.append(obj)
+        return real(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", counting)
+    entries = result.entries
+    text = "".join(write_results(entries[i : i + 3], db) for i in range(0, len(entries), 3))
+    monkeypatch.undo()
+    assert text == expected
+    assert sorted(calls) == sorted(labels[:4])
