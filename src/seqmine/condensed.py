@@ -15,16 +15,17 @@ pattern (at that length, from a constrained run, or from a result no
 caller vouches for, e.g. one read back with ``read_results``) counts its
 extensions on the database's unconstrained vertical bitmaps
 (``miner._Index``), the fill-gaps frontier of every sequence at once.
+The index turns an entry's supporters' int (``ResultEntry.sid_bits``)
+into head bits and back, so this module reads no byte layout of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress
 from operator import and_
 
-from .seqdb import Elements, MiningResult, Pattern, ResultEntry, Sequence, SequenceDatabase, _sid_flags
+from .seqdb import Elements, MiningResult, Pattern, ResultEntry, Sequence, SequenceDatabase
 from .relations import as_elements, fill_gaps_frontier, is_prefix, is_subsequence
 from .constraints import ConstraintSet
 from .miner import _Index, _check_deadline
@@ -60,14 +61,12 @@ def insertable_regions(seq: Sequence | Elements, pattern: Pattern | Elements) ->
     return InsertableRegions(bounds, items)
 
 
-def _plain_index(db: SequenceDatabase) -> tuple[_Index, list[int], dict[int, int]]:
-    """The database's unconstrained bitmaps, each sequence's head byte (by
-    sid - 1) and each item's sid int, the sequences that hold it (bit k-1
-    for sid k, as ``ResultEntry.sid_bits``)."""
+def _plain_index(db: SequenceDatabase) -> tuple[_Index, dict[int, int]]:
+    """The database's unconstrained bitmaps and each item's sid int, the
+    sequences that hold it (bit k-1 for sid k, as ``ResultEntry.sid_bits``)."""
     index = _Index(db, 1, ConstraintSet())
-    head_bytes = [i for i, b in enumerate(index.heads.to_bytes(index.nbytes, "little")) if b]
     item_sids = {c: index.sid_bits((x + index.carry) & index.heads) for c, x in index.items.items()}
-    return index, head_bytes, item_sids
+    return index, item_sids
 
 
 def _reaches(plain, entry: ResultEntry, need: int, append_only: bool) -> bool:
@@ -78,16 +77,14 @@ def _reaches(plain, entry: ResultEntry, need: int, append_only: bool) -> bool:
     unconstrained index has one window).  For each insertion slot (on
     itemset data also each element to augment) and each item that ``need``
     supporters hold, a walk ANDs in the item's bitmap, steps through the
-    rest of the pattern and counts head bits among the supporters, stopping
-    once the count falls below ``need``."""
-    index, head_bytes, item_sids = plain
+    rest of the pattern and counts the head bits it leaves among the
+    supporters' own (``index.head_bits``), stopping once the count falls
+    below ``need``."""
+    index, item_sids = plain
     after, items, carry = index.after, index.items, index.carry
     supporters = entry.sid_bits
     tests = [c for c, s in item_sids.items() if (s & supporters).bit_count() >= need]
-    row = bytearray(index.nbytes)
-    for i in compress(head_bytes, _sid_flags(supporters)):
-        row[i] = 0x80
-    heads = int.from_bytes(row, "little")
+    heads = index.head_bits(supporters)
     p = as_elements(entry.pattern)
     bits = [reduce(and_, [items.get(c, 0) for c in elem]) for elem in p]
     prefixes = [None]  # the entries of p_1..p_i, None for the empty prefix
@@ -121,9 +118,10 @@ def is_maximal(db: SequenceDatabase, pattern: Pattern, fmin: int, support_ids: t
 
 
 def is_closed(db: SequenceDatabase, pattern: Pattern, support_ids: tuple[int, ...]) -> bool:
-    """No single-item extension is supported by all of the given supporters;
-    each call builds the database's bitmaps (``filter_result`` builds them once)."""
-    return not _reaches(_plain_index(db), ResultEntry.from_ids(pattern, support_ids), len(support_ids), False)
+    """No single-item extension is supported by all of the given supporters, each
+    counted once; each call builds the database's bitmaps (``filter_result`` builds them once)."""
+    entry = ResultEntry.from_ids(pattern, support_ids)
+    return not _reaches(_plain_index(db), entry, entry.support, False)
 
 
 def backward_filter(
@@ -133,8 +131,8 @@ def backward_filter(
     each call builds the database's bitmaps (``filter_result`` builds them once)."""
     if kind not in ("closed", "maximal"):
         raise ValueError(f"unknown backward kind: {kind!r}")
-    need = fmin if kind == "maximal" else len(support_ids)
-    return not _reaches(_plain_index(db), ResultEntry.from_ids(pattern, support_ids), need, True)
+    entry = ResultEntry.from_ids(pattern, support_ids)
+    return not _reaches(_plain_index(db), entry, fmin if kind == "maximal" else entry.support, True)
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +146,12 @@ def _pairwise_keep(result: MiningResult, kind: str, deadline: float | None) -> l
     kept = []
     for e in result.entries:
         _check_deadline(deadline)
-        dominated = False
+        dominated, support = False, e.support
         for other in result.entries:
             if other.pattern == e.pattern or len(other.pattern) < len(e.pattern):
                 continue
             if relation(e.pattern, other.pattern):
-                if not need_equal_support or other.support == e.support:
+                if not need_equal_support or other.support == support:
                     dominated = True
                     break
         if not dominated:
@@ -171,14 +169,14 @@ def _best_extension_support(entries: tuple[ResultEntry, ...], append_only: bool)
     """
     best: dict[Elements, int] = {}
     for e in entries:
-        p = e.pattern.elements
+        p, support = e.pattern.elements, e.support
         for i in [len(p) - 1] if append_only else range(len(p)):
             elem = p[i]
             for k in range(len(elem)):
                 rest = elem[:k] + elem[k + 1:]
                 sub = p[:i] + ((rest,) if rest else ()) + p[i + 1:]
-                if best.get(sub, 0) < e.support:
-                    best[sub] = e.support
+                if best.get(sub, 0) < support:
+                    best[sub] = support
     return best
 
 
@@ -224,7 +222,7 @@ def filter_result(
             ok = best.get(e.pattern.elements, 0) < (e.support if closed else fmin)
         else:
             plain = plain or _plain_index(db)
-            ok = not _reaches(plain, e, e.sid_bits.bit_count() if closed else fmin, append_only)
+            ok = not _reaches(plain, e, e.support if closed else fmin, append_only)
         if ok:
             kept.append(e)
     return MiningResult.build(kept)

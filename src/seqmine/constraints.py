@@ -15,10 +15,10 @@ Constraint families:
 Each rule is written once.  ``ConstraintSet.accepts`` is the emission check
 (item, super-pattern and aggregate); ``ConstraintSet.gap_window`` is the gap
 rule and ``ConstraintSet.span_window`` the span rule, both read by the bitmap
-search and by ``ConstraintSet.reach``, the chain step that admits positions
-under the gap/span bounds, which serves ``constrained_embeddings``, the
-reference model; the regex is stepped through its DFA, whose live states cut
-dead prefixes; length bounds live in ``MiningParams``.
+search and by the chain step of ``constrained_embeddings``, the reference
+model, which admits positions under the gap/span bounds; the regex is
+stepped through its DFA, whose live states cut dead prefixes; length bounds
+live in ``MiningParams``.
 
 The regex sublanguage supports label tokens, implicit concatenation, ``|``
 alternation, ``*`` ``+`` ``?`` postfix repetition, and ``( )`` grouping.  A
@@ -120,8 +120,8 @@ class ConstraintSet:
 
     The search asks ``accepts`` before it emits a pattern, reads
     ``gap_window`` and ``span_window`` for the layout and S-step of its
-    bitmaps, and steps ``regex`` itself; ``reach`` is the chain step of
-    ``constrained_embeddings``.
+    bitmaps, and steps ``regex`` itself; ``constrained_embeddings`` reads
+    the two windows too.
     """
 
     must_have: frozenset[int] = frozenset()
@@ -182,47 +182,19 @@ class ConstraintSet:
         """The gap rule: the distances ``j - last`` by which a next position j
         may follow the previous match ``last``, so that mingap <= j-last-1 <=
         maxgap.  Returns (lowest, highest), highest ``None`` with no maxgap.
-        ``reach`` and the bitmap search's S-step under gap bounds both read
-        it."""
+        ``constrained_embeddings`` and the bitmap search's S-step under gap
+        bounds both read it."""
         return (self.mingap or 0) + 1, None if self.maxgap is None else self.maxgap + 1
 
     def span_window(self) -> tuple[int, int | None]:
         """The span rule: the offsets ``j - first`` at which a chain that
         started at ``first`` may take a next position j, so that minspan <=
         j-first+1 <= maxspan.  Returns (lowest, highest), highest ``None``
-        with no maxspan.  ``reach`` reads it, and so does the bitmap search:
-        highest for its segments, lowest for its first S-step's window.  The
-        first position itself takes no check: a one-element
-        chain is admitted wherever it matches."""
+        with no maxspan.  ``constrained_embeddings`` reads it, and so does
+        the bitmap search: highest for its segments, lowest for its first
+        S-step's window.  The first position itself takes no check: a
+        one-element chain is admitted wherever it matches."""
         return (self.minspan or 1) - 1, None if self.maxspan is None else self.maxspan - 1
-
-    def reach(self, n: int, pairs) -> dict[int, list[tuple[int, int]]]:
-        """The chain step on a sequence of ``n`` elements.
-
-        ``pairs`` are the (last, first) positions, 1-based, of admissible
-        partial chains.  A next position j is admitted after (last, first)
-        when mingap <= j-last-1 <= maxgap and minspan <= j-first+1 <=
-        maxspan.  Returns next position -> the (j, first) pairs admitted
-        there, keys ascending and each list sorted.  ``pairs=None`` is the
-        root, where every position starts a chain (first = last).  Only
-        ``constrained_embeddings``, the reference the search is tested
-        against, steps chains with it.
-        """
-        if pairs is None:
-            return {j: [(j, j)] for j in range(1, n + 1)}
-        nearest, farthest = self.gap_window()
-        lowest, highest = self.span_window()
-        found: set[tuple[int, int]] = set()
-        for last, first in pairs:
-            lo = max(last + nearest, first + lowest)
-            hi = n if farthest is None else min(n, last + farthest)
-            if highest is not None:
-                hi = min(hi, first + highest)
-            found.update((j, first) for j in range(lo, hi + 1))
-        reach: dict[int, list[tuple[int, int]]] = {}
-        for pair in sorted(found):
-            reach.setdefault(pair[0], []).append(pair)
-        return reach
 
 
 # ---------------------------------------------------------------------------
@@ -414,16 +386,35 @@ def constrained_embeddings(
     minspan: int | None = None,
     maxspan: int | None = None,
 ) -> ChainEmbedding:
-    """Level-by-level chain construction, one ``ConstraintSet.reach`` step
-    per pattern element.  Invalid bounds raise ``ConstraintError``."""
-    step = ConstraintSet(mingap=mingap, maxgap=maxgap, minspan=minspan, maxspan=maxspan).reach
+    """Level-by-level chain construction, one chain step per pattern
+    element.  Every position starts a chain (first = last); after a chain
+    on (last, first), a next position j is admitted when mingap <=
+    j-last-1 <= maxgap and minspan <= j-first+1 <= maxspan
+    (``ConstraintSet.gap_window`` and ``span_window``).  A level keeps the
+    admitted (j, first) whose element holds the pattern's.  Invalid bounds
+    raise ``ConstraintError``."""
+    cs = ConstraintSet(mingap=mingap, maxgap=maxgap, minspan=minspan, maxspan=maxspan)
+    nearest, farthest = cs.gap_window()
+    lowest, highest = cs.span_window()
     s = as_elements(seq)
     p = as_elements(pattern)
     n = len(s)
     triples: set[tuple[int, int, int]] = set()
     pairs = None
     for i, elem in enumerate(p, start=1):
-        pairs = [pair for j, found in step(n, pairs).items() if is_subitemset(elem, s[j - 1]) for pair in found]
+        if pairs is None:
+            found = {(j, j) for j in range(1, n + 1)}
+        else:
+            found = set()
+            for last, first in pairs:
+                lo = max(last + nearest, first + lowest)
+                hi = n if farthest is None else min(n, last + farthest)
+                if highest is not None:
+                    hi = min(hi, first + highest)
+                found.update((j, first) for j in range(lo, hi + 1))
+        # One containment test per position, however many chains reach it.
+        fits = {j for j in {j for j, _ in found} if is_subitemset(elem, s[j - 1])}
+        pairs = [pair for pair in found if pair[0] in fits]
         triples.update((i, j, f) for j, f in pairs)
         if not pairs:
             break

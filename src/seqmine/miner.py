@@ -37,9 +37,10 @@ chosen from the constraint set's gap and span windows:
   every other step reads support from head bits, one per sequence, that a
   carry sets wherever the sequence holds an entry;
 * each frequent extension reads its supporters once from its head bits,
-  as one int with a bit per sequence (``ResultEntry.sid_bits``); wherever
-  the search narrows, a candidate whose support the node's int ANDed with
-  a sibling's int already keeps below fmin is skipped uncounted.
+  as one int with a bit per sequence (``ResultEntry.sid_bits``), whose
+  ``bit_count`` is its support; wherever the search narrows, a candidate
+  whose support the node's int ANDed with a sibling's int already keeps
+  below fmin is skipped uncounted.
 
 The paper's two embedding representations, skip-gaps and fill-gaps, give
 the same supports; the bitmaps keep the fill-gaps one, and ``relations``
@@ -54,7 +55,7 @@ from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 
 from .seqdb import MiningResult, Pattern, ResultEntry, SequenceDatabase
 from .constraints import ConstraintError, ConstraintSet
@@ -158,8 +159,9 @@ def _smear(x: int, width: int, shift) -> int:
     return acc
 
 
-# A head byte as a base-2 digit: 0x80 (a supporter) is 1, 0x00 is 0.
+# A head byte as a base-2 digit, 0x80 (a supporter) for 1, and back.
 _HEAD_DIGITS = bytes.maketrans(b"\x00\x80", b"01")
+_DIGIT_HEADS = bytes.maketrans(b"01", b"\x00\x80")
 
 
 class _Index:
@@ -210,12 +212,12 @@ class _Index:
     sequence, which holds the item exactly when it holds the last
     occurrence, so ``_count`` needs no carry there.
 
-    ``sid_bits`` turns head bits into the supporters' int, bit k-1 for sid
-    k (sids are dense, 1..N, in layout order): ``fill`` sets every byte but
-    the head bytes to 0x01, so the head bits ORed with it, written
-    big-endian with every 0x01 byte deleted, leave one byte per sequence,
-    sid N first, 0x80 for a supporter and 0x00 for the rest; one
-    ``translate`` makes them the digits of the int in base 2.
+    ``sid_bits`` turns head bits into the supporters' int (``head_bits``
+    back), bit k-1 for sid k (sids are dense, 1..N, in layout order):
+    ``fill`` sets every byte but the head bytes to 0x01, so the head bits
+    ORed with it, written big-endian with every 0x01 byte deleted, leave
+    one byte per sequence, sid N first, 0x80 for a supporter and 0x00 for
+    the rest; one ``translate`` makes them the digits of the int in base 2.
     """
 
     def __init__(self, db: SequenceDatabase, fmin: int, cs: ConstraintSet):
@@ -238,6 +240,7 @@ class _Index:
         nbytes = sum(len(elements) // 8 + 1 for group in groups for elements in group)
         mask, guards, starts, bottoms, heads = (bytearray(nbytes) for _ in range(5))
         fill = bytearray(b"\x01") * nbytes
+        head_bytes = []
         # Per item, the bits it sets, and where a sequence is one segment,
         # the bit of its last occurrence in each sequence.
         places = {c: [] for c in range(len(db.alphabet)) if c not in cs.cannot_have}
@@ -261,6 +264,7 @@ class _Index:
                         last_places[item].append(bit)
                 base = top + 1
             heads[top], fill[top] = 0x80, 0
+            head_bytes.append(top)
 
         def bitmap(bits: list[int]) -> int:
             row = bytearray(nbytes)
@@ -268,7 +272,7 @@ class _Index:
                 row[bit >> 3] |= 1 << (bit & 7)
             return int.from_bytes(row, "little")
 
-        self.nbytes = nbytes
+        self.nbytes, self.head_bytes = nbytes, head_bytes
         self.itemsets = not db.simple_mode
         self.mask = int.from_bytes(mask, "little")
         self.guards = int.from_bytes(guards, "little")
@@ -296,6 +300,15 @@ class _Index:
     def sid_bits(self, found: int) -> int:
         """The int with bit k-1 set for each sid k whose head bit ``found`` sets."""
         return int((found | self.fill).to_bytes(self.nbytes, "big").translate(_HEAD_DIGITS, b"\x01"), 2)
+
+    def head_bits(self, sids: int) -> int:
+        """The head bits of the sids set in ``sids``: bin()'s digits, reversed
+        to put sid 1 first and made 0x00 or 0x80, flag the ``head_bytes``
+        (the byte of each sequence's head bit, by sid - 1)."""
+        row = bytearray(self.nbytes)
+        for i in compress(self.head_bytes, bin(sids)[:1:-1].encode().translate(_DIGIT_HEADS)):
+            row[i] = 0x80
+        return int.from_bytes(row, "little")
 
     def _shift(self, x: int, d: int) -> int:
         keep = self.keeps.get(d)
@@ -325,10 +338,10 @@ class _Index:
 
 
 def _count(index: _Index, base: int, tests: list[int], fmin: int, lasts=None) -> list:
-    """The frequent extensions among ``tests``: (item, entries, support,
-    supporters' int) for each item whose bits ANDed with ``base`` (the
-    S-step's ``after`` or, for the I-step, the entries themselves) leave at
-    least ``fmin`` supporters, in the order of ``tests``.
+    """The frequent extensions among ``tests``: (item, entries, supporters'
+    int) for each item whose bits ANDed with ``base`` (the S-step's
+    ``after`` or, for the I-step, the entries themselves) leave at least
+    ``fmin`` supporters, in the order of ``tests``.
 
     The general count adds ``carry`` and reads the head bits of every
     candidate.  ``lasts``, each item's last-occurrence bits, may be given
@@ -340,17 +353,15 @@ def _count(index: _Index, base: int, tests: list[int], fmin: int, lasts=None) ->
     hits = []
     if lasts is not None:
         for c in tests:
-            n = (base & lasts[c]).bit_count()
-            if n >= fmin:
+            if (base & lasts[c]).bit_count() >= fmin:
                 x = base & items[c]
-                hits.append((c, x, n, sid_bits((x + carry) & heads)))
+                hits.append((c, x, sid_bits((x + carry) & heads)))
         return hits
     for c in tests:
         x = base & items[c]
         h = (x + carry) & heads
-        n = h.bit_count()
-        if n >= fmin:
-            hits.append((c, x, n, sid_bits(h)))
+        if h.bit_count() >= fmin:
+            hits.append((c, x, sid_bits(h)))
     return hits
 
 
@@ -370,9 +381,9 @@ def _search(
     deadline: float | None,
 ) -> list[list[ResultEntry]]:
     """Depth-first pattern growth over an explicit stack of frames
-    (elements, entries, support, supporters' int, candidates, dfa_state,
-    running_sum, siblings), starting from the empty pattern with the index's
-    items as candidates, and narrowing them where ``index.narrows``.  Every
+    (elements, entries, supporters' int, candidates, dfa_state, running_sum,
+    siblings), starting from the empty pattern with the index's items as
+    candidates, and narrowing them where ``index.narrows``.  Every
     gate is applied here; ``index`` only supplies the bitmaps and the
     S-step.
 
@@ -396,12 +407,12 @@ def _search(
     once it is a frequent extension the DFA admits.
 
     Each frequent extension reads its supporters' int from its head bits
-    once (``index.sid_bits``); an emitted node's entry keeps it.  Where the
-    search narrows, deleting the item a node P added from the node's
-    extension by c leaves a sibling extension of P, as frequent in every
-    sequence that holds the extension: P·d·c and P·(d c) leave P·c, and
-    (P + d)·c leaves P·c, but (P + d) + c leaves P + c (``+`` adds an item
-    to the last element).  So ``siblings`` holds P's S-hits and, for
+    once (``index.sid_bits``); its frame and entry keep no count beside it.
+    Where the search narrows, deleting the item a node P added from the
+    node's extension by c leaves a sibling extension of P, as frequent in
+    every sequence that holds the extension: P·d·c and P·(d c) leave P·c,
+    and (P + d)·c leaves P·c, but (P + d) + c leaves P + c (``+`` adds an
+    item to the last element).  So ``siblings`` holds P's S-hits and, for
     I-candidates, P's S-hits after an S-step and P's I-hits after an
     I-step, by item; ``_bound`` skips a candidate (``stats.bounded``) when
     fewer than fmin of the node's supporters support its sibling.  A
@@ -431,15 +442,15 @@ def _search(
     sink: defaultdict[int, list[ResultEntry]] = defaultdict(list)
     # Every sequence supports the empty pattern, the root, which is never
     # emitted (minlen >= 1) and has no siblings.
-    stack = [((), None, 0, 0, list(items), dfa.start if dfa is not None else None, 0, None)]
+    stack = [((), None, 0, list(items), dfa.start if dfa is not None else None, 0, None)]
     while stack:
-        elements, entries, support, bits, candidates, dfa_state, running_sum, siblings = stack.pop()
+        elements, entries, bits, candidates, dfa_state, running_sum, siblings = stack.pop()
         stats.nodes_expanded += 1
         _check_deadline(deadline)
         depth = len(elements)
         emits = depth >= minlen and (dfa is None or dfa_state in dfa.accepting) and accepts(elements)
         if emits:
-            sink[depth].append(ResultEntry(trusted(elements), support, bits))
+            sink[depth].append(ResultEntry(trusted(elements), bits))
         grows = depth < maxlen
         augments = itemsets and depth > 0
         if not (grows or augments):
@@ -476,7 +487,7 @@ def _search(
             else:
                 frequent = set(local)
                 inherited = [c for c in candidates if c in frequent or c not in allowed]
-            s_bits = {c: b for c, _, _, b in s_hits}
+            s_bits = {c: b for c, _, b in s_hits}
             s_child = (s_bits, s_bits)
         # The stack pops the S-children in ascending order, then the
         # I-children in ascending order, so they go on in reverse.
@@ -487,15 +498,15 @@ def _search(
             a_inherited = inherited
             if narrow:
                 a_inherited = sorted(set(local).union(hit[0] for hit in a_hits))
-                a_child = (s_bits, {c: b for c, _, _, b in a_hits})
+                a_child = (s_bits, {c: b for c, _, b in a_hits})
             head, last = elements[:-1], elements[-1]
-            for c, x, n, b in reversed(a_hits):
+            for c, x, b in reversed(a_hits):
                 new_sum = 0 if costs is None else running_sum + agg.cost_of(c)
-                stack.append((head + (last + (c,),), x, n, b, a_inherited, dfa_state, new_sum, a_child))
-        for c, x, n, b in reversed(s_hits):
+                stack.append((head + (last + (c,),), x, b, a_inherited, dfa_state, new_sum, a_child))
+        for c, x, b in reversed(s_hits):
             nxt_state = dfa_state if dfa is None else dfa.step(dfa_state, c)
             new_sum = 0 if costs is None else running_sum + agg.cost_of(c)
-            stack.append((elements + (singles[c],), x, n, b, inherited, nxt_state, new_sum, s_child))
+            stack.append((elements + (singles[c],), x, b, inherited, nxt_state, new_sum, s_child))
     return [sink[depth] for depth in sorted(sink)]
 
 

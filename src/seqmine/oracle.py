@@ -244,18 +244,16 @@ def oracle_constrained(
     want_embedding = any(v is not None for v in (cs.mingap, cs.maxgap, cs.minspan, cs.maxspan))
     out = []
     for e in base.entries:
-        support, ids = e.support, e.support_ids
+        ids = e.support_ids
         if want_embedding:
-            kept_ids = []
-            for sid in ids:
-                maps = oracle_embeddings(db.sequence(sid), e.pattern, config)
+            ids = [
+                sid for sid in ids
                 if any(
-                    _admissible(m, cs.mingap, cs.maxgap, cs.minspan, cs.maxspan) for m in maps
-                ):
-                    kept_ids.append(sid)
-            ids = tuple(kept_ids)
-            support = len(ids)
-            if support < fmin:
+                    _admissible(m, cs.mingap, cs.maxgap, cs.minspan, cs.maxspan)
+                    for m in oracle_embeddings(db.sequence(sid), e.pattern, config)
+                )
+            ]
+            if len(ids) < fmin:
                 continue
         if not minlen <= len(e.pattern) <= maxlen:
             continue

@@ -139,7 +139,7 @@ def _frozen_slots(cls):
 
 
 @_frozen_slots
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(frozen=True, slots=True)
 class Pattern:
     """A candidate/mined pattern: a tuple of itemsets, same shape as a sequence.
 
@@ -248,36 +248,34 @@ class SequenceDatabase:
 _DIGIT_FLAGS = bytes.maketrans(b"0", b"\x00")
 
 
-def _sid_flags(sid_bits: int) -> bytes:
-    """One byte per sid, from sid 1 to the highest in ``sid_bits``: non-zero
-    exactly where its bit is set (bin() lists the bits highest first)."""
-    return bin(sid_bits)[:1:-1].encode().translate(_DIGIT_FLAGS)
-
-
 @_frozen_slots
 @dataclass(frozen=True, slots=True)
 class ResultEntry:
-    """A pattern, its support and its supporters.  ``sid_bits`` holds the
-    supporters as one int with bit k-1 set for sid k; ``support_ids`` reads
-    them back as an ascending tuple, and ``from_ids`` builds an entry from
-    such a tuple."""
+    """A pattern and its supporters.  ``sid_bits`` holds the supporters as
+    one int with bit k-1 set for sid k; ``support`` counts them and
+    ``support_ids`` reads them back as an ascending tuple, so neither can
+    disagree with ``sid_bits``.  ``from_ids`` builds an entry from sids."""
 
     pattern: Pattern
-    support: int
     sid_bits: int
 
     @classmethod
     def from_ids(cls, pattern: Pattern, support_ids: Iterable[int]) -> "ResultEntry":
-        """The entry of ``pattern`` supported by the distinct sids ``support_ids``."""
-        bits = n = 0
+        """The entry of ``pattern`` supported by the sids ``support_ids``; a
+        repeated sid counts once."""
+        bits = 0
         for sid in support_ids:
             bits |= 1 << (sid - 1)
-            n += 1
-        return cls(pattern, n, bits)
+        return cls(pattern, bits)
+
+    @property
+    def support(self) -> int:
+        return self.sid_bits.bit_count()
 
     @property
     def support_ids(self) -> tuple[int, ...]:
-        return tuple(compress(count(1), _sid_flags(self.sid_bits)))
+        # One flag per sid from sid 1 up; bin() lists the bits highest first.
+        return tuple(compress(count(1), bin(self.sid_bits)[:1:-1].encode().translate(_DIGIT_FLAGS)))
 
 
 def _precedes(a: ResultEntry, b: ResultEntry) -> bool:

@@ -680,8 +680,10 @@ def test_reader_closing_stdout_before_the_bench_summary(d7_path):
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_reader_closing_an_output_pipe_is_a_data_error(tmp_path):
-    # Over 4,000 records of more than 40 bytes: more than the pipe holds.
-    path = _one_sequence_db(tmp_path / "db.spmf", 2 * cli.BLOCK + 1)
+    # Over 4,000 records of more than 40 bytes: more than a 64 KiB pipe
+    # holds, so the child is still writing when the reader closes, however
+    # few records a block holds.
+    path = _one_sequence_db(tmp_path / "db.spmf", max(4_001, 2 * cli.BLOCK + 1))
     fifo = tmp_path / "out.fifo"
     os.mkfifo(fifo)
     # Opened without blocking, so a child that never writes fails the wait

@@ -140,6 +140,8 @@ def test_is_closed_fixture(d7):
         p = pat(d7, *labels)
         _, ids = support(d7, p)
         assert is_closed(d7, p, ids) is expect
+        # A repeated sid is one supporter: <c> is not closed either way.
+        assert is_closed(d7, p, ids + ids[:1]) is expect
 
 
 def test_backward_filter_fixture(d7):
@@ -149,6 +151,10 @@ def test_backward_filter_fixture(d7):
     abc = pat(d7, "a", "b", "c")
     _, abc_ids = support(d7, abc)
     assert backward_filter(d7, abc, 3, abc_ids, "closed") is True
+    # A repeated sid is one supporter: y follows <x> in both sequences.
+    xy = SequenceDatabase.from_label_sequences([["x", "y"], ["x", "y"]])
+    x = pat(xy, "x")
+    assert backward_filter(xy, x, 1, (1, 2), "closed") is backward_filter(xy, x, 1, (1, 2, 2), "closed") is False
     c = pat(d7, "c")
     _, c_ids = support(d7, c)
     assert backward_filter(d7, c, 3, c_ids, "maximal") is True

@@ -294,21 +294,32 @@ def test_constrained_embeddings_rejects_bad_bounds():
             constrained_embeddings(ACBC, AC, **bad)
 
 
-def test_reach_is_the_chain_step():
-    # The root starts a chain at every position.
-    assert ConstraintSet().reach(3, None) == {1: [(1, 1)], 2: [(2, 2)], 3: [(3, 3)]}
-    # From a chain ending at 2 that began at 1, on 6 positions: the gap
-    # bounds admit 4..5, the span bounds 3..5.
-    cs = ConstraintSet(mingap=1, maxgap=2, minspan=3, maxspan=5)
-    assert cs.reach(6, [(2, 1)]) == {4: [(4, 1)], 5: [(5, 1)]}
-    # Pairs merge per next position, sorted by first position.
-    assert ConstraintSet(maxgap=1).reach(4, [(2, 2), (1, 1)]) == {
-        2: [(2, 1)], 3: [(3, 1), (3, 2)], 4: [(4, 2)],
-    }
-    assert ConstraintSet(maxspan=2).reach(4, [(2, 1)]) == {}
+def _chains(emb, level: int) -> set[tuple[int, int]]:
+    """The (position, first position) of the chains at one pattern level."""
+    return {(j, f) for i, j, f in emb.triples if i == level}
+
+
+def test_constrained_embeddings_chain_step():
+    # Every position of a sequence holding each element starts a chain.
+    assert _chains(constrained_embeddings(elems(*[(A,)] * 3), elems((A,))), 1) == {(1, 1), (2, 2), (3, 3)}
+    # From a chain ending at last that began at first, on 6 positions: the
+    # gap bounds admit last+2..last+3, the span bounds first+2..first+4.
+    cs = dict(mingap=1, maxgap=2, minspan=3, maxspan=5)
+    emb = constrained_embeddings(elems(*[(A,)] * 6), elems(*[(A,)] * 3), **cs)
+    assert _chains(emb, 2) == {(3, 1), (4, 1), (4, 2), (5, 2), (5, 3), (6, 3), (6, 4)}
+    # From (3, 1) the maxspan leaves 5 of the gap's 5..6, and from (4, 1)
+    # nothing; from (4, 2) it leaves 6.
+    assert _chains(emb, 3) == {(5, 1), (6, 2)}
+    # Chains that began at different positions may reach one position.
+    emb = constrained_embeddings(elems(*[(A,)] * 4), elems(*[(A,)] * 2), maxgap=1)
+    assert _chains(emb, 2) == {(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)}
+    # A span bound can leave no next position.
+    emb = constrained_embeddings(elems(*[(A,)] * 4), elems(*[(A,)] * 3), maxspan=2)
+    assert _chains(emb, 2) == {(2, 1), (3, 2), (4, 3)}
+    assert _chains(emb, 3) == set() and not emb.supports
     # The span bounds as offsets j - first, which the span state's segments
     # read too.
-    assert cs.span_window() == (2, 4)
+    assert ConstraintSet(**cs).span_window() == (2, 4)
     assert ConstraintSet(maxgap=1).span_window() == (0, None)
 
 
@@ -318,9 +329,9 @@ def test_gap_window_is_the_gap_rule():
     assert ConstraintSet(maxgap=0).gap_window() == (1, 1)
     assert ConstraintSet(mingap=2).gap_window() == (3, None)
     assert ConstraintSet(mingap=1, maxgap=3, maxspan=9).gap_window() == (2, 4)
-    # reach admits exactly that window when no span bound narrows it.
-    cs = ConstraintSet(mingap=1, maxgap=3)
-    assert list(cs.reach(9, [(2, 2)])) == [2 + d for d in range(2, 5)]
+    # The chain step admits exactly that window when no span bound narrows it.
+    emb = constrained_embeddings(elems(*[(A,)] * 9), elems((A,), (A,)), mingap=1, maxgap=3)
+    assert sorted(j for j, f in _chains(emb, 2) if f == 2) == [2 + d for d in range(2, 5)]
 
 
 # ---------------------------------------------------------------------------

@@ -645,6 +645,27 @@ def test_state_follows_the_bounds(d7):
     assert index.after(index.mask, True) == 0 != index.after(index.mask, False)
 
 
+@pytest.mark.parametrize("itemset_mode", [False, True])
+@pytest.mark.parametrize("bounds", [{}, dict(maxspan=2), dict(maxgap=1, minspan=3)])
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_head_bits_and_sid_bits_invert_each_other(itemset_mode, bounds, data):
+    # On each layout (one segment per sequence, one per start position under
+    # a maxspan, either one on itemset data) a sid int goes to head bits and
+    # back unchanged, and so do head bits; every sid is every head.
+    db = data.draw(bitmap_dbs(itemset_mode))
+    index = _Index(db, 1, ConstraintSet(**bounds))
+    longest = max(map(len, db.sequences))
+    assert (index.lasts is None) is ("maxspan" in bounds and longest > 2)
+    assert len(index.head_bytes) == len(db)
+    everyone = (1 << len(db)) - 1
+    assert index.head_bits(everyone) == index.heads and index.sid_bits(index.heads) == everyone
+    sids = data.draw(st.integers(0, everyone))
+    heads = index.head_bits(sids)
+    assert heads & ~index.heads == 0 and heads.bit_count() == sids.bit_count()
+    assert index.sid_bits(heads) == sids and index.head_bits(index.sid_bits(heads)) == heads
+
+
 def test_minspan_past_the_maxgap_leaves_one_element_patterns(d7):
     # Under maxgap=0 a second element matches 1 position after the first,
     # never the 9 a minspan of 10 needs, so no pattern grows past one element.
