@@ -6,11 +6,14 @@ brute-force reference miner on small inputs.
 
 Exit codes: 0 success, 1 usage error (bad flags or parameter values,
 including constraint parameters that do not fit the dataset's alphabet,
-``--regex`` with ``--itemset-mode``, a NaN ``--agg-threshold`` and a
-``--timeout`` that is not a positive, finite number), 2 timeout, 3 data
-error (unreadable or malformed input files, an output file that cannot be
-written, a database with multi-item elements without ``--itemset-mode``, or
-a percentage ``--min-support`` on a database with no sequences).
+``--regex`` with ``--itemset-mode``, a ``--regex`` that nests more than 100
+groups deep, a NaN ``--agg-threshold`` and a ``--timeout`` that is not a
+positive, finite number), 2 timeout, 3 data error (unreadable or malformed
+input files, a file that is not UTF-8, an output file that cannot be
+written, a database with multi-item elements without ``--itemset-mode``, an
+item with no ``--cost-file`` entry, or a percentage ``--min-support`` on a
+database with no sequences).  ``main`` maps each failure to its code; the
+commands only turn the errors their flags cause into usage errors.
 
 A reader that closes standard output early (``seqmine mine ... | head``)
 stops the output, not the run: the rest goes to ``os.devnull`` and the
@@ -29,6 +32,7 @@ import theirs when they run.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import io
 import math
@@ -292,13 +296,11 @@ def _build_constraints(args, db: SequenceDatabase) -> ConstraintSet:
     aggregate = None
     if args.agg is not None:
         with io.open(args.cost_file, "r", encoding="utf-8") as fh:
-            table = load_cost_text(fh.read())
+            table = load_cost_text(fh)
         aggregate = AggregateSpec(
             resolve_costs(table, db.alphabet), args.agg, args.agg_cmp, args.agg_threshold
         )
-    regex = None
-    if args.regex is not None:
-        regex = regex_compile(args.regex, db.alphabet)
+    regex = None if args.regex is None else regex_compile(args.regex, db.alphabet)
     return ConstraintSet(
         must_have=_resolve_items(_parse_labels(args.must_have), db, "--must-have"),
         cannot_have=_resolve_items(_parse_labels(args.cannot_have), db, "--cannot-have"),
@@ -323,36 +325,20 @@ def _cmd_mine(args) -> int:
         raise _UsageError("--regex requires simple mode, not --itemset-mode")
     # An unwritable output would otherwise surface only after the search.
     _check_writable(args.output)
-
-    try:
-        db = load_database(args.input, args.format)
-    except FormatError as exc:
-        return _data_error(exc)
-
+    db = load_database(args.input, args.format)
     try:
         constraints = _build_constraints(args, db)
     except ConstraintError as exc:
         raise _UsageError(str(exc)) from None
-    except FormatError as exc:
-        return _data_error(exc)
-
     if args.emit_asp_facts is not None:
         _write_text(args.emit_asp_facts, write_asp_facts(db))
-
+    _check_itemsets(db, args.itemset_mode)
     stats = MineStats()
-    try:
-        _check_itemsets(db, args.itemset_mode)
-        result = mine(
-            db, params, constraints,
-            timeout=args.timeout, stats=stats,
-            condensed_within_constraints=args.condensed_within_constraints,
-        )
-    except MiningTimeout:
-        print("seqmine: timed out", file=sys.stderr)
-        return EXIT_TIMEOUT
-    except (DataError, ConstraintError) as exc:
-        return _data_error(exc)
-
+    result = mine(
+        db, params, constraints,
+        timeout=args.timeout, stats=stats,
+        condensed_within_constraints=args.condensed_within_constraints,
+    )
     _write_records(args.output, result, db)
     print(
         f"seqmine: {len(result)} patterns, {stats.nodes_expanded} nodes expanded",
@@ -412,38 +398,26 @@ def _cmd_bench(args) -> int:
     for m in modes:
         if m not in MODES:
             raise _UsageError(f"unknown mode: {m!r}")
-    datasets = []
-    for path in dict.fromkeys(args.input):
-        try:
-            datasets.append((os.path.basename(path), load_database(path, args.format)))
-        except FormatError as exc:
-            return _data_error(exc)
+    datasets = [(os.path.basename(p), load_database(p, args.format)) for p in dict.fromkeys(args.input)]
     try:
         cells = bench_mod.run_suite(
             datasets, thresholds, modes,
             maxlen=args.maxlen, minlen=args.minlen, timeout=args.timeout,
         )
-        for _, db in datasets:
-            _check_itemsets(db, args.itemset_mode)
-    except DataError as exc:
-        return _data_error(exc)
+    except DataError:  # a threshold that does not resolve on a dataset
+        raise
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+    for _, db in datasets:
+        _check_itemsets(db, args.itemset_mode)
     records = []
-    sink = None
-    try:
-        if args.output is not None:
-            sink = io.open(args.output, "w", encoding="utf-8")
+    out = contextlib.nullcontext() if args.output is None else io.open(args.output, "w", encoding="utf-8")
+    with out as sink:
         for record in cells:
             records.append(record)
             if sink is not None:
                 sink.write(record.to_json() + "\n")
                 sink.flush()
-    except DataError as exc:
-        return _data_error(exc)
-    finally:
-        if sink is not None:
-            sink.close()
     _write_text(None, bench_mod.summarize(records) + "\n")
     return EXIT_OK
 
@@ -455,15 +429,12 @@ def _cmd_oracle(args) -> int:
         params = MiningParams(fmin=_parse_support(args.min_support), maxlen=args.maxlen)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+    db = load_database(args.input, args.format)
+    resolved = params.resolved_fmin(len(db))
+    _check_itemsets(db, args.itemset_mode)
     try:
-        db = load_database(args.input, args.format)
-    except FormatError as exc:
-        return _data_error(exc)
-    try:
-        resolved = params.resolved_fmin(len(db))
-        _check_itemsets(db, args.itemset_mode)
         result = oracle_frequent(db, resolved, args.maxlen, itemset_mode=args.itemset_mode)
-    except (DataError, GuardError) as exc:
+    except GuardError as exc:  # ``main`` cannot name it without importing the oracle
         return _data_error(exc)
     _write_records(args.output, result, db)
     return EXIT_OK
@@ -482,12 +453,17 @@ def main(argv: list[str] | None = None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return EXIT_USAGE
+        # The one map from a failure to its exit code.  A ConstraintError
+        # here comes from mining (an item with no cost entry); the commands
+        # turn the ones their flags cause into usage errors.
         try:
             return commands[args.command](args)
         except _UsageError as exc:
             scope.error(str(exc))
-        except OSError as exc:
-            # An input file that cannot be read or an output that cannot be written.
+        except MiningTimeout:
+            print("seqmine: timed out", file=sys.stderr)
+            return EXIT_TIMEOUT
+        except (OSError, FormatError, DataError, ConstraintError) as exc:
             return _data_error(exc)
     except _UsageError as exc:
         print(str(exc) if str(exc) else "seqmine: usage error", file=sys.stderr)

@@ -34,10 +34,11 @@ from __future__ import annotations
 import math
 import operator
 import re
+import sys
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, TextIO
 
-from .seqdb import Alphabet, Elements, FormatError, Pattern, Sequence
+from .seqdb import Alphabet, Elements, FormatError, Pattern, Sequence, _as_text
 from .relations import as_elements, is_subitemset, is_subsequence
 
 
@@ -203,6 +204,9 @@ class ConstraintSet:
 # A label, an operator, or any other visible character (an error); the
 # characters ``findall`` skips are exactly the ``str.isspace`` ones.
 _TOKEN = re.compile(r"(\w+|[|*+?()])|(\S)")
+# Each group is four parser frames deep; the bound keeps a deeply nested
+# regex a ``RegexError`` rather than a ``RecursionError``.
+_MAX_GROUP_DEPTH = 100
 
 
 def _lex(expr: str) -> list[str]:
@@ -226,6 +230,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.alphabet = alphabet
+        self.depth = 0  # groups open at ``pos``
         self.items: list[int] = []
         self.follow: list[set[int]] = []
 
@@ -276,11 +281,15 @@ class _Parser:
         if tok is None:
             raise RegexError("unexpected end of expression")
         if tok == "(":
+            if self.depth == _MAX_GROUP_DEPTH:
+                raise RegexError(f"regex nests more than {_MAX_GROUP_DEPTH} groups deep")
             self.pos += 1
+            self.depth += 1
             frag = self.alternation()
             if self.peek() != ")":
                 raise RegexError("unbalanced parenthesis")
             self.pos += 1
+            self.depth -= 1
             return frag
         if tok in ("|", "*", "+", "?", ")"):
             raise RegexError(f"unexpected token {tok!r}")
@@ -425,10 +434,13 @@ def constrained_embeddings(
 # Cost tables
 
 
-def load_cost_text(text: str) -> dict[str, int]:
-    """Parse ``label<TAB>integer`` lines into a label-keyed cost table."""
+def load_cost_text(source: str | bytes | TextIO) -> dict[str, int]:
+    """Parse ``label<TAB>integer`` lines into a label-keyed cost table.
+    ``source`` is read as the database readers read theirs.  A malformed
+    line, a cost past the float range that ``avg`` divides in, or bytes that
+    are not UTF-8 raise ``FormatError``."""
     table: dict[str, int] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_as_text(source).splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
@@ -441,6 +453,8 @@ def load_cost_text(text: str) -> dict[str, int]:
             table[label] = int(raw)
         except ValueError:
             raise FormatError(f"cost file line {lineno}: non-integer cost {raw!r}") from None
+        if abs(table[label]) > sys.float_info.max:
+            raise FormatError(f"cost file line {lineno}: cost outside the float range")
     return table
 
 

@@ -29,7 +29,8 @@ from typing import Iterable, Iterator, TextIO
 
 
 class FormatError(ValueError):
-    """Raised on malformed external input (SPMF, ASP facts, result records)."""
+    """Raised on malformed external input (SPMF, ASP facts, result records,
+    cost tables), bytes that are not UTF-8 included."""
 
 
 Itemset = tuple[int, ...]
@@ -322,11 +323,14 @@ class MiningResult:
 
 
 def _as_text(source: str | bytes | TextIO) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str):
-        return source
-    return source.read()
+    """``source`` as text: bytes decoded as UTF-8, a stream read to its end.
+    Undecodable bytes raise ``FormatError`` naming the first one's offset."""
+    try:
+        if isinstance(source, bytes):
+            return source.decode("utf-8")
+        return source if isinstance(source, str) else source.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8: {exc.reason} at byte {exc.start}") from None
 
 
 def read_spmf(source: str | bytes | TextIO) -> SequenceDatabase:
@@ -457,7 +461,10 @@ def read_asp_facts(source: str | bytes | TextIO) -> SequenceDatabase:
         if not m:
             snippet = stripped.splitlines()[0][:40]
             raise FormatError(f"unparseable ASP facts input at: {snippet!r}")
-        t, p, atom = int(m.group(1)), int(m.group(2)), m.group(3)
+        try:
+            t, p, atom = int(m.group(1)), int(m.group(2)), m.group(3)
+        except ValueError:  # more digits than ``int`` converts
+            raise FormatError(f"number too long in ASP fact at: {stripped[:40]!r}") from None
         if atom.startswith('"'):
             label = atom[1:-1].replace('\\"', '"').replace("\\\\", "\\")
         else:

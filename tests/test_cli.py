@@ -185,6 +185,17 @@ def test_mine_usage_errors(d7_path, tmp_path, capsys):
         assert err.splitlines()[-1].startswith(f"seqmine {argv[0]}: error: "), (argv, err)
 
 
+def test_deeply_nested_regex_is_a_usage_error(d7_path, capsys):
+    # 10,000 groups once raised RecursionError out of main.
+    for depth in (101, 10_000):
+        code, out, err = run(
+            capsys, "mine", "--input", str(d7_path), "--min-support", "3", "--maxlen", "4",
+            "--regex", "(" * depth + "1" + ")" * depth,
+        )
+        assert code == 1 and not out and "Traceback" not in err
+        assert err.splitlines()[-1] == "seqmine mine: error: regex nests more than 100 groups deep"
+
+
 def test_mine_regex_in_itemset_mode_is_usage_error(d7_path, tmp_path, capsys):
     # A flag conflict, reported before the input is read: a missing input
     # gives the same usage error.
@@ -264,6 +275,26 @@ def test_mine_data_errors(d7_path, tmp_path, capsys):
             capsys, command, "--input", str(empty), "--min-support", "10%", "--maxlen", "2"
         )
         assert code == 3 and "data error" in err and not out, command
+
+
+def test_undecodable_files_are_data_errors(d7_path, tmp_path, capsys):
+    # Bytes that are not UTF-8 once escaped main as UnicodeDecodeError.
+    bad = tmp_path / "bad.db"
+    bad.write_bytes(b"1 -1 -2\nseq(1,1,\xff).\n")
+    costs = tmp_path / "costs.tsv"
+    costs.write_bytes(b"1\t1\n2\t\xff\n")
+    cases = [
+        ([command, "--input", str(bad), "--format", fmt, "--min-support", "1", "--maxlen", "2"], 16)
+        for command in ("mine", "bench", "oracle") for fmt in ("spmf", "aspfacts")
+    ]
+    cases.append(([
+        "mine", "--input", str(d7_path), "--min-support", "3", "--maxlen", "2",
+        "--cost-file", str(costs), "--agg", "sum", "--agg-threshold", "4",
+    ], 6))
+    for argv, offset in cases:
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and not out, argv
+        assert err.splitlines() == [f"seqmine: data error: not UTF-8: invalid start byte at byte {offset}"], argv
 
 
 def test_mine_itemset_flag_changes_nothing_on_one_item_data(d7_path, tmp_path, capsys):
@@ -635,6 +666,41 @@ def test_fuzzed_mine_flags_end_in_a_documented_exit_code(data, fuzz_files):
         records = out_lines(out.getvalue())
         assert all(r["support"] == len(r["support_ids"]) for r in records)
     else:
+        assert not out.getvalue() and err.getvalue()
+
+
+def _drawn_bytes(pieces):
+    """File contents: a join of ``pieces`` (the reader's tokens), whitespace,
+    NUL and a BOM, so that some draws parse, with one piece in ten bytes that
+    are not UTF-8 or drawn bytes."""
+    text = st.sampled_from([*pieces, b" ", b"\n", b"\r\n", b"\r", b"\t", b"\x00", b"\xef\xbb\xbf"])
+    odd = st.sampled_from([b"\xff", b"\x80", b"\xc3"]) | st.binary(max_size=4)
+    return st.lists(st.one_of(*[text] * 9, odd), max_size=30).map(b"".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_file_contents_end_in_a_documented_exit_code(data, fuzz_files):
+    root = fuzz_files[0].parent
+    spmf, facts, costs = root / "drawn.spmf", root / "drawn.lp", root / "drawn.tsv"
+    spmf.write_bytes(data.draw(_drawn_bytes([b"1 -1 ", b"2 3 -1 ", b"4 ", b"-1 ", b"-2\n", b"3 -1 -2\n"]), "spmf"))
+    facts.write_bytes(data.draw(_drawn_bytes([b"seq(1,1,a). ", b"seq(1,2,b).\n", b'seq(2,1,"1").', b"% c\n"]), "facts"))
+    costs.write_bytes(data.draw(_drawn_bytes([b"1\t1\n", b"2\t3\n", b"3\t-2\n", b"4\t9\n", b"a\t", b"5"]), "costs"))
+    command = data.draw(st.sampled_from(["mine", "bench", "oracle"]), "command")
+    source = data.draw(st.sampled_from(["spmf", "aspfacts"] + ["d7"] * (command == "mine")), "source")
+    path = {"spmf": spmf, "aspfacts": facts, "d7": SRC.parent / "data" / "d7.spmf"}[source]
+    argv = [command, "--input", str(path), "--format", "aspfacts" if source == "aspfacts" else "spmf"]
+    argv += ["--min-support", data.draw(st.sampled_from(["1", "2", "50%"]), "support"), "--maxlen", "3"]
+    if command == "mine" and data.draw(st.booleans(), "costed"):
+        argv += ["--cost-file", str(costs), "--agg", data.draw(st.sampled_from(["sum", "min", "max", "avg"]))]
+        argv += ["--agg-threshold", "2"]
+    if data.draw(st.booleans(), "itemsets"):
+        argv.append("--itemset-mode")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    if code != 0:
         assert not out.getvalue() and err.getvalue()
 
 

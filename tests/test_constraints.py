@@ -194,6 +194,18 @@ def test_regex_errors(d7):
     assert star.run([B]) is None
 
 
+def test_regex_nesting_is_bounded(d7):
+    # The parser recurses once per group; 10,000 groups once overflowed the stack.
+    for depth in (101, 10_000):
+        with pytest.raises(RegexError, match="nests more than 100 groups deep"):
+            regex_compile("(" * depth + "a" + ")" * depth, d7.alphabet)
+    deep = regex_compile("(" * 100 + "a|b" + ")" * 100, d7.alphabet)
+    assert deep.run([A]) in deep.accepting and deep.run([B]) in deep.accepting
+    # The bound counts open groups, not all of them.
+    wide = regex_compile("(a)" * 500, d7.alphabet)
+    assert wide.run([A] * 500) in wide.accepting
+
+
 REGEX_LABELS = ("a", "bc", "x²", "é")  # sorted, as Alphabet requires
 
 
@@ -341,7 +353,8 @@ def test_gap_window_is_the_gap_rule():
 def test_load_cost_text():
     table = load_cost_text("a\t1\n\nb\t-2\n")
     assert table == {"a": 1, "b": -2}
-    for bad in ["a 1\n", "a\t1\na\t2\n", "a\tx\n", "\t3\n"]:
+    # A cost past the float range once made ``avg`` raise OverflowError.
+    for bad in ["a 1\n", "a\t1\na\t2\n", "a\tx\n", "\t3\n", "a\t-" + "9" * 400]:
         with pytest.raises(FormatError):
             load_cost_text(bad)
 

@@ -19,6 +19,7 @@ from seqmine import (
     ResultEntry,
     Sequence,
     SequenceDatabase,
+    load_cost_text,
     load_database,
     read_asp_facts,
     read_results,
@@ -306,6 +307,28 @@ def test_read_asp_facts_errors():
         read_asp_facts("seq(1,1,a). garbage")
     with pytest.raises(FormatError):
         read_asp_facts("seq(1,1,a). seq(1,1,a).")
+    # More digits than ``int`` converts once raised a bare ValueError.
+    with pytest.raises(FormatError, match="number too long"):
+        read_asp_facts("seq(" + "1" * 5_000 + ",1,a).")
+
+
+def test_undecodable_input_is_a_format_error(d7, tmp_path):
+    # Bytes that are not UTF-8 once escaped every reader as UnicodeDecodeError.
+    cases = [
+        (read_spmf, b"\xff -1 -2\n"),
+        (read_asp_facts, b"seq(1,1,\xff)."),
+        (lambda source: read_results(source, d7), b"\xff\n"),
+        (load_cost_text, b"a\t\xff"),
+    ]
+    for read, data in cases:
+        with pytest.raises(FormatError, match=f"not UTF-8: .* at byte {data.index(0xFF)}$"):
+            read(data)
+    # A file reports the offset in its bytes, a CRLF line end two of them.
+    for fmt, data in (("spmf", b"1 -1 -2\r\n\xff -1 -2\n"), ("aspfacts", b"seq(1,1,\xff).")):
+        path = tmp_path / f"bad.{fmt}"
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=f"at byte {data.index(0xFF)}$"):
+            load_database(str(path), fmt)
 
 
 # ---------------------------------------------------------------------------
