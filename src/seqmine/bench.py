@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 import resource
 import time
+# ``seqmine mine`` never imports this module, so dataclasses cost its start-up
+# nothing here; the classes it does import use ``seqdb._Frozen`` instead.
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 

@@ -24,9 +24,13 @@ file is still a data error.
 the output text of a large result is never held whole: at most one block's
 record texts, their join and its encoded copy are.  The label and sid texts
 the writer joins are kept with the database, so a small block costs no more
-per record than a large one.  ``mine`` imports
-only the modules a mining run needs; ``gen``, ``bench`` and ``oracle``
-import theirs when they run.
+per record than a large one.
+
+``mine`` imports only the modules a mining run needs; ``gen``, ``bench``
+and ``oracle`` import theirs when they run.  Every run is a new process,
+so start-up counts: none of those modules imports ``dataclasses`` (which
+loads ``inspect``, ``ast`` and ``dis``) or ``fractions`` (which loads
+``decimal``), and their value classes share ``seqdb._Frozen`` instead.
 """
 
 from __future__ import annotations

@@ -21,18 +21,16 @@ into head bits and back, so this module reads no byte layout of its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import and_
 
-from .seqdb import Elements, MiningResult, Pattern, ResultEntry, Sequence, SequenceDatabase
+from .seqdb import Elements, MiningResult, Pattern, ResultEntry, Sequence, SequenceDatabase, _Frozen
 from .relations import as_elements, fill_gaps_frontier, is_prefix, is_subsequence
 from .constraints import ConstraintSet
 from .miner import _Index, _check_deadline
 
 
-@dataclass(frozen=True)
-class InsertableRegions:
+class InsertableRegions(_Frozen):
     """Insertion slots of one supporter sequence.
 
     ``bounds[i-1]`` is the open interval (l_i, u_i) for inserting a new
@@ -40,8 +38,10 @@ class InsertableRegions:
     ``items[i-1]`` is the set of items occurring strictly inside it.
     """
 
-    bounds: tuple[tuple[int, int], ...]
-    items: tuple[frozenset[int], ...]
+    __slots__ = _fields = ("bounds", "items")
+
+    def __init__(self, bounds: tuple[tuple[int, int], ...], items: tuple[frozenset[int], ...]) -> None:
+        self._init(bounds, items)
 
 
 def insertable_regions(seq: Sequence | Elements, pattern: Pattern | Elements) -> InsertableRegions:

@@ -35,10 +35,9 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, TextIO
 
-from .seqdb import Alphabet, Elements, FormatError, Pattern, Sequence, _as_text
+from .seqdb import Alphabet, Elements, FormatError, Pattern, Sequence, _as_text, _Frozen
 from .relations import as_elements, is_subitemset, is_subsequence
 
 
@@ -61,16 +60,13 @@ AGG_CMPS = {
 AGG_OPS = ("sum", "min", "max", "avg")
 
 
-@dataclass(frozen=True)
-class AggregateSpec:
+class AggregateSpec(_Frozen):
     """Aggregate of per-item costs over the pattern's items (with multiplicity)."""
 
-    costs: Mapping[int, int]
-    op: str
-    cmp: str
-    threshold: float
+    __slots__ = _fields = ("costs", "op", "cmp", "threshold")
 
-    def __post_init__(self) -> None:
+    def __init__(self, costs: Mapping[int, int], op: str, cmp: str, threshold: float) -> None:
+        self._init(dict(costs), op, cmp, threshold)
         if self.op not in AGG_OPS:
             raise ConstraintError(f"unknown aggregate op: {self.op!r}")
         if self.cmp not in AGG_CMPS:
@@ -78,7 +74,10 @@ class AggregateSpec:
         # Every comparison with NaN is false, so it would reject every pattern.
         if math.isnan(self.threshold):
             raise ConstraintError("aggregate threshold must not be NaN")
-        object.__setattr__(self, "costs", dict(self.costs))
+        # ``avg`` divides in floats, which a larger cost would overflow.
+        for item, cost in self.costs.items():
+            if abs(cost) > sys.float_info.max:
+                raise ConstraintError(f"cost of item id {item} is outside the float range")
 
     def cost_of(self, item: int) -> int:
         try:
@@ -115,8 +114,7 @@ class AggregateSpec:
         return running_sum < self.threshold
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
+class ConstraintSet(_Frozen):
     """Every constraint of a mining run; ``ConstraintSet()`` is no constraint.
 
     The search asks ``accepts`` before it emits a pattern, reads
@@ -125,23 +123,24 @@ class ConstraintSet:
     the two windows too.
     """
 
-    must_have: frozenset[int] = frozenset()
-    cannot_have: frozenset[int] = frozenset()
-    super_patterns: tuple[Pattern, ...] = ()
-    super_pattern_all: bool = False
-    aggregate: AggregateSpec | None = None
-    regex: "RegexDfa | None" = None
-    mingap: int | None = None
-    maxgap: int | None = None
-    minspan: int | None = None
-    maxspan: int | None = None
-    # Whether ``accepts`` has a rule to check; derived, so not compared.
-    _judges: bool = field(init=False, repr=False, compare=False)
+    _fields = (
+        "must_have", "cannot_have", "super_patterns", "super_pattern_all", "aggregate", "regex",
+        "mingap", "maxgap", "minspan", "maxspan",
+    )
+    # ``_judges``: whether ``accepts`` has a rule to check; derived, so not a field.
+    __slots__ = _fields + ("_judges",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "must_have", frozenset(self.must_have))
-        object.__setattr__(self, "cannot_have", frozenset(self.cannot_have))
-        object.__setattr__(self, "super_patterns", tuple(self.super_patterns))
+    def __init__(
+        self, must_have: Iterable[int] = frozenset(), cannot_have: Iterable[int] = frozenset(),
+        super_patterns: Iterable[Pattern] = (), super_pattern_all: bool = False,
+        aggregate: AggregateSpec | None = None, regex: RegexDfa | None = None,
+        mingap: int | None = None, maxgap: int | None = None,
+        minspan: int | None = None, maxspan: int | None = None,
+    ) -> None:
+        self._init(
+            frozenset(must_have), frozenset(cannot_have), tuple(super_patterns), super_pattern_all,
+            aggregate, regex, mingap, maxgap, minspan, maxspan,
+        )
         overlap = self.must_have & self.cannot_have
         if overlap:
             raise ConstraintError(f"items both required and forbidden: {sorted(overlap)}")
@@ -302,20 +301,24 @@ class _Parser:
         return False, here, here
 
 
-@dataclass(eq=False)
-class RegexDfa:
+class RegexDfa(_Frozen):
     """Deterministic automaton over item ids with live-state viability info.
 
     A state is live when some accepting state is reachable from it; a prefix
     whose state is dead (or that has no transition) can never be extended
-    into an accepted pattern.
+    into an accepted pattern.  Two automata are equal only if they are the
+    same object.
     """
 
-    start: int
-    transitions: tuple[dict[int, int], ...]
-    accepting: frozenset[int]
-    live: frozenset[int]
-    expr: str = ""
+    __slots__ = _fields = ("start", "transitions", "accepting", "live", "expr")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self, start: int, transitions: tuple[dict[int, int], ...], accepting: frozenset[int],
+        live: frozenset[int], expr: str = "",
+    ) -> None:
+        self._init(start, transitions, accepting, live, expr)
 
     def step(self, state: int, item: int) -> int | None:
         return self.transitions[state].get(item)
@@ -367,8 +370,7 @@ def regex_compile(expr: str, alphabet: Alphabet) -> RegexDfa:
 # Gap/span-admissible embeddings
 
 
-@dataclass(frozen=True)
-class ChainEmbedding:
+class ChainEmbedding(_Frozen):
     """Admissible chain triples (pattern_pos, seq_pos, first_pos), 1-based.
 
     A triple records that some chain matches the length-``pattern_pos``
@@ -376,9 +378,10 @@ class ChainEmbedding:
     per-step gap and span bounds throughout.
     """
 
-    pattern_len: int
-    seq_len: int
-    triples: frozenset[tuple[int, int, int]]
+    __slots__ = _fields = ("pattern_len", "seq_len", "triples")
+
+    def __init__(self, pattern_len: int, seq_len: int, triples: frozenset[tuple[int, int, int]]) -> None:
+        self._init(pattern_len, seq_len, triples)
 
     @property
     def supports(self) -> bool:
@@ -439,8 +442,12 @@ def load_cost_text(source: str | bytes | TextIO) -> dict[str, int]:
     ``source`` is read as the database readers read theirs.  A malformed
     line, a cost past the float range that ``avg`` divides in, or bytes that
     are not UTF-8 raise ``FormatError``."""
+    try:
+        text = _as_text(source)
+    except FormatError as exc:  # so the message says which file is at fault
+        raise FormatError(f"cost file: {exc}") from None
     table: dict[str, int] = {}
-    for lineno, line in enumerate(_as_text(source).splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")

@@ -17,6 +17,8 @@ from __future__ import annotations
 import json
 import math
 import random
+# ``seqmine mine`` never imports this module, so dataclasses cost its start-up
+# nothing here; the classes it does import use ``seqdb._Frozen`` instead.
 from dataclasses import asdict, dataclass
 
 from .seqdb import SequenceDatabase

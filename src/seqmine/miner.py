@@ -49,15 +49,12 @@ holds both as reference models.
 
 from __future__ import annotations
 
-import math
 import time
 from bisect import bisect_right
 from collections import defaultdict
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain, compress
 
-from .seqdb import MiningResult, Pattern, ResultEntry, SequenceDatabase
+from .seqdb import MiningResult, Pattern, ResultEntry, SequenceDatabase, _Frozen
 from .constraints import ConstraintError, ConstraintSet
 
 MODES = ("frequent", "closed", "maximal", "backward-closed", "backward-maximal")
@@ -71,14 +68,11 @@ class DataError(ValueError):
     """Database/parameter mismatch (e.g. a fractional fmin on no sequences)."""
 
 
-@dataclass(frozen=True)
-class MiningParams:
-    fmin: int | float
-    maxlen: int
-    minlen: int = 1
-    mode: str = "frequent"
+class MiningParams(_Frozen):
+    __slots__ = _fields = ("fmin", "maxlen", "minlen", "mode")
 
-    def __post_init__(self) -> None:
+    def __init__(self, fmin: int | float, maxlen: int, minlen: int = 1, mode: str = "frequent") -> None:
+        self._init(fmin, maxlen, minlen, mode)
         if isinstance(self.fmin, bool) or not isinstance(self.fmin, (int, float)):
             raise ValueError(f"fmin must be an int count or float fraction, got {self.fmin!r}")
         if isinstance(self.fmin, int):
@@ -100,27 +94,34 @@ class MiningParams:
     def resolved_fmin(self, n_sequences: int) -> int:
         if isinstance(self.fmin, int):
             return self.fmin
-        # Exact: the float product rounds 0.07 * 100 up to 7.000000000000001.
-        resolved = math.ceil(Fraction(repr(self.fmin)) * n_sequences)
+        # Exact, on the digits of the float's shortest repr ("0.07", "1e-05"):
+        # the float product rounds 0.07 * 100 up to 7.000000000000001.
+        mantissa, _, exponent = repr(self.fmin).partition("e")
+        whole, _, fraction = mantissa.partition(".")
+        scale = 10 ** (len(fraction) - int(exponent or 0))  # fmin <= 1, so never below 1
+        resolved = -(-int(whole + fraction) * n_sequences // scale)
         if resolved < 1:
             # A percentage of no sequences: the database, not the value, is at fault.
             raise DataError(f"fractional fmin {self.fmin} resolves to {resolved} on {n_sequences} sequences")
         return resolved
 
 
-@dataclass
-class MineStats:
+class MineStats(_Frozen):
     """Search counters.  ``nodes_expanded`` counts the frames popped from the
     search stack, the empty-pattern root included; ``candidate_tests`` the
     support counts made; ``gated`` the candidates a node skipped without a
     count because the regex or a summed aggregate bound rules them out;
     ``bounded`` those it skipped because a sibling's supporters leave too
-    few of its own."""
+    few of its own.  The search adds to them, so unlike its base the class
+    is mutable, and so unhashable."""
 
-    nodes_expanded: int = 0
-    candidate_tests: int = 0
-    gated: int = 0
-    bounded: int = 0
+    __slots__ = _fields = ("nodes_expanded", "candidate_tests", "gated", "bounded")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, nodes_expanded: int = 0, candidate_tests: int = 0, gated: int = 0, bounded: int = 0) -> None:
+        self._init(nodes_expanded, candidate_tests, gated, bounded)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,8 @@ import itertools
 import operator as _op
 import re as _re
 import statistics
+# ``seqmine mine`` never imports this module, so dataclasses cost its start-up
+# nothing here; the classes it does import use ``seqdb._Frozen`` instead.
 from dataclasses import dataclass
 
 from .seqdb import Alphabet, Elements, MiningResult, Pattern, ResultEntry, SequenceDatabase

@@ -22,9 +22,7 @@ reads it forwards and over the reversed sequence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .seqdb import Elements, Itemset, Pattern, Sequence, SequenceDatabase
+from .seqdb import Elements, Itemset, Pattern, Sequence, SequenceDatabase, _Frozen
 
 
 def as_elements(x: Pattern | Sequence | Elements) -> Elements:
@@ -86,13 +84,13 @@ def support(db: SequenceDatabase, pattern: Pattern) -> tuple[int, tuple[int, ...
 # Skip-gaps
 
 
-@dataclass(frozen=True)
-class SkipGapsEmbedding:
+class SkipGapsEmbedding(_Frozen):
     """All (pattern_pos, seq_pos) pairs reachable by prefix embeddings."""
 
-    pattern_len: int
-    seq_len: int
-    pairs: frozenset[tuple[int, int]]
+    __slots__ = _fields = ("pattern_len", "seq_len", "pairs")
+
+    def __init__(self, pattern_len: int, seq_len: int, pairs: frozenset[tuple[int, int]]) -> None:
+        self._init(pattern_len, seq_len, pairs)
 
     @property
     def supports(self) -> bool:
@@ -134,8 +132,7 @@ def skip_gaps_embedding(seq: Sequence | Elements, pattern: Pattern | Elements) -
 # Fill-gaps
 
 
-@dataclass(frozen=True)
-class FillGapsFrontier:
+class FillGapsFrontier(_Frozen):
     """Leftmost-embedding frontier.
 
     ``firsts`` holds, for each matched prefix length i (1-based, as many as
@@ -143,9 +140,10 @@ class FillGapsFrontier:
     full pair set is implied: (i, j) holds for every j from firsts[i-1] to n.
     """
 
-    pattern_len: int
-    seq_len: int
-    firsts: tuple[int, ...]
+    __slots__ = _fields = ("pattern_len", "seq_len", "firsts")
+
+    def __init__(self, pattern_len: int, seq_len: int, firsts: tuple[int, ...]) -> None:
+        self._init(pattern_len, seq_len, firsts)
 
     def pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset(

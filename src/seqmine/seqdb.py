@@ -21,7 +21,6 @@ from __future__ import annotations
 import io
 import json
 import re
-from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from itertools import compress, count, islice
 from operator import getitem
@@ -31,6 +30,58 @@ from typing import Iterable, Iterator, TextIO
 class FormatError(ValueError):
     """Raised on malformed external input (SPMF, ASP facts, result records,
     cost tables), bytes that are not UTF-8 included."""
+
+
+class FrozenError(AttributeError):
+    """Raised on assigning or deleting an attribute of a frozen value."""
+
+
+class _Frozen:
+    """Base of the frozen value classes: a subclass names its fields in
+    ``_fields``, sets them once in its own ``__init__`` (through ``_init``),
+    and gets equality and hash over them (equal only to the same class, with
+    no order), ``repr``, pickling and copying (which call ``__init__``
+    again), and ``replace``.  No attribute can be assigned or deleted.  Only
+    this base, not ``dataclasses``, is imported on the way to ``seqmine
+    mine``, which keeps the command's start-up short."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name, value):
+        raise FrozenError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def replace(self, **changes):
+        """A copy with the fields ``changes`` names set to its values, made
+        through ``__init__``, so its checks and conversions run."""
+        values = dict(zip(self._fields, self._values()))
+        values.update(changes)
+        return self.__class__(**values)
 
 
 Itemset = tuple[int, ...]
@@ -103,15 +154,15 @@ def _check_elements(elements: Elements, what: str) -> None:
             raise ValueError(f"{what} itemset {itemset!r} is not strictly increasing")
 
 
-@dataclass(frozen=True)
-class Sequence:
+class Sequence(_Frozen):
     """One database sequence: a sid plus its elements (itemsets)."""
 
-    sid: int
-    elements: Elements
+    __slots__ = _fields = ("sid", "elements")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "elements", tuple(tuple(e) for e in self.elements))
+    def __init__(self, sid: int, elements: Elements) -> None:
+        # One per database sequence: set directly, as _init's loop costs more.
+        object.__setattr__(self, "sid", sid)
+        object.__setattr__(self, "elements", tuple(tuple(e) for e in elements))
         _check_elements(self.elements, f"sequence {self.sid}")
 
     def __len__(self) -> int:
@@ -122,37 +173,26 @@ class Sequence:
             yield from itemset
 
 
-def _frozen_slots(cls):
-    """Make every attribute assignment and deletion on ``cls`` raise
-    ``FrozenInstanceError``.  With ``slots=True`` the dataclass-generated
-    methods of Python 3.10-3.13 call ``super()`` with the class that the slots
-    copy replaced, so a name that is not a field raised ``TypeError``.
-    Pickling and copying restore slots without ``__setattr__``."""
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    cls.__setattr__, cls.__delattr__ = __setattr__, __delattr__
-    return cls
-
-
-@_frozen_slots
-@dataclass(frozen=True, slots=True)
-class Pattern:
+class Pattern(_Frozen):
     """A candidate/mined pattern: a tuple of itemsets, same shape as a sequence.
 
     The empty pattern is constructible (relation predicates treat it as
     vacuously contained) but the miner never emits it.
     """
 
-    elements: Elements
+    __slots__ = _fields = ("elements",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "elements", tuple(tuple(e) for e in self.elements))
+    def __init__(self, elements: Elements) -> None:
+        self._init(tuple(tuple(e) for e in elements))
         _check_elements(self.elements, "pattern")
+
+    # Compared and hashed in bulk (``condensed._pairwise_keep`` compares every
+    # pair of a result), so the one field is read directly, not via _values.
+    def __eq__(self, other):
+        return self.elements == other.elements if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.elements,))
 
     @classmethod
     def _trusted(cls, elements: Elements) -> "Pattern":
@@ -179,13 +219,12 @@ class Pattern:
         return (len(self.elements), self.elements)
 
 
-@dataclass(frozen=True)
-class SequenceDatabase:
-    alphabet: Alphabet
-    sequences: tuple[Sequence, ...]
+class SequenceDatabase(_Frozen):
+    # No slots: the cached properties below keep their values in __dict__.
+    _fields = ("alphabet", "sequences")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sequences", tuple(self.sequences))
+    def __init__(self, alphabet: Alphabet, sequences: Iterable[Sequence]) -> None:
+        self._init(alphabet, tuple(sequences))
         n_items = len(self.alphabet)
         for pos, seq in enumerate(self.sequences, start=1):
             if seq.sid != pos:
@@ -249,16 +288,18 @@ class SequenceDatabase:
 _DIGIT_FLAGS = bytes.maketrans(b"0", b"\x00")
 
 
-@_frozen_slots
-@dataclass(frozen=True, slots=True)
-class ResultEntry:
+class ResultEntry(_Frozen):
     """A pattern and its supporters.  ``sid_bits`` holds the supporters as
     one int with bit k-1 set for sid k; ``support`` counts them and
     ``support_ids`` reads them back as an ascending tuple, so neither can
     disagree with ``sid_bits``.  ``from_ids`` builds an entry from sids."""
 
-    pattern: Pattern
-    sid_bits: int
+    __slots__ = _fields = ("pattern", "sid_bits")
+
+    def __init__(self, pattern: Pattern, sid_bits: int) -> None:
+        # One per mined pattern: set directly, as _init's loop costs more.
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "sid_bits", sid_bits)
 
     @classmethod
     def from_ids(cls, pattern: Pattern, support_ids: Iterable[int]) -> "ResultEntry":
@@ -285,15 +326,17 @@ def _precedes(a: ResultEntry, b: ResultEntry) -> bool:
     return len(x) < len(y) or (len(x) == len(y) and x < y)
 
 
-@dataclass(frozen=True)
-class MiningResult:
+class MiningResult(_Frozen):
     """Canonically ordered set of result entries.
 
     Entries are sorted by (pattern length, elements) and pattern-unique;
     ``build`` enforces both.
     """
 
-    entries: tuple[ResultEntry, ...]
+    __slots__ = _fields = ("entries",)
+
+    def __init__(self, entries: tuple[ResultEntry, ...]) -> None:
+        self._init(entries)
 
     @classmethod
     def build(cls, entries: Iterable[ResultEntry]) -> "MiningResult":

@@ -284,17 +284,18 @@ def test_undecodable_files_are_data_errors(d7_path, tmp_path, capsys):
     costs = tmp_path / "costs.tsv"
     costs.write_bytes(b"1\t1\n2\t\xff\n")
     cases = [
-        ([command, "--input", str(bad), "--format", fmt, "--min-support", "1", "--maxlen", "2"], 16)
+        ([command, "--input", str(bad), "--format", fmt, "--min-support", "1", "--maxlen", "2"], "", 16)
         for command in ("mine", "bench", "oracle") for fmt in ("spmf", "aspfacts")
     ]
+    # The cost file's message names it, as its bad lines' messages do.
     cases.append(([
         "mine", "--input", str(d7_path), "--min-support", "3", "--maxlen", "2",
         "--cost-file", str(costs), "--agg", "sum", "--agg-threshold", "4",
-    ], 6))
-    for argv, offset in cases:
+    ], "cost file: ", 6))
+    for argv, which, offset in cases:
         code, out, err = run(capsys, *argv)
         assert code == 3 and not out, argv
-        assert err.splitlines() == [f"seqmine: data error: not UTF-8: invalid start byte at byte {offset}"], argv
+        assert err.splitlines() == [f"seqmine: data error: {which}not UTF-8: invalid start byte at byte {offset}"], argv
 
 
 def test_mine_itemset_flag_changes_nothing_on_one_item_data(d7_path, tmp_path, capsys):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -239,7 +238,7 @@ def test_within_constraints_honours_the_deadline():
         mine(db, params, ConstraintSet(maxgap=100), condensed_within_constraints=True, timeout=0.5)
     assert time.monotonic() - start < 3.0
     # The filter alone stops at its first entry past the deadline.
-    frequent = mine(db, replace(params, mode="frequent"))
+    frequent = mine(db, params.replace(mode="frequent"))
     with pytest.raises(MiningTimeout):
         filter_result(db, frequent, 8, kind="maximal", within_constraints=True, deadline=time.monotonic() - 1)
 
@@ -363,7 +362,7 @@ def test_filter_result_matches_rescan_and_oracle(data):
         )
     )
     for level in range(1, maxlen + 1):
-        assume(len(mine(db, replace(params, maxlen=level, minlen=1))) <= MAX_PATTERNS)
+        assume(len(mine(db, params.replace(maxlen=level, minlen=1))) <= MAX_PATTERNS)
 
     fmin = params.fmin
     frequent = mine(db, params)
@@ -372,7 +371,7 @@ def test_filter_result_matches_rescan_and_oracle(data):
         (fmin, None, frequent),
         (fmin + data.draw(st.integers(1, 2)), None, frequent),
         (fmin, None, mine(db, params, cs)),
-    ] + [(fmin, None, mine(db, replace(params, mode=k))) for k in KINDS]
+    ] + [(fmin, None, mine(db, params.replace(mode=k))) for k in KINDS]
     want_oracle = oracle_frequent(db, fmin, maxlen, itemset_mode, config=LONG)
     for kind in KINDS:
         for caller_fmin, complete_to, result in cases:
@@ -382,7 +381,7 @@ def test_filter_result_matches_rescan_and_oracle(data):
             want = brute_filter(db, result, caller_fmin, kind)
             assert result_key(got) == result_key(want)
         got = filter_result(db, frequent, fmin, kind)
-        assert result_key(got) == result_key(mine(db, replace(params, mode=kind)))
+        assert result_key(got) == result_key(mine(db, params.replace(mode=kind)))
         want = oracle_condensed(want_oracle, kind)
         assert result_key([e for e in got if len(e.pattern) < maxlen]) == result_key(
             [e for e in want if params.minlen <= len(e.pattern) < maxlen]
@@ -403,13 +402,13 @@ def test_within_constraints_without_constraints_matches_pairwise_and_oracle(data
         maxlen=maxlen,
         minlen=data.draw(st.integers(1, maxlen)),
     )
-    assume(len(mine(db, replace(params, minlen=1))) <= MAX_PATTERNS)
+    assume(len(mine(db, params.replace(minlen=1))) <= MAX_PATTERNS)
 
     fmin = params.fmin
     frequent = mine(db, params)
     want_frequent = oracle_frequent(db, fmin, maxlen, itemset_mode, config=LONG)
     for kind in KINDS:
-        got = mine(db, replace(params, mode=kind), condensed_within_constraints=True)
+        got = mine(db, params.replace(mode=kind), condensed_within_constraints=True)
         want = oracle_condensed(want_frequent, kind)
         assert result_key(got) == result_key([e for e in want if len(e.pattern) >= params.minlen])
         got = filter_result(db, frequent, fmin, kind, complete_to=maxlen, within_constraints=True)
@@ -435,16 +434,16 @@ def test_only_patterns_no_lookup_can_judge_count_their_extensions(d7, monkeypatc
     cs = ConstraintSet(maxgap=100)  # bounds nothing, but is not neutral
     frequent, constrained = mine(d7, params), mine(d7, params, cs)
     calls = count_reaches(monkeypatch)
-    mine(d7, replace(params, mode=kind))
+    mine(d7, params.replace(mode=kind))
     assert calls and calls == [e.pattern for e in frequent if len(e.pattern) == 2]
     calls.clear()
-    mine(d7, replace(params, mode=kind), cs)
+    mine(d7, params.replace(mode=kind), cs)
     assert calls == [e.pattern for e in constrained]
     calls.clear()
     filter_result(d7, frequent, 3, kind)
     assert calls == [e.pattern for e in frequent]
     calls.clear()
-    mine(d7, replace(params, mode=kind), condensed_within_constraints=True)
+    mine(d7, params.replace(mode=kind), condensed_within_constraints=True)
     assert calls == []
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from itertools import product
 
 import pytest
@@ -114,6 +115,12 @@ def test_aggregate_spec_validation():
             AggregateSpec({0: 1}, op, "ge", float("nan"))
     assert AggregateSpec({0: 1}, "sum", "le", float("inf")).accepts([0])
     assert not AggregateSpec({0: 1}, "sum", "ge", float("inf")).accepts([0])
+    # A cost past the float range once made ``avg`` raise OverflowError when
+    # it divided; the spec now refuses it, whoever builds it.
+    for cost in (10**400, -(10**400)):
+        with pytest.raises(ConstraintError, match="item id 1 is outside the float range"):
+            AggregateSpec({0: 1, 1: cost}, "avg", "le", 1)
+    assert AggregateSpec({0: int(sys.float_info.max)}, "avg", "le", float("inf")).accepts([0])
 
 
 def test_aggregate_ops_and_comparators():
@@ -355,8 +362,10 @@ def test_load_cost_text():
     assert table == {"a": 1, "b": -2}
     # A cost past the float range once made ``avg`` raise OverflowError.
     for bad in ["a 1\n", "a\t1\na\t2\n", "a\tx\n", "\t3\n", "a\t-" + "9" * 400]:
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="cost file line"):
             load_cost_text(bad)
+    with pytest.raises(FormatError, match="^cost file: not UTF-8: invalid start byte at byte 2$"):
+        load_cost_text(b"a\t\xff\n")
 
 
 def test_resolve_costs(d7):

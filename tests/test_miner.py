@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import math
 import random
 import time
-from dataclasses import replace
+from fractions import Fraction
 from itertools import chain
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from seqmine import (
@@ -80,6 +81,28 @@ def test_fractional_fmin_resolution():
     assert MiningParams(fmin=0.28, maxlen=3).resolved_fmin(100) == 28
     with pytest.raises(ValueError):
         MiningParams(fmin=0.5, maxlen=3).resolved_fmin(0)
+
+
+@given(
+    fmin=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    n=st.one_of(st.integers(0, 1000), st.integers(0, 10**7)),
+)
+@example(fmin=0.07, n=100)
+@example(fmin=1e-05, n=10**5)
+@example(fmin=1e-05, n=10**5 + 1)
+@example(fmin=5e-324, n=10**7)
+@example(fmin=1.0, n=10**7)
+@settings(max_examples=500, deadline=None)
+def test_fractional_fmin_matches_the_exact_fraction(fmin, n):
+    # The count is the ceiling of the decimal that the float's repr spells,
+    # times n, as exact rational arithmetic gives it.
+    want = math.ceil(Fraction(repr(fmin)) * n)
+    params = MiningParams(fmin=fmin, maxlen=3)
+    if want < 1:
+        with pytest.raises(ValueError):
+            params.resolved_fmin(n)
+    else:
+        assert params.resolved_fmin(n) == want
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +242,7 @@ def test_missing_cost_raises_only_for_an_admitted_frequent_extension(d7, costs, 
             mine(d7, params, cs)
     else:
         full = AggregateSpec({A: 1, B: 1, C: 1, D: 1, **costs}, "sum", "le", 10)
-        assert result_key(mine(d7, params, cs)) == result_key(mine(d7, params, replace(cs, aggregate=full)))
+        assert result_key(mine(d7, params, cs)) == result_key(mine(d7, params, cs.replace(aggregate=full)))
 
 
 @pytest.mark.parametrize(
@@ -513,7 +536,7 @@ def _search_on(db, params, cs, narrow=True, deadline=None, stats=None):
     index = _Index(db, fmin, cs)
     index.narrows = narrow and index.narrows
     stats = MineStats() if stats is None else stats
-    general_stats = replace(stats)
+    general_stats = stats.replace()
     entries = _search(index, fmin, params, cs, stats, deadline)
     index.lasts = None
     general = _search(index, fmin, params, cs, general_stats, deadline)
@@ -545,7 +568,7 @@ def test_gap_bitmap_search_matches_oracle(data):
     db = data.draw(bitmap_dbs(itemset_mode))
     params = data.draw(bitmap_params(db))
     rules = data.draw(bitmap_constraints(db, itemset_mode)) or ConstraintSet()
-    cs = replace(rules, **data.draw(gap_bounds()))
+    cs = rules.replace(**data.draw(gap_bounds()))
     _assume_oracle_sized(db, params)
     want = oracle_constrained(
         db, params.fmin, params.maxlen, cs, minlen=params.minlen,
@@ -597,7 +620,7 @@ def test_span_bitmap_search_matches_oracle_and_embeddings(data):
     params = data.draw(bitmap_params(db))
     rules = data.draw(bitmap_constraints(db, itemset_mode)) or ConstraintSet()
     bounds = data.draw(span_bounds())
-    cs = replace(rules, **bounds)
+    cs = rules.replace(**bounds)
     _assume_oracle_sized(db, params)
     want = oracle_constrained(
         db, params.fmin, params.maxlen, cs, minlen=params.minlen,
@@ -718,7 +741,7 @@ def test_sibling_bound_matches_unbounded_search_and_oracle(data):
     db = data.draw(deep_itemset_dbs() if kind == "deep_itemset" else bitmap_dbs(itemset_mode))
     params = data.draw(bitmap_params(db))
     rules = data.draw(bitmap_constraints(db, itemset_mode)) or ConstraintSet()
-    cs = replace(rules, **data.draw(st.one_of(st.just({}), gap_bounds(), span_bounds())))
+    cs = rules.replace(**data.draw(st.one_of(st.just({}), gap_bounds(), span_bounds())))
     _assume_oracle_sized(db, params)
     shipped_stats, plain_stats = MineStats(), MineStats()
     shipped = _search_on(db, params, cs, stats=shipped_stats)
@@ -800,9 +823,9 @@ def test_search_emits_each_length_in_canonical_order(data):
     kind = data.draw(st.sampled_from(["simple", "itemset", "deep_itemset"]))
     itemset_mode = kind != "simple"
     db = data.draw(deep_itemset_dbs() if kind == "deep_itemset" else bitmap_dbs(itemset_mode))
-    params = replace(data.draw(bitmap_params(db)), mode=data.draw(st.sampled_from(MODES)))
+    params = data.draw(bitmap_params(db)).replace(mode=data.draw(st.sampled_from(MODES)))
     rules = data.draw(bitmap_constraints(db, itemset_mode)) or ConstraintSet()
-    cs = replace(rules, **data.draw(st.one_of(st.just({}), gap_bounds(), span_bounds())))
+    cs = rules.replace(**data.draw(st.one_of(st.just({}), gap_bounds(), span_bounds())))
     within = data.draw(st.booleans())
     _assume_oracle_sized(db, params)
 

@@ -61,6 +61,20 @@ def test_cli_imports_only_the_mining_modules():
     }
 
 
+def test_mine_path_imports_neither_dataclasses_nor_fractions():
+    # Each costs every ``seqmine mine`` process start-up time: dataclasses
+    # loads inspect, ast and dis, fractions loads decimal.  Only the modules
+    # that this import loads count, not those the interpreter loaded before.
+    added = json.loads(fresh(
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import seqmine.cli, seqmine.condensed\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))"
+    ))
+    assert "seqmine.condensed" in added
+    assert not {"dataclasses", "fractions"} & set(added), added
+
+
 def test_submodules_import_from_the_package():
     assert fresh(
         "import seqmine\n"

@@ -5,29 +5,40 @@ from __future__ import annotations
 import copy
 import json
 import pickle
-from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqmine import (
+    AggregateSpec,
     Alphabet,
+    ConstraintSet,
     FormatError,
+    MineStats,
+    MiningParams,
     MiningResult,
     Pattern,
+    RegexDfa,
     ResultEntry,
     Sequence,
     SequenceDatabase,
+    constrained_embeddings,
+    fill_gaps_frontier,
+    insertable_regions,
     load_cost_text,
     load_database,
+    mine,
     read_asp_facts,
     read_results,
     read_spmf,
+    regex_compile,
+    skip_gaps_embedding,
     write_asp_facts,
     write_results,
     write_spmf,
 )
+from seqmine.seqdb import FrozenError
 
 from helpers import make_d7, pat
 
@@ -123,25 +134,88 @@ def test_pattern_sort_key_orders_by_length_then_lex():
 
 
 def test_result_objects_keep_slots_not_dicts(d7):
+    # Every value class that ``seqmine mine`` imports, one instance each, with
+    # its fields in order and a change for ``replace``.
     p = pat(d7, "a", "bc")
-    e = ResultEntry.from_ids(p, (2,))
-    trusted = Pattern._trusted(p.elements)
-    assert trusted == p and hash(trusted) == hash(p)
-    for obj in (p, e, trusted):
-        assert not hasattr(obj, "__dict__")
-        # Fields and any other name alike: no assignment, no deletion.
-        for name in ("elements", "support", "sid_bits", "support_ids", "extra", "__dict__"):
-            with pytest.raises(FrozenInstanceError):
+    seq, ab = d7.sequence(2), pat(d7, "a", "b")  # <d a b c>, <a b>
+    stats = MineStats(5, 4, 3, 2)
+    dfa = regex_compile("a b*", d7.alphabet)
+    cs = ConstraintSet(must_have={0}, maxgap=2)
+    cs_fields = (
+        "must_have", "cannot_have", "super_patterns", "super_pattern_all", "aggregate", "regex",
+        "mingap", "maxgap", "minspan", "maxspan",
+    )
+    cases = [
+        (seq, ("sid", "elements"), {"elements": [[1]]}),
+        (p, ("elements",), {"elements": [[0]]}),
+        (Pattern._trusted(p.elements), ("elements",), {"elements": [[1]]}),
+        (d7, ("alphabet", "sequences"), {"sequences": list(d7.sequences[:1])}),
+        (ResultEntry.from_ids(p, (2,)), ("pattern", "sid_bits"), {"sid_bits": 0b11}),
+        (mine(d7, MiningParams(fmin=6, maxlen=2)), ("entries",), {"entries": ()}),
+        (MiningParams(0.5, 3), ("fmin", "maxlen", "minlen", "mode"), {"mode": "closed"}),
+        (stats, ("nodes_expanded", "candidate_tests", "gated", "bounded"), {"gated": 7}),
+        (AggregateSpec({0: 1}, "avg", "le", 3), ("costs", "op", "cmp", "threshold"), {"op": "sum"}),
+        (cs, cs_fields, {"cannot_have": [1]}),
+        (dfa, ("start", "transitions", "accepting", "live", "expr"), {"expr": "b"}),
+        (constrained_embeddings(seq, ab, maxgap=1), ("pattern_len", "seq_len", "triples"), {"seq_len": 9}),
+        (skip_gaps_embedding(seq, ab), ("pattern_len", "seq_len", "pairs"), {"seq_len": 9}),
+        (fill_gaps_frontier(seq, ab), ("pattern_len", "seq_len", "firsts"), {"seq_len": 9}),
+        (insertable_regions(seq, ab), ("bounds", "items"), {"bounds": ()}),
+    ]
+    for obj, names, change in cases:
+        cls = type(obj)
+
+        def fields_of(x):
+            return tuple(getattr(x, name) for name in names)
+
+        values = fields_of(obj)
+        twin = cls(*values)
+        changed = obj.replace(**change)
+        # Slots, no __dict__, except where cached properties keep their values.
+        assert hasattr(obj, "__dict__") == (cls is SequenceDatabase), cls
+        # No assignment or deletion, of a field or of any other name (the
+        # search's counters excepted, below).
+        for name in (*names, "extra", "__dict__") if cls is not MineStats else ():
+            with pytest.raises(FrozenError):
                 setattr(obj, name, 1)
-            with pytest.raises(FrozenInstanceError):
+            with pytest.raises(FrozenError):
                 delattr(obj, name)
-        # Pickling and copying restore the slots without assigning.
-        for again in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), copy.copy(obj)):
-            assert type(again) is type(obj) and again == obj and hash(again) == hash(obj)
-    assert pickle.loads(pickle.dumps(e)).support_ids == (2,)
-    assert replace(p, elements=[[0]]) == pat(d7, "a")
-    assert replace(e, sid_bits=0b11) == ResultEntry.from_ids(p, (1, 2))
-    assert replace(e) == e and replace(trusted) == p
+        # == over the fields, only with the same class, and no order; hash
+        # over them where every field hashes (not the dict of costs).
+        if cls is not RegexDfa:
+            assert twin == obj != changed and obj != values and not obj != twin, cls
+        with pytest.raises(TypeError):
+            obj < twin
+        if cls not in (MineStats, AggregateSpec, RegexDfa):
+            assert hash(twin) == hash(obj) == hash(values), cls
+        # Pickling and copying build the object again from its fields.
+        for again in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+            assert type(again) is cls and fields_of(again) == values, cls
+        # replace goes through __init__, so its conversions run; repr names the fields.
+        assert fields_of(changed) == fields_of(cls(**{**dict(zip(names, values)), **change})) != values, cls
+        assert fields_of(obj.replace()) == values, cls
+        assert repr(obj) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in zip(names, values))})"
+        with pytest.raises(TypeError):
+            obj.replace(extra=1)
+    # The exceptions: the search adds to MineStats, which therefore does not hash.
+    stats.gated += 1
+    del stats.bounded
+    stats.bounded = 9
+    assert stats == MineStats(5, 4, 4, 9)
+    with pytest.raises(TypeError):
+        hash(stats)
+    # An automaton is equal only to itself, and hashes by identity.
+    again = RegexDfa(*(getattr(dfa, n) for n in ("start", "transitions", "accepting", "live", "expr")))
+    assert dfa == dfa != again and len({dfa, again}) == 2
+    # ``_judges`` is derived from the fields, so it is neither compared,
+    # hashed nor shown, and a rebuilt set derives it again.
+    twin = cs.replace()
+    object.__setattr__(twin, "_judges", False)
+    assert cs._judges and twin == cs and hash(twin) == hash(cs) and "_judges" not in repr(cs)
+    assert pickle.loads(pickle.dumps(cs))._judges and not ConstraintSet()._judges
+    with pytest.raises(TypeError):
+        cs.replace(_judges=False)
+    assert pickle.loads(pickle.dumps(cases[4][0])).support_ids == (2,)
 
 
 def test_result_entry_holds_its_sids_as_one_int(d7):
@@ -156,7 +230,7 @@ def test_result_entry_support_is_its_supporters_count(d7):
     # An entry stores its supporters once, so its support cannot disagree
     # with them: a repeated sid counts once, and the record written for it
     # reads back.
-    assert [f.name for f in fields(ResultEntry)] == ["pattern", "sid_bits"]
+    assert ResultEntry._fields == ("pattern", "sid_bits")
     e = ResultEntry.from_ids(pat(d7, "a"), (3, 3, 5))
     assert e.support == 2 and e.support_ids == (3, 5) and e.sid_bits == 0b10100
     result = MiningResult.build([e])
